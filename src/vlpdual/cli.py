@@ -14,7 +14,7 @@ import sys
 
 from . import duality, efficiency
 from .cone import ConeError
-from .exact import DimensionError, QVector, format_rational, parse_rational
+from .exact import DimensionError, QVector, qvec
 from .harness import (
     emit_report,
     run_all_fixtures,
@@ -28,6 +28,7 @@ from .model import (
     load_problem,
     objective_D,
     problem_to_dict,
+    vector_to_list,
 )
 
 _INPUT_ERRORS = (ProblemFormatError, ConeError, DimensionError, ValueError, OSError)
@@ -42,11 +43,7 @@ def _parse_cli_vector(text: str) -> QVector:
     data = json.loads(text)
     if not isinstance(data, list) or not data:
         raise ValueError("expected a nonempty JSON array of rationals")
-    return QVector(tuple(parse_rational(v) for v in data))
-
-
-def _vec_json(vec: QVector) -> list[str]:
-    return [format_rational(v) for v in vec]
+    return qvec(*data)
 
 
 def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
@@ -67,7 +64,7 @@ def _cmd_validate(args) -> int:
 def _cmd_vertices(args) -> int:
     problem = _load(args.file)
     vertices = efficiency.enumerate_vertices(problem)
-    payload = {"vertices": [_vec_json(v) for v in vertices]}
+    payload = {"vertices": [vector_to_list(v) for v in vertices]}
     _emit(payload, args.format, [str(v) for v in vertices] or ["(no vertices: empty feasible set)"])
     return 0
 
@@ -77,7 +74,7 @@ def _cmd_efficient(args) -> int:
     pairs = efficiency.efficient_vertices(problem)
     payload = {
         "efficient_vertices": [
-            {"x": _vec_json(v), "lambda": _vec_json(c.lam), "eta": _vec_json(c.eta)}
+            {"x": vector_to_list(v), "lambda": vector_to_list(c.lam), "eta": vector_to_list(c.eta)}
             for v, c in pairs
         ]
     }
@@ -94,11 +91,11 @@ def _cmd_certify(args) -> int:
     payload: dict = {"efficient": efficient}
     lines = [f"efficient: {efficient}"]
     if cert is not None:
-        payload["lambda"] = _vec_json(cert.lam)
-        payload["eta"] = _vec_json(cert.eta)
+        payload["lambda"] = vector_to_list(cert.lam)
+        payload["eta"] = vector_to_list(cert.eta)
         lines.append(f"scalarization: lambda={cert.lam} eta={cert.eta}")
     if dom is not None and dom.dominator is not None:
-        payload["dominator"] = _vec_json(dom.dominator)
+        payload["dominator"] = vector_to_list(dom.dominator)
         lines.append(f"dominated by: {dom.dominator}")
     _emit(payload, args.format, lines)
     return 0
@@ -112,7 +109,7 @@ def _cmd_dual_construct(args) -> int:
         print("point is not efficient; no dual solution constructed", file=sys.stderr)
         return 1
     cand = duality.construct_dual_solution(problem, point, cert)
-    payload = {"candidate": candidate_to_dict(cand), "objective": _vec_json(objective_D(problem, cand))}
+    payload = {"candidate": candidate_to_dict(cand), "objective": vector_to_list(objective_D(problem, cand))}
     _emit(payload, args.format, [json.dumps(candidate_to_dict(cand)), f"objective: {objective_D(problem, cand)}"])
     return 0
 
@@ -141,7 +138,7 @@ def _cmd_recover(args) -> int:
     if point is None:
         _emit({"recovered": None}, args.format, ["no feasible preimage"])
     else:
-        _emit({"recovered": _vec_json(point)}, args.format, [f"x = {point}"])
+        _emit({"recovered": vector_to_list(point)}, args.format, [f"x = {point}"])
     return 0
 
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .exact import DimensionError, QMatrix, QVector
 from .lp import solve_feasibility
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ConeError(ValueError):
@@ -36,6 +39,17 @@ class OrderingCone:
     def validated(self) -> bool:
         return self.qi_witness is not None
 
+    @cached_property
+    def is_orthant(self) -> bool:
+        """Whether the generators are positive multiples of all the unit vectors."""
+        covered = set()
+        for g in self.generators:
+            support = [i for i, v in enumerate(g) if v != 0]
+            if len(support) != 1 or g[support[0]] < 0:
+                return False
+            covered.add(support[0])
+        return covered == set(range(self.dim))
+
 
 @dataclass(frozen=True)
 class SeparationCertificate:
@@ -54,8 +68,35 @@ def make_cone(dim: int, generators) -> OrderingCone:
 
 def orthant(dim: int) -> OrderingCone:
     gens = tuple(QVector.unit(dim, i) for i in range(dim))
-    ones = QVector((Fraction(1),) * dim)
+    ones = QVector((_ONE,) * dim)
     return OrderingCone(dim, gens, ones)
+
+
+def multiplier(
+    cone: OrderingCone,
+    M: QMatrix | None = None,
+    eq: QVector | None = None,
+    extra: tuple[tuple[QVector, Fraction], ...] = (),
+) -> QVector | None:
+    """A free lam with lam.g >= 1 on every generator, M[:, j].lam >= 0 on
+    every column of M, lam.eq = 0 and row.lam >= bound for each extra
+    (row, bound); None when no such lam exists.
+
+    lam has M's row count (else the cone dimension), with the generators
+    zero-padded to it. Rows go equality, generators, columns of M, extras:
+    that order fixes the pivot sequence and so the returned point.
+    """
+    width = M.rows if M is not None else cone.dim
+    pad = (_ZERO,) * (width - cone.dim)
+    rows = [(QVector(g.entries + pad), _ONE) for g in cone.generators]
+    if M is not None:
+        rows += [(M.col(j), _ZERO) for j in range(M.cols)]
+    rows += extra
+    if eq is None:
+        result = solve_feasibility(QMatrix.zeros(0, width), None, rows, free_vars=True)
+    else:
+        result = solve_feasibility(QMatrix(1, width, eq.entries), QVector((_ZERO,)), rows, free_vars=True)
+    return result.point
 
 
 def validate_cone(cone: OrderingCone) -> OrderingCone:
@@ -66,11 +107,10 @@ def validate_cone(cone: OrderingCone) -> OrderingCone:
     """
     if not cone.generators:
         raise ConeError("trivial cone")
-    rows = tuple((g, Fraction(1)) for g in cone.generators)
-    result = solve_feasibility(QMatrix.zeros(0, cone.dim), None, rows, free_vars=True)
-    if result.point is None:
+    witness = multiplier(cone)
+    if witness is None:
         raise ConeError("not pointed")
-    return replace(cone, qi_witness=result.point)
+    return replace(cone, qi_witness=witness)
 
 
 def generator_matrix(cone: OrderingCone) -> QMatrix:
@@ -85,17 +125,6 @@ def negate(cone: OrderingCone) -> OrderingCone:
     return OrderingCone(cone.dim, tuple(-g for g in cone.generators), witness)
 
 
-@lru_cache(maxsize=None)
-def is_orthant(cone: OrderingCone) -> bool:
-    covered = set()
-    for g in cone.generators:
-        support = [i for i, v in enumerate(g) if v != 0]
-        if len(support) != 1 or g[support[0]] < 0:
-            return False
-        covered.add(support[0])
-    return covered == set(range(cone.dim))
-
-
 def contains(cone: OrderingCone, v: QVector) -> bool:
     """Membership v in K, decided by exact feasibility of the generator combination."""
     if v.dim != cone.dim:
@@ -104,7 +133,7 @@ def contains(cone: OrderingCone, v: QVector) -> bool:
         return True
     if cone.qi_witness is not None and cone.qi_witness.dot(v) < 0:
         return False  # witness is in the dual cone, so members cannot go negative
-    if is_orthant(cone):
+    if cone.is_orthant:
         return v.is_nonneg()
     result = solve_feasibility(generator_matrix(cone), v)
     return result.point is not None
@@ -174,20 +203,13 @@ def separate_from_cone(cone: OrderingCone, m_points, m_rays) -> SeparationCertif
     exists (in particular when M meets the cone outside the origin).
     """
     rows: list[tuple[QVector, Fraction]] = []
-    for g in cone.generators:
-        rows.append((-g, Fraction(1)))  # gamma.g <= -1
-    for p in m_points:
-        if p.dim != cone.dim:
-            raise DimensionError("separation point dim mismatch")
-        rows.append((p, Fraction(0)))
-    for r in m_rays:
-        if r.dim != cone.dim:
-            raise DimensionError("separation ray dim mismatch")
-        rows.append((r, Fraction(0)))
-    result = solve_feasibility(QMatrix.zeros(0, cone.dim), None, rows, free_vars=True)
-    if result.point is None:
-        return None
-    return SeparationCertificate(result.point)
+    for label, vectors in (("point", m_points), ("ray", m_rays)):
+        for v in vectors:
+            if v.dim != cone.dim:
+                raise DimensionError(f"separation {label} dim mismatch")
+            rows.append((v, _ZERO))
+    gamma = multiplier(negate(cone), extra=tuple(rows))  # gamma.(-g) >= 1
+    return None if gamma is None else SeparationCertificate(gamma)
 
 
 def find_quasi_interior_point(cone: OrderingCone) -> QVector:

@@ -8,6 +8,10 @@ rank-two when a prescribed objective value must also be hit) only when a
 full witness is requested. The normalization lam.g >= 1 on the cone
 generators is sound because every system here is positively homogeneous
 in (lam, z) jointly.
+
+Two builders assemble every LP here: `cone.multiplier` the systems in
+lam (or in (lam, z)), and `efficiency.domination_program` the domination
+programs over the reduced map L - UA.
 """
 
 from __future__ import annotations
@@ -16,20 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cone import (
-    OrderingCone,
-    generator_matrix,
-    in_quasi_interior,
-    is_orthant,
-    orthant,
-    strictly_below,
-)
-from .efficiency import EfficiencyCertificate, verify_scalarization_certificate
+from .cone import OrderingCone, in_quasi_interior, multiplier, orthant, strictly_below
+from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
 from .exact import DimensionError, QMatrix, QVector, outer
 from .lp import (
-    GeneralProgram,
     GenOptimal,
-    GenRow,
     GenUnbounded,
     LinearProgram,
     Infeasible,
@@ -101,42 +96,21 @@ def check_feasible_L(problem: VlpProblem, cand: DualCandidateL) -> bool:
     return ((problem.L.T @ cand.lam) - (problem.A.T @ cand.z)).is_nonneg()
 
 
-def _image_domination(problem: VlpProblem, U: QMatrix, cone: OrderingCone, target: QVector, normalize: bool):
-    """max sum(mu) over {x, mu >= 0 : (L - UA)x + G mu = target}, as a min program."""
-    M = _reduced_map(problem, U)
-    G = generator_matrix(cone)
-    n, g = problem.n, G.cols
-    width = n + g
-    rows: list[GenRow] = []
-    for i in range(cone.dim):
-        coeffs = tuple(M.at(i, j) for j in range(n)) + tuple(G.at(i, t) for t in range(g))
-        rows.append(GenRow(QVector(coeffs), "=", target[i]))
-    if normalize:
-        rows.append(GenRow(QVector((_ONE,) * width), "<=", _ONE))
-    objective = QVector((_ZERO,) * n + (-_ONE,) * g)
-    return solve_general(GeneralProgram(objective, tuple(rows), (_ZERO,) * width))
-
-
 @lru_cache(maxsize=4096)
 def check_feasible_U(problem: VlpProblem, cand: DualCandidateU) -> bool:
     """No x >= 0 may have (L - UA)x strictly below zero in the relevant order."""
-    if cand.flavor == "I" and not is_orthant(problem.cone):
+    if cand.flavor == "I" and not problem.cone.is_orthant:
         raise ValueError("flavor 'I' is defined only for the orthant order")
     cone = orthant(problem.k) if cand.flavor == "I" else problem.cone
-    out = _image_domination(problem, cand.U, cone, QVector.zeros(problem.k), normalize=True)
+    M = _reduced_map(problem, cand.U)
+    out = solve_general(domination_program(cone, M, QVector.zeros(problem.k), normalize=True))
     assert isinstance(out, GenOptimal), "normalized domination program is bounded and feasible"
     return out.value == 0
 
 
 def u_feasibility_multiplier(problem: VlpProblem, U: QMatrix) -> QVector | None:
     """lam with lam.g >= 1 on all generators and (L - UA)^T lam >= 0, if any."""
-    M = _reduced_map(problem, U)
-    k = problem.k
-    rows: list[tuple[QVector, Fraction]] = [(g, _ONE) for g in problem.cone.generators]
-    for j in range(problem.n):
-        rows.append((QVector(tuple(M.at(i, j) for i in range(k))), _ZERO))
-    result = solve_feasibility(QMatrix.zeros(0, k), None, rows, free_vars=True)
-    return result.point
+    return multiplier(problem.cone, _reduced_map(problem, U))
 
 
 def construct_dual_solution(
@@ -161,13 +135,7 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
     """A feasible x with Lx = d, or None."""
     if d.dim != problem.k:
         raise DimensionError(f"value dim {d.dim} != image dim {problem.k}")
-    n, m, k = problem.n, problem.m, problem.k
-    entries = []
-    for i in range(m):
-        entries.extend(problem.A.at(i, j) for j in range(n))
-    for i in range(k):
-        entries.extend(problem.L.at(i, j) for j in range(n))
-    eq = QMatrix(m + k, n, tuple(entries))
+    eq = QMatrix(problem.m + problem.k, problem.n, problem.A.entries + problem.L.entries)  # [A; L]
     rhs = QVector(tuple(problem.b.entries) + tuple(d.entries))
     return solve_feasibility(eq, rhs).point
 
@@ -182,25 +150,11 @@ def _lam_z_system(
     value, and campaign checks revisit the same values repeatedly.
     """
     n, m, k = problem.n, problem.m, problem.k
-    width = k + m
-    rows: list[tuple[QVector, Fraction]] = []
-    for g in problem.cone.generators:
-        rows.append((QVector(tuple(g.entries) + (_ZERO,) * m), _ONE))
-    for j in range(n):
-        coeffs = tuple(problem.L.at(i, j) for i in range(k)) + tuple(
-            -problem.A.at(i, j) for i in range(m)
-        )
-        rows.append((QVector(coeffs), _ZERO))
-    rows.extend(extra_ge)
-    if eq_coeffs is not None:
-        eq = QMatrix(1, width, tuple(eq_coeffs.entries))
-        rhs = QVector((_ZERO,))
-    else:
-        eq, rhs = QMatrix.zeros(0, width), None
-    result = solve_feasibility(eq, rhs, rows, free_vars=True)
-    if result.point is None:
+    stacked = QMatrix(k + m, n, problem.L.entries + (-problem.A).entries)  # [L; -A]
+    point = multiplier(problem.cone, stacked, eq_coeffs, extra_ge)
+    if point is None:
         return None
-    return QVector(result.point.entries[:k]), QVector(result.point.entries[k:])
+    return QVector(point.entries[:k]), QVector(point.entries[k:])
 
 
 def membership_hB(problem: VlpProblem, d: QVector) -> MembershipVerdict:
@@ -284,7 +238,7 @@ def h_H_value_membership(problem: VlpProblem, U: QMatrix, d: QVector) -> bool:
     M = _reduced_map(problem, U)
     if solve_feasibility(M, w).point is None:
         return False
-    out = _image_domination(problem, U, problem.cone, w, normalize=False)
+    out = solve_general(domination_program(problem.cone, M, w))
     if isinstance(out, GenUnbounded):
         return False
     assert isinstance(out, GenOptimal)
@@ -300,7 +254,7 @@ def minimize_over_image(problem: VlpProblem, U: QMatrix, x0: QVector) -> QVector
     if not x0.is_nonneg():
         raise ValueError("starting point must be nonnegative")
     M = _reduced_map(problem, U)
-    out = _image_domination(problem, U, problem.cone, M @ x0, normalize=False)
+    out = solve_general(domination_program(problem.cone, M, M @ x0))
     assert isinstance(out, GenOptimal), "feasible U keeps the domination program bounded"
     return QVector(out.x.entries[: problem.n])
 
@@ -313,17 +267,12 @@ def map_DH_to_D(problem: VlpProblem, U: QMatrix, xbar: QVector) -> DualCandidate
         raise ValueError("point must be nonnegative of primal dimension")
     M = _reduced_map(problem, U)
     vbar = M @ xbar
-    out = _image_domination(problem, U, problem.cone, vbar, normalize=False)
+    out = solve_general(domination_program(problem.cone, M, vbar))
     if not (isinstance(out, GenOptimal) and out.value == 0):
         raise ValueError("image of the point is not minimal")
-    k = problem.k
-    rows: list[tuple[QVector, Fraction]] = [(g, _ONE) for g in problem.cone.generators]
-    for j in range(problem.n):
-        rows.append((QVector(tuple(M.at(i, j) for i in range(k))), _ZERO))
-    eq = QMatrix(1, k, tuple(vbar.entries))
-    result = solve_feasibility(eq, QVector((_ZERO,)), rows, free_vars=True)
-    assert result.point is not None, "a separating gamma exists for every minimal image value"
-    cand = DualCandidateD(result.point, U, vbar)
+    gamma = multiplier(problem.cone, M, vbar)
+    assert gamma is not None, "a separating gamma exists for every minimal image value"
+    cand = DualCandidateD(gamma, U, vbar)
     assert check_feasible_D(problem, cand)
     assert objective_D(problem, cand) == (U @ problem.b) + vbar
     return cand

@@ -7,6 +7,11 @@ when nothing feasible sits strictly below the target, and that decides
 efficiency without ever enumerating the image set. Deciding by LP rather
 than by pairwise image comparison matters: a dominating point need not
 be a vertex of the feasible set.
+
+`domination_program` is the one builder of that LP family; the duality
+module builds its image-cone programs over L - UA with it too. The
+scalarization certificate is the other LP family, a multiplier system
+built by `cone.multiplier`.
 """
 
 from __future__ import annotations
@@ -16,19 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import generator_matrix
+from .cone import OrderingCone, generator_matrix, multiplier
 from .exact import QMatrix, QVector, solve_linear_system
-from .lp import (
-    GeneralProgram,
-    GenOptimal,
-    GenRow,
-    LinearProgram,
-    Optimal,
-    Unbounded,
-    solve_feasibility,
-    solve_general,
-    solve_lp,
-)
+from .lp import GeneralProgram, GenOptimal, GenRow, GenUnbounded, solve_general
 from .model import VlpProblem, primal_feasible
 
 _ZERO = Fraction(0)
@@ -47,26 +42,30 @@ class EfficiencyCertificate:
     dominator: QVector | None = None  # feasible point strictly below the target
 
 
-def _domination_lp(problem: VlpProblem, target: QVector) -> LinearProgram:
-    """max sum(mu) over {x >= 0, mu >= 0 : Ax = b, Lx + G mu = target}, as a min LP."""
-    n, m, k = problem.n, problem.m, problem.k
-    G = generator_matrix(problem.cone)
-    g = G.cols
-    width = n + g
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(m):
-        rows.append([problem.A.at(i, j) for j in range(n)] + [_ZERO] * g)
-        rhs.append(problem.b[i])
-    for i in range(k):
-        rows.append([problem.L.at(i, j) for j in range(n)] + [G.at(i, t) for t in range(g)])
-        rhs.append(target[i])
-    c = [_ZERO] * n + [-_ONE] * g
-    return LinearProgram(
-        QVector(tuple(c)),
-        QMatrix(len(rows), width, tuple(v for r in rows for v in r)),
-        QVector(tuple(rhs)),
-    )
+def domination_program(
+    cone: OrderingCone,
+    M: QMatrix,
+    target: QVector,
+    fixed: tuple[QMatrix, QVector] | None = None,
+    normalize: bool = False,
+) -> GeneralProgram:
+    """max sum(mu) over {x, mu >= 0 : Mx + G mu = target}, as a min program.
+
+    G holds the cone generators as columns. fixed = (A, b) adds the rows
+    Ax = b on x alone, ahead of the domination rows; normalize adds
+    sum(x) + sum(mu) <= 1 last, which keeps a homogeneous program bounded.
+    """
+    G = generator_matrix(cone)
+    n, g = M.cols, G.cols
+    rows: list[GenRow] = []
+    if fixed is not None:
+        A, b = fixed
+        rows += [GenRow(QVector(A.row(i).entries + (_ZERO,) * g), "=", b[i]) for i in range(A.rows)]
+    rows += [GenRow(QVector(M.row(i).entries + G.row(i).entries), "=", target[i]) for i in range(M.rows)]
+    if normalize:
+        rows.append(GenRow(QVector((_ONE,) * (n + g)), "<=", _ONE))
+    objective = QVector((_ZERO,) * n + (-_ONE,) * g)
+    return GeneralProgram(objective, tuple(rows), (_ZERO,) * (n + g))
 
 
 def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCertificate | None]:
@@ -78,16 +77,16 @@ def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCe
     """
     if not primal_feasible(problem, xbar):
         raise ValueError("point is not feasible for the primal problem")
-    out = solve_lp(_domination_lp(problem, problem.L @ xbar))
+    program = domination_program(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
+    out = solve_general(program)
     n = problem.n
-    if isinstance(out, Optimal):
+    if isinstance(out, GenOptimal):
         if out.value == 0:
             return True, None
         dominator = QVector(out.x.entries[:n])
         return False, EfficiencyCertificate("dominated", dominator=dominator)
-    assert isinstance(out, Unbounded), "domination program is feasible at (xbar, 0)"
-    moved = QVector(tuple(a + b for a, b in zip(out.x0.entries, out.ray.entries)))
-    dominator = QVector(moved.entries[:n])
+    assert isinstance(out, GenUnbounded), "domination program is feasible at (xbar, 0)"
+    dominator = QVector((out.x0 + out.ray).entries[:n])
     return False, EfficiencyCertificate("unbounded-domination", dominator=dominator)
 
 
@@ -102,20 +101,13 @@ def proper_efficiency_certificate(problem: VlpProblem, xbar: QVector) -> Efficie
     if not primal_feasible(problem, xbar):
         raise ValueError("point is not feasible for the primal problem")
     n, m, k = problem.n, problem.m, problem.k
-    width = k + m  # variables (lam, eta), all free
-    image = problem.L @ xbar
-    ge_rows: list[tuple[QVector, Fraction]] = []
-    for g in problem.cone.generators:
-        ge_rows.append((QVector(tuple(g.entries) + (_ZERO,) * m), _ONE))
-    for j in range(n):
-        coeffs = tuple(problem.L.at(i, j) for i in range(k)) + tuple(problem.A.at(i, j) for i in range(m))
-        ge_rows.append((QVector(coeffs), _ZERO))
-    eq = QMatrix(1, width, tuple(image.entries) + tuple(problem.b.entries))
-    result = solve_feasibility(eq, QVector((_ZERO,)), ge_rows, free_vars=True)
-    if result.point is None:
+    stacked = QMatrix(k + m, n, problem.L.entries + problem.A.entries)  # [L; A]
+    eq = QVector((problem.L @ xbar).entries + problem.b.entries)
+    point = multiplier(problem.cone, stacked, eq)
+    if point is None:
         return None
-    lam = QVector(result.point.entries[:k])
-    eta = QVector(result.point.entries[k:])
+    lam = QVector(point.entries[:k])
+    eta = QVector(point.entries[k:])
     return EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=eta)
 
 
@@ -182,32 +174,10 @@ def efficient_vertices(problem: VlpProblem, limit: int = 100000) -> list[tuple[Q
 
 def recession_image_pointed(problem: VlpProblem) -> bool:
     """Whether the image of the primal recession cone meets -K only at the origin."""
-    n, m, k = problem.n, problem.m, problem.k
-    G = generator_matrix(problem.cone)
-    g = G.cols
-    width = n + g
-    rows: list[GenRow] = []
-    for i in range(m):
-        coeffs = tuple(problem.A.at(i, j) for j in range(n)) + (_ZERO,) * g
-        rows.append(GenRow(QVector(coeffs), "=", _ZERO))
-    for i in range(k):
-        coeffs = tuple(problem.L.at(i, j) for j in range(n)) + tuple(G.at(i, t) for t in range(g))
-        rows.append(GenRow(QVector(coeffs), "=", _ZERO))
-    rows.append(GenRow(QVector((_ONE,) * width), "<=", _ONE))  # normalization keeps it bounded
-    objective = QVector((_ZERO,) * n + (-_ONE,) * g)
-    out = solve_general(GeneralProgram(objective, tuple(rows), (_ZERO,) * width))
+    program = domination_program(
+        problem.cone, problem.L, QVector.zeros(problem.k),
+        fixed=(problem.A, QVector.zeros(problem.m)), normalize=True,
+    )
+    out = solve_general(program)
     assert isinstance(out, GenOptimal), "normalized domination program is bounded and feasible"
-    return out.value == 0
-
-
-def primal_bounded(problem: VlpProblem) -> bool:
-    """Whether the feasible set has trivial recession cone."""
-    n = problem.n
-    rows: list[GenRow] = []
-    for i in range(problem.m):
-        rows.append(GenRow(problem.A.row(i), "=", _ZERO))
-    rows.append(GenRow(QVector((_ONE,) * n), "<=", _ONE))
-    objective = QVector((-_ONE,) * n)
-    out = solve_general(GeneralProgram(objective, tuple(rows), (_ZERO,) * n))
-    assert isinstance(out, GenOptimal)
     return out.value == 0

@@ -12,22 +12,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class DimensionError(ValueError):
     """Shapes of the operands do not conform."""
 
 
-def rat_normalize(num: int, den: int) -> Fraction:
-    """Reduced rational with positive denominator; the sign lives on the numerator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
 def parse_rational(value: int | str | Fraction) -> Fraction:
-    """Parse "p", "-p" or "p/q". Plain ints pass through; floats are rejected."""
+    """Parse "p", "-p" or "p/q" into lowest terms with the sign on the
+    numerator. Plain ints pass through; floats and q = 0 are rejected."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, Fraction):
@@ -39,9 +31,9 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         num, sep, den = text.partition("/")
         try:
             if sep:
-                return rat_normalize(int(num), int(den))
+                return Fraction(int(num), int(den))
             return Fraction(int(num))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"not a rational: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
 

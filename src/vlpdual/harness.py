@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import duality, efficiency
 from .cone import orthant, strictly_below
-from .exact import QMatrix, QVector, format_rational, parse_rational, qmat, qvec
+from .exact import QMatrix, QVector, qmat, qvec
 from .model import (
     DualCandidateD,
     DualCandidateL,
@@ -27,6 +27,7 @@ from .model import (
     objective_D,
     objective_L,
     problem_to_dict,
+    vector_to_list,
 )
 from .sampling import (
     random_matrix,
@@ -146,63 +147,32 @@ def _fixtures() -> dict[str, Fixture]:
 FIXTURES = _fixtures()
 
 
-def _vec_from_params(values) -> QVector:
-    return QVector(tuple(parse_rational(v) for v in values))
-
-
-def _vec_to_json(vec: QVector) -> list[str]:
-    return [format_rational(v) for v in vec]
-
-
 def _run_fixture_check(problem: VlpProblem, name: str, params: dict):
     if name == "check_feasible_L":
-        cand = DualCandidateL(
-            _vec_from_params(params["lambda"]),
-            _vec_from_params(params["z"]),
-            _vec_from_params(params["v"]),
-        )
+        cand = DualCandidateL(qvec(*params["lambda"]), qvec(*params["z"]), qvec(*params["v"]))
         return duality.check_feasible_L(problem, cand)
     if name == "membership_hB":
-        return duality.membership_hB(problem, _vec_from_params(params["value"])).member
+        return duality.membership_hB(problem, qvec(*params["value"])).member
     if name == "membership_hL":
-        return duality.membership_hL(problem, _vec_from_params(params["value"])).member
+        return duality.membership_hL(problem, qvec(*params["value"])).member
     if name == "membership_hJ":
-        return duality.membership_hJ(problem, _vec_from_params(params["value"])).member
+        return duality.membership_hJ(problem, qvec(*params["value"])).member
     if name == "vertices":
-        return [_vec_to_json(v) for v in efficiency.enumerate_vertices(problem)]
+        return [vector_to_list(v) for v in efficiency.enumerate_vertices(problem)]
     if name == "efficient_vertices":
-        return [_vec_to_json(v) for v, _ in efficiency.efficient_vertices(problem)]
+        return [vector_to_list(v) for v, _ in efficiency.efficient_vertices(problem)]
     if name == "dual_B_nonempty":
         return duality.dual_B_nonempty(problem)
     if name == "strong_converse_roundtrip":
-        return _strong_converse_roundtrip(problem)
+        # The campaign's strong and converse checks over every efficient
+        # vertex; no sampled duals, so no constructed point is filtered out.
+        pairs = efficiency.efficient_vertices(problem)
+        status = [(v, True, cert) for v, cert in pairs]
+        ctx = _InstanceContext(problem, [v for v, _ in pairs], status, [], [], [], [])
+        strong, strong_failures, _ = _check_strong_duality(ctx, None, None)
+        _, converse_failures, _ = _check_converse_duality(ctx, None, None)
+        return strong > 0 and not strong_failures and not converse_failures
     raise ValueError(f"unknown fixture check {name!r}")
-
-
-def _strong_converse_roundtrip(problem: VlpProblem) -> bool:
-    """For every efficient vertex: build the dual point, match objectives
-    exactly, check complementarity, then recover an efficient primal point
-    from the dual value and map the point into the Lagrange-type dual."""
-    pairs = efficiency.efficient_vertices(problem)
-    if not pairs:
-        return False
-    for vertex, cert in pairs:
-        cand = duality.construct_dual_solution(problem, vertex, cert)
-        h = objective_D(problem, cand)
-        if h != problem.L @ vertex:
-            return False
-        if vertex.dot((problem.L - cand.U @ problem.A).T @ cand.lam) != 0:
-            return False
-        recovered = duality.recover_primal(problem, h)
-        if recovered is None or (problem.L @ recovered) != h:
-            return False
-        efficient, _ = efficiency.is_efficient(problem, recovered)
-        if not efficient:
-            return False
-        mapped = duality.map_D_to_DL(problem, cand)
-        if objective_L(mapped) != h:
-            return False
-    return True
 
 
 def run_fixture(name: str) -> VerificationReport:
@@ -278,17 +248,17 @@ def _check_efficient_iff_scalarizable(ctx: _InstanceContext, cfg, rng):
     for vertex, eff, cert in ctx.vertex_status:
         count += 1
         if eff != (cert is not None):
-            failures.append({"vertex": _vec_to_json(vertex), "efficient": eff, "has_cert": cert is not None})
+            failures.append({"vertex": vector_to_list(vertex), "efficient": eff, "has_cert": cert is not None})
             continue
         if cert is None:
             continue
         if not efficiency.verify_scalarization_certificate(ctx.problem, vertex, cert):
-            failures.append({"vertex": _vec_to_json(vertex), "reason": "certificate fails its defining system"})
+            failures.append({"vertex": vector_to_list(vertex), "reason": "certificate fails its defining system"})
             continue
         base = cert.lam.dot(ctx.problem.L @ vertex)
         for other, _, _ in ctx.vertex_status:
             if cert.lam.dot(ctx.problem.L @ other) < base:
-                failures.append({"vertex": _vec_to_json(vertex), "beaten_by": _vec_to_json(other)})
+                failures.append({"vertex": vector_to_list(vertex), "beaten_by": vector_to_list(other)})
                 break
     return count, failures, None
 
@@ -301,7 +271,7 @@ def _check_weak_duality(ctx: _InstanceContext, cfg, rng):
         for x in ctx.primals:
             count += 1
             if strictly_below(ctx.problem.cone, ctx.problem.L @ x, h):
-                failures.append({"x": _vec_to_json(x), "h": _vec_to_json(h)})
+                failures.append({"x": vector_to_list(x), "h": vector_to_list(h)})
     return count, failures, None
 
 
@@ -316,14 +286,14 @@ def _check_strong_duality(ctx: _InstanceContext, cfg, rng):
         h = objective_D(ctx.problem, cand)
         image = ctx.problem.L @ vertex
         if h != image:
-            failures.append({"vertex": _vec_to_json(vertex), "h": _vec_to_json(h)})
+            failures.append({"vertex": vector_to_list(vertex), "h": vector_to_list(h)})
             continue
         if vertex.dot((ctx.problem.L - cand.U @ ctx.problem.A).T @ cand.lam) != 0:
-            failures.append({"vertex": _vec_to_json(vertex), "reason": "complementarity violated"})
+            failures.append({"vertex": vector_to_list(vertex), "reason": "complementarity violated"})
             continue
         for other in ctx.duals:
             if strictly_below(ctx.problem.cone, h, objective_D(ctx.problem, other)):
-                failures.append({"vertex": _vec_to_json(vertex), "dominated_by_sampled_dual": True})
+                failures.append({"vertex": vector_to_list(vertex), "dominated_by_sampled_dual": True})
                 break
         else:
             ctx.constructed.append((vertex, cand))
@@ -338,15 +308,15 @@ def _check_converse_duality(ctx: _InstanceContext, cfg, rng):
         d = objective_D(ctx.problem, cand)
         recovered = duality.recover_primal(ctx.problem, d)
         if recovered is None or (ctx.problem.L @ recovered) != d:
-            failures.append({"value": _vec_to_json(d), "reason": "primal recovery failed"})
+            failures.append({"value": vector_to_list(d), "reason": "primal recovery failed"})
             continue
         eff, _ = efficiency.is_efficient(ctx.problem, recovered)
         if not eff:
-            failures.append({"value": _vec_to_json(d), "reason": "recovered point not efficient"})
+            failures.append({"value": vector_to_list(d), "reason": "recovered point not efficient"})
             continue
         mapped = duality.map_D_to_DL(ctx.problem, cand)
         if objective_L(mapped) != d:
-            failures.append({"value": _vec_to_json(d), "reason": "Lagrange-type map changed the value"})
+            failures.append({"value": vector_to_list(d), "reason": "Lagrange-type map changed the value"})
     return count, failures, None
 
 
@@ -358,7 +328,7 @@ def _check_u_feasibility_agreement(ctx: _InstanceContext, cfg, rng):
         via_image = duality.check_feasible_U(ctx.problem, DualCandidateU(U, "H"))
         via_lam = duality.u_feasibility_multiplier(ctx.problem, U) is not None
         if via_image != via_lam:
-            failures.append({"U": [_vec_to_json(U.row(i)) for i in range(U.rows)],
+            failures.append({"U": [vector_to_list(U.row(i)) for i in range(U.rows)],
                              "image_side": via_image, "lambda_side": via_lam})
         elif via_image:
             ctx.feasible_us.append(U)
@@ -374,9 +344,9 @@ def _check_inclusion_chain(ctx: _InstanceContext, cfg, rng):
         in_b = duality.membership_hB(ctx.problem, d)
         in_l = duality.membership_hL(ctx.problem, d)
         if in_j.member and not in_b.member:
-            failures.append({"d": _vec_to_json(d), "reason": "hJ member escaped hB"})
+            failures.append({"d": vector_to_list(d), "reason": "hJ member escaped hB"})
         if in_b.member and not in_l.member:
-            failures.append({"d": _vec_to_json(d), "reason": "hB member escaped hL"})
+            failures.append({"d": vector_to_list(d), "reason": "hB member escaped hL"})
         for verdict, checker, evaluate in (
             (in_b, duality.check_feasible_D, lambda c: objective_D(ctx.problem, c)),
             (in_l, duality.check_feasible_L, lambda c: objective_L(c)),
@@ -384,7 +354,7 @@ def _check_inclusion_chain(ctx: _InstanceContext, cfg, rng):
         ):
             if verdict.member:
                 if not checker(ctx.problem, verdict.candidate) or evaluate(verdict.candidate) != d:
-                    failures.append({"d": _vec_to_json(d), "reason": f"bad witness for {verdict.set_tag}"})
+                    failures.append({"d": vector_to_list(d), "reason": f"bad witness for {verdict.set_tag}"})
     return count, failures, None
 
 
@@ -403,10 +373,10 @@ def _check_hH_to_hB_map(ctx: _InstanceContext, cfg, rng):
             cand = duality.map_DH_to_D(ctx.problem, U, xbar)
             h = objective_D(ctx.problem, cand)
             if not duality.membership_hB(ctx.problem, h).member:
-                failures.append({"h": _vec_to_json(h), "reason": "mapped value escaped hB"})
+                failures.append({"h": vector_to_list(h), "reason": "mapped value escaped hB"})
                 continue
             if not duality.h_H_value_membership(ctx.problem, U, h):
-                failures.append({"h": _vec_to_json(h), "reason": "mapped value not in its own image set"})
+                failures.append({"h": vector_to_list(h), "reason": "mapped value not in its own image set"})
                 continue
             ctx.mapped_values.append(h)
     return count, failures, None
@@ -435,7 +405,7 @@ def _check_improvement_on_empty_primal(ctx: _InstanceContext, cfg, rng):
         if not strictly_below(
             ctx.problem.cone, objective_D(ctx.problem, cand), objective_D(ctx.problem, improved)
         ):
-            failures.append({"h": _vec_to_json(objective_D(ctx.problem, cand))})
+            failures.append({"h": vector_to_list(objective_D(ctx.problem, cand))})
     return count, failures, None
 
 
@@ -448,11 +418,11 @@ def _check_minmax_coincidence(ctx: _InstanceContext, cfg, rng):
         count += 1
         w = ctx.problem.L @ vertex
         if not duality.membership_hB(ctx.problem, w).member:
-            failures.append({"w": _vec_to_json(w), "reason": "minimal value not in hB"})
+            failures.append({"w": vector_to_list(w), "reason": "minimal value not in hB"})
             continue
         for cand in ctx.duals:
             if strictly_below(ctx.problem.cone, w, objective_D(ctx.problem, cand)):
-                failures.append({"w": _vec_to_json(w), "reason": "sampled dual value dominates a minimal value"})
+                failures.append({"w": vector_to_list(w), "reason": "sampled dual value dominates a minimal value"})
                 break
     return count, failures, None
 
@@ -466,13 +436,13 @@ def _check_strictness(ctx: _InstanceContext, cfg, rng):
     for h in ctx.mapped_values[: cfg.strictness_probes]:
         count += 1
         if not duality.membership_hJ(ctx.problem, h).member:
-            found_j_vs_h.append(_vec_to_json(h))
+            found_j_vs_h.append(vector_to_list(h))
     if ctx.feasible_us:
         for cand in ctx.duals[: cfg.strictness_probes]:
             d = objective_D(ctx.problem, cand)
             count += 1
             if all(not duality.h_H_value_membership(ctx.problem, U, d) for U in ctx.feasible_us):
-                candidates_h_vs_b.append(_vec_to_json(d))
+                candidates_h_vs_b.append(vector_to_list(d))
     extra = {}
     if found_j_vs_h:
         extra["hJ_strictly_inside_hH"] = found_j_vs_h

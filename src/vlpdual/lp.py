@@ -344,7 +344,8 @@ def to_standard_form(gp: GeneralProgram) -> StandardizedProgram:
             line[pos] = coeff
             if neg is not None:
                 line[neg] = -coeff
-            rhs -= coeff * shifts[j]
+            if shifts[j]:  # zero for free and zero-bounded variables, the common case
+                rhs -= coeff * shifts[j]
         if slack is not None:
             line[slack] = _ONE if row.rel == "<=" else -_ONE
         a_rows.append(line)

@@ -139,17 +139,22 @@ def _parse_matrix(values, field: str, rows: int, cols: int) -> QMatrix:
     return QMatrix(rows, cols, tuple(entries))
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but true is not a dimension.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_cone(data, k: int) -> OrderingCone:
     if not isinstance(data, dict):
         raise ProblemFormatError("field 'cone': expected an object")
     if "orthant" in data:
-        if data["orthant"] != k:
-            raise ProblemFormatError(f"field 'cone': orthant dim {data['orthant']} != k = {k}")
+        if not _is_int(data["orthant"]) or data["orthant"] != k:
+            raise ProblemFormatError(f"field 'cone': orthant must be the integer k = {k}, got {data['orthant']!r}")
         return orthant(k)
     if "generators" not in data or "dim" not in data:
         raise ProblemFormatError("field 'cone': need either 'orthant' or 'dim' + 'generators'")
-    if data["dim"] != k:
-        raise ProblemFormatError(f"field 'cone': dim {data['dim']} != k = {k}")
+    if not _is_int(data["dim"]) or data["dim"] != k:
+        raise ProblemFormatError(f"field 'cone': dim must be the integer k = {k}, got {data['dim']!r}")
     gens = [
         _parse_vector(g, f"cone.generators[{i}]", k)
         for i, g in enumerate(data["generators"])
@@ -158,13 +163,11 @@ def parse_cone(data, k: int) -> OrderingCone:
 
 
 def cone_to_dict(cone: OrderingCone) -> dict:
-    from .cone import is_orthant
-
-    if is_orthant(cone):
+    if cone.is_orthant:
         return {"orthant": cone.dim}
     return {
         "dim": cone.dim,
-        "generators": [[format_rational(v) for v in g] for g in cone.generators],
+        "generators": [vector_to_list(g) for g in cone.generators],
     }
 
 
@@ -174,7 +177,7 @@ def problem_from_dict(data: dict) -> VlpProblem:
             raise ProblemFormatError(f"missing field {key!r}")
     n, m, k = data["n"], data["m"], data["k"]
     for name, value in (("n", n), ("m", m), ("k", k)):
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ProblemFormatError(f"field {name!r}: expected a positive integer")
     L = _parse_matrix(data["L"], "L", k, n)
     A = _parse_matrix(data["A"], "A", m, n)
@@ -198,9 +201,9 @@ def problem_to_dict(problem: VlpProblem) -> dict:
         "n": problem.n,
         "m": problem.m,
         "k": problem.k,
-        "L": [[format_rational(problem.L.at(i, j)) for j in range(problem.n)] for i in range(problem.k)],
-        "A": [[format_rational(problem.A.at(i, j)) for j in range(problem.n)] for i in range(problem.m)],
-        "b": [format_rational(v) for v in problem.b],
+        "L": _matrix_to_lists(problem.L),
+        "A": _matrix_to_lists(problem.A),
+        "b": vector_to_list(problem.b),
         "cone": cone_to_dict(problem.cone),
     }
 
@@ -209,7 +212,8 @@ def serialize_problem(problem: VlpProblem) -> str:
     return json.dumps(problem_to_dict(problem), indent=2)
 
 
-def _vector_to_list(vec: QVector) -> list[str]:
+def vector_to_list(vec: QVector) -> list[str]:
+    """The JSON wire form of a vector: one "p" or "p/q" string per entry."""
     return [format_rational(v) for v in vec]
 
 
@@ -219,13 +223,13 @@ def _matrix_to_lists(mat: QMatrix) -> list[list[str]]:
 
 def candidate_to_dict(cand) -> dict:
     if isinstance(cand, DualCandidateD):
-        return {"kind": "D", "lambda": _vector_to_list(cand.lam),
-                "U": _matrix_to_lists(cand.U), "v": _vector_to_list(cand.v)}
+        return {"kind": "D", "lambda": vector_to_list(cand.lam),
+                "U": _matrix_to_lists(cand.U), "v": vector_to_list(cand.v)}
     if isinstance(cand, DualCandidateJ):
-        return {"kind": "J", "lambda": _vector_to_list(cand.lam), "U": _matrix_to_lists(cand.U)}
+        return {"kind": "J", "lambda": vector_to_list(cand.lam), "U": _matrix_to_lists(cand.U)}
     if isinstance(cand, DualCandidateL):
-        return {"kind": "L", "lambda": _vector_to_list(cand.lam),
-                "z": _vector_to_list(cand.z), "v": _vector_to_list(cand.v)}
+        return {"kind": "L", "lambda": vector_to_list(cand.lam),
+                "z": vector_to_list(cand.z), "v": vector_to_list(cand.v)}
     if isinstance(cand, DualCandidateU):
         return {"kind": cand.flavor, "U": _matrix_to_lists(cand.U)}
     raise TypeError(f"not a dual candidate: {cand!r}")

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated size and tolerance
 (all tolerances are zero; everything is exact), printing one line each."""
 
+import hashlib
 import random
 import time
 
@@ -14,12 +15,16 @@ from vlpdual.efficiency import (
     proper_efficiency_certificate,
 )
 from vlpdual.exact import QMatrix, QVector, qmat, qvec
-from vlpdual.harness import FIXTURES, run_fixture, run_random_campaign
+from vlpdual.harness import FIXTURES, emit_report, run_fixture, run_random_campaign
 from vlpdual.lp import Infeasible, LinearProgram, Optimal, solve_lp, verify_outcome
 from vlpdual.sampling import random_problem, random_rational
 
 SEED = 42
 COUNT = 100
+# sha256 of emit_report(run_random_campaign(SEED, COUNT), "json"). Campaign
+# records carry no timings, so any change to an oracle's answers, witnesses
+# or pivot sequences moves this digest.
+GOLDEN_DIGEST = "acb7d98f0e4537531d0e34430fcda0c308346b8543014c4331bb6428833af2fe"
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +197,10 @@ def test_campaign_green_overall(campaign):
     failures = [r for r in report.records if r.status == "fail"]
     assert not failures, failures[:2]
     print(f"\nCAMPAIGN: {len(report.records)} records over {COUNT}+5 instances in {elapsed:.1f}s, 0 failures")
+
+
+def test_campaign_golden_digest(campaign):
+    report, _ = campaign
+    digest = hashlib.sha256(emit_report(report, "json").encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_DIGEST
+    print(f"\nGOLDEN DIGEST: {len(report.records)} records, sha256 {digest}")

@@ -52,6 +52,22 @@ def test_validate_bad_dims(tmp_path, capsys):
     assert "'L'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"b": ["1/0", "-1"]},
+        {"n": True},
+        {"cone": {"orthant": True}, "k": 1, "L": [["0"]]},
+    ],
+)
+def test_validate_malformed_is_input_error(tmp_path, capsys, change):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(R5, **change)))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent.json"]) == 2
 

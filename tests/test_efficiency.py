@@ -7,6 +7,7 @@ import pytest
 from vlpdual.cone import cmp, Comparison, generator_matrix, orthant
 from vlpdual.efficiency import (
     VertexLimitError,
+    domination_program,
     efficient_vertices,
     enumerate_vertices,
     is_efficient,
@@ -15,10 +16,9 @@ from vlpdual.efficiency import (
     verify_scalarization_certificate,
 )
 from vlpdual.exact import QMatrix, QVector, qmat, qvec, solve_linear_system
-from vlpdual.lp import Optimal, Unbounded, solve_lp, verify_unbounded
+from vlpdual.lp import Optimal, Unbounded, solve_lp, to_standard_form, verify_unbounded
 from vlpdual.model import make_problem
 from vlpdual.sampling import random_problem
-from vlpdual.efficiency import _domination_lp
 
 
 def test_segment_vertices(seg_problem):
@@ -152,7 +152,8 @@ def test_is_efficient_matches_augmented_enumeration(seed):
     problem = random_problem(rng)
     vertices = enumerate_vertices(problem)
     for xbar in vertices[:3]:
-        lp = _domination_lp(problem, problem.L @ xbar)
+        program = domination_program(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
+        lp = to_standard_form(program).lp
         out = solve_lp(lp)
         eff, _ = is_efficient(problem, xbar)
         if isinstance(out, Optimal):

@@ -61,6 +61,25 @@ def test_load_rejects_floats():
         load_problem(json.dumps(data))
 
 
+K1 = {"n": 1, "m": 1, "k": 1, "L": [["1"]], "A": [["1"]], "b": ["1"], "cone": {"orthant": 1}}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", True),
+        ("m", True),
+        ("k", True),
+        ("cone", {"orthant": True}),
+        ("cone", {"dim": True, "generators": [["1"]]}),
+    ],
+)
+def test_load_rejects_booleans(field, value):
+    assert load_problem(json.dumps(K1)).k == 1  # every bool below stands for a valid 1
+    with pytest.raises(ProblemFormatError):
+        load_problem(json.dumps(dict(K1, **{field: value})))
+
+
 def test_load_bad_json_position():
     with pytest.raises(ProblemFormatError, match="line"):
         load_problem("{\n  broken")
