@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .cone import OrderingCone, in_quasi_interior, multiplier, orthant, strictly_below
 from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
-from .exact import DimensionError, QMatrix, QVector, outer
+from .exact import DimensionError, QMatrix, QVector, outer, require
 from .lp import (
     GenOptimal,
     GenUnbounded,
@@ -104,7 +104,7 @@ def check_feasible_U(problem: VlpProblem, cand: DualCandidateU) -> bool:
     cone = orthant(problem.k) if cand.flavor == "I" else problem.cone
     M = _reduced_map(problem, cand.U)
     out = solve_general(domination_program(cone, M, QVector.zeros(problem.k), normalize=True))
-    assert isinstance(out, GenOptimal), "normalized domination program is bounded and feasible"
+    require(isinstance(out, GenOptimal), "normalized domination program is bounded and feasible")
     return out.value == 0
 
 
@@ -125,9 +125,9 @@ def construct_dual_solution(
     U = -outer(tilde, eta)
     v = (problem.L @ xbar) - (U @ problem.b)
     cand = DualCandidateD(lam, U, v)
-    assert check_feasible_D(problem, cand)
-    assert objective_D(problem, cand) == problem.L @ xbar
-    assert xbar.dot(_reduced_map(problem, U).T @ lam) == 0
+    require(check_feasible_D(problem, cand), "constructed dual point is feasible for D")
+    require(objective_D(problem, cand) == problem.L @ xbar, "dual objective equals L xbar")
+    require(xbar.dot(_reduced_map(problem, U).T @ lam) == 0, "complementary slackness holds at xbar")
     return cand
 
 
@@ -175,8 +175,8 @@ def membership_hB(problem: VlpProblem, d: QVector) -> MembershipVerdict:
     U = outer(tilde, z)
     v = d - (U @ problem.b)
     cand = DualCandidateD(lam, U, v)
-    assert check_feasible_D(problem, cand)
-    assert objective_D(problem, cand) == d
+    require(check_feasible_D(problem, cand), "hB witness is feasible for D")
+    require(objective_D(problem, cand) == d, "hB witness attains d")
     return MembershipVerdict(True, "hB", (lam, z), cand)
 
 
@@ -190,8 +190,8 @@ def membership_hL(problem: VlpProblem, d: QVector) -> MembershipVerdict:
         return MembershipVerdict(False, "hL")
     lam, z = found
     cand = DualCandidateL(lam, z, d)
-    assert check_feasible_L(problem, cand)
-    assert objective_L(cand) == d
+    require(check_feasible_L(problem, cand), "hL witness is feasible for D^L")
+    require(objective_L(cand) == d, "hL witness attains d")
     return MembershipVerdict(True, "hL", (lam, z), cand)
 
 
@@ -225,8 +225,8 @@ def membership_hJ(problem: VlpProblem, d: QVector) -> MembershipVerdict:
         w = d - tilde.scale(z.dot(problem.b))
         U = outer(tilde, z) + outer(w, u)
         cand = DualCandidateJ(lam, U)
-    assert check_feasible_J(problem, cand)
-    assert objective_J(problem, cand) == d
+    require(check_feasible_J(problem, cand), "hJ witness is feasible for D^J")
+    require(objective_J(problem, cand) == d, "hJ witness attains d")
     return MembershipVerdict(True, "hJ", found, cand)
 
 
@@ -241,7 +241,7 @@ def h_H_value_membership(problem: VlpProblem, U: QMatrix, d: QVector) -> bool:
     out = solve_general(domination_program(problem.cone, M, w))
     if isinstance(out, GenUnbounded):
         return False
-    assert isinstance(out, GenOptimal)
+    require(isinstance(out, GenOptimal), "domination program over a feasible U is bounded")
     return out.value == 0
 
 
@@ -255,7 +255,7 @@ def minimize_over_image(problem: VlpProblem, U: QMatrix, x0: QVector) -> QVector
         raise ValueError("starting point must be nonnegative")
     M = _reduced_map(problem, U)
     out = solve_general(domination_program(problem.cone, M, M @ x0))
-    assert isinstance(out, GenOptimal), "feasible U keeps the domination program bounded"
+    require(isinstance(out, GenOptimal), "feasible U keeps the domination program bounded")
     return QVector(out.x.entries[: problem.n])
 
 
@@ -271,10 +271,10 @@ def map_DH_to_D(problem: VlpProblem, U: QMatrix, xbar: QVector) -> DualCandidate
     if not (isinstance(out, GenOptimal) and out.value == 0):
         raise ValueError("image of the point is not minimal")
     gamma = multiplier(problem.cone, M, vbar)
-    assert gamma is not None, "a separating gamma exists for every minimal image value"
+    require(gamma is not None, "a separating gamma exists for every minimal image value")
     cand = DualCandidateD(gamma, U, vbar)
-    assert check_feasible_D(problem, cand)
-    assert objective_D(problem, cand) == (U @ problem.b) + vbar
+    require(check_feasible_D(problem, cand), "lifted point is feasible for D")
+    require(objective_D(problem, cand) == (U @ problem.b) + vbar, "lifted point attains Ub + vbar")
     return cand
 
 
@@ -285,8 +285,8 @@ def map_D_to_DL(problem: VlpProblem, cand: DualCandidateD) -> DualCandidateL:
     z = cand.U.T @ cand.lam
     value = objective_D(problem, cand)
     out = DualCandidateL(cand.lam, z, value)
-    assert check_feasible_L(problem, out)
-    assert objective_L(out) == value
+    require(check_feasible_L(problem, out), "substituted point is feasible for D^L")
+    require(objective_L(out) == value, "substitution preserves the objective")
     return out
 
 
@@ -302,7 +302,7 @@ def feasible_dual_point(problem: VlpProblem) -> DualCandidateD | None:
         return None
     lam, z = found
     cand = DualCandidateD(lam, outer(scaled_generator(problem.cone, lam), z), QVector.zeros(problem.k))
-    assert check_feasible_D(problem, cand)
+    require(check_feasible_D(problem, cand), "dual point is feasible for D")
     return cand
 
 
@@ -321,8 +321,9 @@ def improve_dual_infeasible_primal(problem: VlpProblem, cand: DualCandidateD) ->
     zbar = out.farkas
     tilde = scaled_generator(problem.cone, cand.lam)
     improved = DualCandidateD(cand.lam, outer(tilde, zbar) + cand.U, cand.v)
-    assert check_feasible_D(problem, improved)
-    assert strictly_below(
-        problem.cone, objective_D(problem, cand), objective_D(problem, improved)
+    require(check_feasible_D(problem, improved), "improved point is feasible for D")
+    require(
+        strictly_below(problem.cone, objective_D(problem, cand), objective_D(problem, improved)),
+        "improved point lies strictly above the candidate",
     )
     return improved

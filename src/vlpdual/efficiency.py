@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import OrderingCone, generator_matrix, multiplier
-from .exact import QMatrix, QVector, solve_linear_system
+from .exact import QMatrix, QVector, require, solve_linear_system
 from .lp import GeneralProgram, GenOptimal, GenRow, GenUnbounded, solve_general
 from .model import VlpProblem, primal_feasible
 
@@ -85,7 +85,7 @@ def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCe
             return True, None
         dominator = QVector(out.x.entries[:n])
         return False, EfficiencyCertificate("dominated", dominator=dominator)
-    assert isinstance(out, GenUnbounded), "domination program is feasible at (xbar, 0)"
+    require(isinstance(out, GenUnbounded), "domination program is feasible at (xbar, 0)")
     dominator = QVector((out.x0 + out.ray).entries[:n])
     return False, EfficiencyCertificate("unbounded-domination", dominator=dominator)
 
@@ -167,7 +167,7 @@ def efficient_vertices(problem: VlpProblem, limit: int = 100000) -> list[tuple[Q
         if not efficient:
             continue
         cert = proper_efficiency_certificate(problem, vertex)
-        assert cert is not None, "every efficient point admits a scalarization certificate"
+        require(cert is not None, "every efficient point admits a scalarization certificate")
         result.append((vertex, cert))
     return result
 
@@ -179,5 +179,5 @@ def recession_image_pointed(problem: VlpProblem) -> bool:
         fixed=(problem.A, QVector.zeros(problem.m)), normalize=True,
     )
     out = solve_general(program)
-    assert isinstance(out, GenOptimal), "normalized domination program is bounded and feasible"
+    require(isinstance(out, GenOptimal), "normalized domination program is bounded and feasible")
     return out.value == 0

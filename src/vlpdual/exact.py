@@ -1,20 +1,34 @@
 """Exact rational scalars, vectors, and dense matrices.
 
 Everything downstream (simplex pivoting, cone membership, duality
-identities) runs on arbitrary-precision rationals, so every asserted
+identities) runs on arbitrary-precision rationals, so every certified
 identity is bit-exact rather than true up to a tolerance. Storage is
 dense on purpose: instances are desk-scale.
+
+`pivot`, one Gauss-Jordan step on a list of rows, is the package's only
+elimination kernel: the simplex tableau in `lp`, `solve_linear_system`
+and `QMatrix.rank` all reduce through it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 
 class DimensionError(ValueError):
     """Shapes of the operands do not conform."""
+
+
+class CertificateError(RuntimeError):
+    """An identity the package certifies failed to hold exactly."""
+
+
+def require(condition: bool, what: str) -> None:
+    """Always-on certificate check: raise CertificateError unless condition
+    holds. Unlike `assert`, it survives `python -O`."""
+    if not condition:
+        raise CertificateError(what)
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -201,7 +215,7 @@ class QMatrix:
         return NotImplemented
 
     def rank(self) -> int:
-        return _bareiss_rank(self)
+        return len(row_reduce(self.to_lists(), self.cols))
 
     def to_lists(self) -> list[list[Fraction]]:
         return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
@@ -219,35 +233,46 @@ def outer(u: QVector, v: QVector) -> QMatrix:
     return QMatrix(u.dim, v.dim, tuple(a * b for a in u for b in v))
 
 
-def _bareiss_rank(m: QMatrix) -> int:
-    # Fraction-free elimination on an integer-scaled copy keeps every
-    # intermediate value an exact integer determinant.
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    work: list[list[int]] = []
-    for i in range(m.rows):
-        scale = math.lcm(*(m.at(i, j).denominator for j in range(m.cols)))
-        work.append([int(m.at(i, j) * scale) for j in range(m.cols)])
-    rank = 0
-    prev = 1
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(rank, m.rows) if work[i][c] != 0), None)
-        if pivot_row is None:
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step: scale row r so that rows[r][c] is 1, then clear
+    column c from every other row. Rows are replaced, not edited in place."""
+    pr = rows[r]
+    pv = pr[c]
+    if pv != 1:
+        pr = [e / pv if e else e for e in pr]
+        rows[r] = pr
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i == r or not f:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][c]
-        for i in range(rank + 1, m.rows):
-            factor = work[i][c]
-            for j in range(c + 1, m.cols):
-                value, rem = divmod(work[i][j] * pivot - factor * work[rank][j], prev)
-                assert rem == 0, "fraction-free elimination produced a non-integer"
-                work[i][j] = value
-            work[i][c] = 0
-        prev = pivot
-        rank += 1
-        if rank == m.rows:
+        # +-1 factors and zero pivot-row entries dominate in practice, so
+        # they skip the rational multiply.
+        if f == 1:
+            rows[i] = [a - b if b else a for a, b in zip(row, pr)]
+        elif f == -1:
+            rows[i] = [a + b if b else a for a, b in zip(row, pr)]
+        else:
+            rows[i] = [a - f * b if b else a for a, b in zip(row, pr)]
+
+
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring rows to reduced row echelon form on their first ncols columns.
+
+    Returns the pivot columns: row i has its leading one in column
+    result[i], and the rows past len(result) are zero on all ncols columns.
+    """
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return rank
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        pivot(rows, r, c)
+        pivots.append(c)
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -267,37 +292,19 @@ def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
         raise DimensionError(f"matrix has {m.rows} rows but rhs has dim {rhs.dim}")
     n = m.cols
     rows = [[m.at(i, j) for j in range(n)] + [rhs[i]] for i in range(m.rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [e / pv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None
+    pivots = row_reduce(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
     particular = [Fraction(0)] * n
-    for ri, ci in pivots:
+    for ri, ci in enumerate(pivots):
         particular[ci] = rows[ri][n]
-    pivot_cols = {ci for _, ci in pivots}
     basis = []
     for free in range(n):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for ri, ci in pivots:
+        for ri, ci in enumerate(pivots):
             vec[ci] = -rows[ri][free]
         basis.append(QVector(tuple(vec)))
     return LinearSolution(QVector(tuple(particular)), tuple(basis))

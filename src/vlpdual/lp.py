@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DimensionError, QMatrix, QVector, solve_linear_system
+from .exact import DimensionError, QMatrix, QVector, pivot, require
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,50 +61,18 @@ class Unbounded:
 LpOutcome = Optimal | Infeasible | Unbounded
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int,
-           zrow: list[Fraction] | None = None):
-    pr = tab[row]
-    pv = pr[col]
-    if pv != _ONE:
-        pr = [e / pv if e else e for e in pr]
-        tab[row] = pr
-    for i, other in enumerate(tab):
-        if i != row:
-            f = other[col]
-            if f:
-                tab[i] = _row_update(other, f, pr)
-    if zrow is not None:
-        f = zrow[col]
-        if f:
-            zrow[:] = _row_update(zrow, f, pr)
-    basis[row] = col
-
-
-def _row_update(row: list[Fraction], f: Fraction, pr: list[Fraction]) -> list[Fraction]:
-    # row - f * pr entry-wise; +-1 factors and zero entries dominate in
-    # practice, so they skip the rational multiply.
-    if f == _ONE:
-        return [a - b if b else a for a, b in zip(row, pr)]
-    if f == -_ONE:
-        return [a + b if b else a for a, b in zip(row, pr)]
-    return [a - f * b if b else a for a, b in zip(row, pr)]
-
-
-def _bland_simplex(tab: list[list[Fraction]], basis: list[int], costs: list[Fraction], width: int) -> int:
+def _bland_simplex(tab: list[list[Fraction]], basis: list[int], width: int) -> int:
     """Run simplex to optimality; returns -1, or the entering column if unbounded.
 
-    Entering: smallest index with negative reduced cost. Leaving: smallest
-    basic variable index among the minimum-ratio rows. Both choices are
-    Bland's rule, which rules out cycling. The reduced-cost row is kept
-    incrementally and updated by the same pivot operations.
+    tab holds one row per basis entry followed by the reduced-cost row,
+    which every pivot updates with the constraint rows. Entering: smallest
+    index below width with negative reduced cost. Leaving: smallest basic
+    variable index among the minimum-ratio rows. Both choices are Bland's
+    rule, which rules out cycling.
     """
-    m = len(tab)
-    zrow = list(costs[:width]) + [_ZERO]
-    for i in range(m):
-        cb = costs[basis[i]]
-        if cb:
-            zrow = _row_update(zrow, cb, tab[i])
+    m = len(basis)
     while True:
+        zrow = tab[m]
         entering = -1
         for j in range(width):
             if zrow[j] < 0:
@@ -123,92 +91,65 @@ def _bland_simplex(tab: list[list[Fraction]], basis: list[int], costs: list[Frac
                     leave = i
         if leave < 0:
             return entering
-        _pivot(tab, basis, leave, entering, zrow)
-
-
-def _basic_duals(columns: list[list[Fraction]], basis: list[int], costs: list[Fraction]) -> list[Fraction]:
-    """Solve B^T y = c_B for the current basis; columns[j] is constraint column j."""
-    m = len(basis)
-    if m == 0:
-        return []
-    bt = QMatrix(m, m, tuple(columns[basis[p]][i] for p in range(m) for i in range(m)))
-    rhs = QVector(tuple(costs[basis[p]] for p in range(m)))
-    sol = solve_linear_system(bt, rhs)
-    assert sol is not None and not sol.nullspace, "basis matrix must be nonsingular"
-    return list(sol.particular)
+        pivot(tab, leave, entering)
+        basis[leave] = entering
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Two-phase exact simplex with certificates for all three outcomes."""
+    """Two-phase exact simplex with certificates for all three outcomes.
+
+    The tableau keeps one artificial column per row in both phases and
+    carries the reduced-cost row last. Artificial t has reduced cost
+    (its cost) - y[t], with y the simplex multipliers of the sign-adjusted
+    rows, so y is read off that row: the Farkas certificate after phase I
+    (cost 1), the equality multipliers after phase II (cost 0).
+    """
     m, n = lp.m, lp.n
     signs = [1 if lp.b[i] >= 0 else -1 for i in range(m)]
-    arows = [[lp.a.at(i, j) * signs[i] for j in range(n)] for i in range(m)]
-    brhs = [lp.b[i] * signs[i] for i in range(m)]
-
-    # Phase I: one artificial per row, minimize their sum.
     tab = [
-        arows[i] + [_ONE if t == i else _ZERO for t in range(m)] + [brhs[i]]
+        [lp.a.at(i, j) * signs[i] for j in range(n)]
+        + [_ONE if t == i else _ZERO for t in range(m)]
+        + [lp.b[i] * signs[i]]
         for i in range(m)
     ]
     basis = [n + i for i in range(m)]
-    costs1 = [_ZERO] * n + [_ONE] * m
-    entering = _bland_simplex(tab, basis, costs1, n + m)
-    assert entering < 0, "phase I is bounded below by zero"
-    phase1_value = sum((costs1[basis[i]] * tab[i][-1] for i in range(m)), _ZERO)
-    if phase1_value != 0:
-        # The phase-I duals are the Farkas certificate.
-        columns = [[arows[i][j] for i in range(m)] for j in range(n)]
-        columns += [[_ONE if i == t else _ZERO for i in range(m)] for t in range(m)]
-        y = _basic_duals(columns, basis, costs1)
-        farkas = QVector(tuple(signs[i] * y[i] for i in range(m)))
-        return Infeasible(farkas)
 
-    # Pivot zero-level artificials out; rows that are zero on the
-    # structural columns are redundant and get dropped.
-    dropped: set[int] = set()
+    # Phase I: minimize the sum of the artificials. Pivoting on the basic
+    # columns prices the cost row out.
+    tab.append([_ZERO] * n + [_ONE] * m + [_ZERO])
+    for i in range(m):
+        pivot(tab, i, basis[i])
+    require(_bland_simplex(tab, basis, n + m) < 0, "phase I is bounded below by zero")
+    zrow = tab[m]
+    if zrow[-1] != 0:
+        return Infeasible(QVector(tuple(signs[t] * (_ONE - zrow[n + t]) for t in range(m))))
+
+    # Phase II: artificials cost 0 and never enter. Zero-level artificials
+    # are pivoted out; a row that is zero on the structural columns is
+    # redundant and keeps its artificial basic at level 0. Pivoting on each
+    # basic column prices the new cost row out.
+    tab[m] = [lp.c[j] for j in range(n)] + [_ZERO] * (m + 1)
     for i in range(m):
         if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j] != 0), None)
-            if piv is None:
-                dropped.add(i)
-            else:
-                _pivot(tab, basis, i, piv)
-    keep = [i for i in range(m) if i not in dropped]
-    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # Phase II on the structural columns.
-    costs2 = [lp.c[j] for j in range(n)]
-    entering = _bland_simplex(tab, basis, costs2, n)
+            basis[i] = next((j for j in range(n) if tab[i][j]), basis[i])
+        pivot(tab, i, basis[i])
+    entering = _bland_simplex(tab, basis, n)
+    structural = [(bi, tab[i]) for i, bi in enumerate(basis) if bi < n]
     if entering >= 0:
         x0 = [_ZERO] * n
         ray = [_ZERO] * n
         ray[entering] = _ONE
-        for i, bi in enumerate(basis):
-            x0[bi] = tab[i][-1]
-            ray[bi] = -tab[i][entering]
+        for bi, row in structural:
+            x0[bi] = row[-1]
+            ray[bi] = -row[entering]
         return Unbounded(QVector(tuple(x0)), QVector(tuple(ray)))
 
     x = [_ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    # Dual multipliers: any y with y.col_j = c_j across the basis columns of
-    # the full (sign-adjusted) matrix is dual-feasible and closes the gap;
-    # redundant rows make the system underdetermined, never inconsistent.
-    if basis:
-        bt = QMatrix(
-            len(basis), m,
-            tuple(arows[i][basis[p]] for p in range(len(basis)) for i in range(m)),
-        )
-        rhs = QVector(tuple(costs2[basis[p]] for p in range(len(basis))))
-        sol = solve_linear_system(bt, rhs)
-        assert sol is not None, "dual system is consistent at optimality"
-        yhat = list(sol.particular)
-    else:
-        yhat = [_ZERO] * m
-    y = [signs[i] * yhat[i] for i in range(m)]
-    value = sum((lp.c[j] * x[j] for j in range(n)), _ZERO)
-    return Optimal(QVector(tuple(x)), QVector(tuple(y)), value)
+    for bi, row in structural:
+        x[bi] = row[-1]
+    zrow = tab[m]
+    y = QVector(tuple(-signs[t] * zrow[n + t] for t in range(m)))
+    return Optimal(QVector(tuple(x)), y, -zrow[-1])
 
 
 # Independent outcome verification: plain matrix arithmetic, sharing no
@@ -431,5 +372,5 @@ def solve_feasibility(
     out = solve_general(gp)
     if isinstance(out, GenOptimal):
         return FeasibilityResult(out.x)
-    assert isinstance(out, GenInfeasible), "zero objective cannot be unbounded"
+    require(isinstance(out, GenInfeasible), "zero objective cannot be unbounded")
     return FeasibilityResult(None, out.std_lp, out.farkas)

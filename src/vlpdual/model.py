@@ -155,6 +155,8 @@ def parse_cone(data, k: int) -> OrderingCone:
         raise ProblemFormatError("field 'cone': need either 'orthant' or 'dim' + 'generators'")
     if not _is_int(data["dim"]) or data["dim"] != k:
         raise ProblemFormatError(f"field 'cone': dim must be the integer k = {k}, got {data['dim']!r}")
+    if not isinstance(data["generators"], list):
+        raise ProblemFormatError("field 'cone.generators': expected an array")
     gens = [
         _parse_vector(g, f"cone.generators[{i}]", k)
         for i, g in enumerate(data["generators"])
@@ -235,25 +237,33 @@ def candidate_to_dict(cand) -> dict:
     raise TypeError(f"not a dual candidate: {cand!r}")
 
 
+def _field(data: dict, key: str):
+    if key not in data:
+        raise ProblemFormatError(f"missing field {key!r}")
+    return data[key]
+
+
 def candidate_from_dict(data: dict, problem: VlpProblem, kind: str | None = None):
+    if not isinstance(data, dict):
+        raise ProblemFormatError("dual candidate: top level must be an object")
     kind = kind or data.get("kind")
     if kind == "D":
         return DualCandidateD(
-            _parse_vector(data["lambda"], "lambda", problem.k),
-            _parse_matrix(data["U"], "U", problem.k, problem.m),
-            _parse_vector(data["v"], "v", problem.k),
+            _parse_vector(_field(data, "lambda"), "lambda", problem.k),
+            _parse_matrix(_field(data, "U"), "U", problem.k, problem.m),
+            _parse_vector(_field(data, "v"), "v", problem.k),
         )
     if kind == "J":
         return DualCandidateJ(
-            _parse_vector(data["lambda"], "lambda", problem.k),
-            _parse_matrix(data["U"], "U", problem.k, problem.m),
+            _parse_vector(_field(data, "lambda"), "lambda", problem.k),
+            _parse_matrix(_field(data, "U"), "U", problem.k, problem.m),
         )
     if kind == "L":
         return DualCandidateL(
-            _parse_vector(data["lambda"], "lambda", problem.k),
-            _parse_vector(data["z"], "z", problem.m),
-            _parse_vector(data["v"], "v", problem.k),
+            _parse_vector(_field(data, "lambda"), "lambda", problem.k),
+            _parse_vector(_field(data, "z"), "z", problem.m),
+            _parse_vector(_field(data, "v"), "v", problem.k),
         )
     if kind in ("I", "H"):
-        return DualCandidateU(_parse_matrix(data["U"], "U", problem.k, problem.m), kind)
+        return DualCandidateU(_parse_matrix(_field(data, "U"), "U", problem.k, problem.m), kind)
     raise ProblemFormatError(f"unknown dual candidate kind {kind!r}")

@@ -18,7 +18,7 @@ from .cone import (
     validate_cone,
 )
 from .duality import check_feasible_D, feasible_dual_point, scaled_generator
-from .exact import QMatrix, QVector, outer
+from .exact import QMatrix, QVector, outer, require
 from .lp import GeneralProgram, GenOptimal, GenRow, GenUnbounded, solve_general
 from .model import DualCandidateD, VlpProblem, make_problem
 
@@ -156,7 +156,7 @@ def sample_dual_points(problem: VlpProblem, rng: random.Random, count: int) -> l
         for vec in _orthogonal_basis(lam):
             v = v + vec.scale(random_rational(rng, -4, 4))
         cand = DualCandidateD(lam, U, v)
-        assert check_feasible_D(problem, cand)
+        require(check_feasible_D(problem, cand), "sampled dual point is feasible for D")
         out.append(cand)
     return out
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vlpdual
 from vlpdual.cli import main
 
 R5 = {
@@ -58,6 +63,7 @@ def test_validate_bad_dims(tmp_path, capsys):
         {"b": ["1/0", "-1"]},
         {"n": True},
         {"cone": {"orthant": True}, "k": 1, "L": [["0"]]},
+        {"cone": {"dim": 2, "generators": 5}},
     ],
 )
 def test_validate_malformed_is_input_error(tmp_path, capsys, change):
@@ -107,6 +113,21 @@ def test_dual_construct_and_check(seg_file, tmp_path, capsys):
     dual_path.write_text(json.dumps(data["candidate"]))
     assert main(["check-dual", seg_file, "--dual", str(dual_path), "--kind", "D", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"feasible": True}
+
+
+@pytest.mark.parametrize(
+    "dual",
+    [
+        {"U": [["0", "0"], ["0", "0"]], "v": ["0", "0"]},  # no "lambda"
+        [["1", "1"]],  # not an object
+    ],
+)
+def test_check_dual_malformed_is_input_error(r5_file, tmp_path, capsys, dual):
+    dual_path = tmp_path / "bad_dual.json"
+    dual_path.write_text(json.dumps(dual))
+    assert main(["check-dual", r5_file, "--dual", str(dual_path), "--kind", "D"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_recover(seg_file, capsys):
@@ -164,3 +185,36 @@ def test_campaign_json(capsys):
     assert main(["campaign", "--seed", "7", "--count", "1", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert all(set(e) == {"check", "instance", "status", "witness", "elapsed_ms"} for e in data)
+
+
+# `python -O` strips assert statements; the certificate checks must survive it.
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(vlpdual.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-O", *args], cwd=REPO, env=env, capture_output=True, text=True)
+
+
+def test_verify_under_optimize_flag():
+    proc = _run_optimized("-m", "vlpdual.cli", "verify", "problems/segment.json")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_certificate_check_survives_optimize_flag():
+    code = """
+import sys
+from vlpdual import duality
+from vlpdual.exact import CertificateError, qvec
+from vlpdual.harness import FIXTURES
+duality.check_feasible_D = lambda problem, cand: False
+try:
+    duality.membership_hB(FIXTURES["FIX-ZB"].problem, qvec(1, -1))
+except CertificateError:
+    sys.exit(0)
+sys.exit(3)
+"""
+    proc = _run_optimized("-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

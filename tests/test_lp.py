@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import brute_vertices
 from vlpdual.exact import QMatrix, QVector, qmat, qvec
@@ -78,21 +78,39 @@ def test_sign_mixed_duplicate_rows():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_redundant_rows_do_not_change_the_optimum(seed):
+    # Three extra rows are combinations of two independent base rows, placed
+    # in random order: their artificials stay basic at level 0.
     rng = random.Random(seed)
-    n = rng.randint(1, 5)
+    n = rng.randint(2, 5)
     c = QVector(tuple(random_rational(rng) for _ in range(n)))
-    base_row = [random_rational(rng) for _ in range(n)]
+    base = [[random_rational(rng) for _ in range(n)] for _ in range(2)]
+    a1 = qmat(base)
+    assume(a1.rank() == 2)
     x0 = QVector(tuple(abs(random_rational(rng)) for _ in range(n)))
-    a1 = QMatrix(1, n, tuple(base_row))
-    lp1 = LinearProgram(c, a1, a1 @ x0)
-    scale = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
-    a2 = QMatrix(3, n, tuple(base_row) + tuple(scale * v for v in base_row) + tuple(base_row))
-    lp2 = LinearProgram(c, a2, QVector(((a1 @ x0)[0], scale * (a1 @ x0)[0], (a1 @ x0)[0])))
+    b1 = a1 @ x0
+
+    def weight():
+        return Fraction(rng.choice((-2, -1, 0, 1, 3)), rng.choice((1, 2)))
+
+    weights = [(weight(), weight()) for _ in range(3)]
+    rows = base + [[p * u + q * v for u, v in zip(*base)] for p, q in weights]
+    rhs = list(b1) + [p * b1[0] + q * b1[1] for p, q in weights]
+    order = list(range(5))
+    rng.shuffle(order)
+    a2 = qmat([rows[i] for i in order])
+    lp1 = LinearProgram(c, a1, b1)
+    lp2 = LinearProgram(c, a2, QVector(tuple(rhs[i] for i in order)))
     out1, out2 = solve_lp(lp1), solve_lp(lp2)
     assert verify_outcome(lp1, out1) and verify_outcome(lp2, out2)
     assert isinstance(out1, Optimal) == isinstance(out2, Optimal)
     if isinstance(out1, Optimal):
         assert out1.value == out2.value
+
+    # Shifting the rhs of one combination row makes the rows inconsistent.
+    rhs[rng.randint(2, 4)] += random_rational(rng, 1, 5)
+    lp3 = LinearProgram(c, a2, QVector(tuple(rhs[i] for i in order)))
+    out3 = solve_lp(lp3)
+    assert isinstance(out3, Infeasible) and verify_outcome(lp3, out3)
 
 
 def test_beale_cycling_instance_terminates():
