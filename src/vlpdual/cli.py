@@ -3,7 +3,9 @@
 Subcommands load exact problem files, answer single oracle queries, run
 the constructive maps, and drive the verification campaigns. Exit codes:
 0 when every check passed or the query was answered, 1 when a
-verification failed, 2 on usage or input errors.
+verification failed, 2 on usage or input errors (an instance too large
+to enumerate included), 3 on an internal error: a certificate check
+inside the package failed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 from . import duality, efficiency
 from .cone import ConeError
-from .exact import DimensionError, QVector, qvec
+from .exact import CertificateError, DimensionError, QVector, qvec
 from .harness import (
     emit_report,
     run_all_fixtures,
@@ -31,7 +33,7 @@ from .model import (
     vector_to_list,
 )
 
-_INPUT_ERRORS = (ProblemFormatError, ConeError, DimensionError, ValueError, OSError)
+_INPUT_ERRORS = (ProblemFormatError, ConeError, DimensionError, ValueError, OSError, efficiency.VertexLimitError)
 
 
 def _load(path: str):
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main_entry() -> None:

@@ -3,11 +3,14 @@ for their image sets, and the constructive maps between them.
 
 The bilinear coupling between lam and U in the dual systems disappears
 under the substitution z = U^T lam, so each membership question becomes a
-single exact LP over (lam, z). A concrete U is rebuilt rank-one (or
-rank-two when a prescribed objective value must also be hit) only when a
-full witness is requested. The normalization lam.g >= 1 on the cone
+single exact LP over (lam, z). A concrete U is rebuilt rank-one from
+(lam, z) for the witness. The normalization lam.g >= 1 on the cone
 generators is sound because every system here is positively homogeneous
 in (lam, z) jointly.
+
+The hJ image set is the hB set mapped: for b != 0 a D point (lam, U, v)
+becomes the J point (lam, U + v b^T/(b.b)) with the same objective, and
+for b = 0 hJ is {0} intersected with hB. So hJ needs no LP of its own.
 
 Two builders assemble every LP here: `cone.multiplier` the systems in
 lam (or in (lam, z)), and `efficiency.domination_program` the domination
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cone import OrderingCone, in_quasi_interior, multiplier, orthant, strictly_below
 from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
@@ -96,7 +98,6 @@ def check_feasible_L(problem: VlpProblem, cand: DualCandidateL) -> bool:
     return ((problem.L.T @ cand.lam) - (problem.A.T @ cand.z)).is_nonneg()
 
 
-@lru_cache(maxsize=4096)
 def check_feasible_U(problem: VlpProblem, cand: DualCandidateU) -> bool:
     """No x >= 0 may have (L - UA)x strictly below zero in the relevant order."""
     if cand.flavor == "I" and not problem.cone.is_orthant:
@@ -140,15 +141,10 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
     return solve_feasibility(eq, rhs).point
 
 
-@lru_cache(maxsize=65536)
 def _lam_z_system(
     problem: VlpProblem, eq_coeffs: QVector | None, extra_ge: tuple[tuple[QVector, Fraction], ...] = ()
 ) -> tuple[QVector, QVector] | None:
-    """Solve for free (lam, z): lam.g >= 1, L^T lam - A^T z >= 0, plus extras.
-
-    Cached: the hB and hJ oracles share this system for the same probe
-    value, and campaign checks revisit the same values repeatedly.
-    """
+    """Solve for free (lam, z): lam.g >= 1, L^T lam - A^T z >= 0, plus extras."""
     n, m, k = problem.n, problem.m, problem.k
     stacked = QMatrix(k + m, n, problem.L.entries + (-problem.A).entries)  # [L; -A]
     point = multiplier(problem.cone, stacked, eq_coeffs, extra_ge)
@@ -195,39 +191,31 @@ def membership_hL(problem: VlpProblem, d: QVector) -> MembershipVerdict:
     return MembershipVerdict(True, "hL", (lam, z), cand)
 
 
-def membership_hJ(problem: VlpProblem, d: QVector) -> MembershipVerdict:
-    """Objective values Ub of the abstract dual.
+def hJ_from_hB(problem: VlpProblem, verdict: MembershipVerdict) -> MembershipVerdict:
+    """The hJ verdict for the value of an hB verdict, by the map above."""
+    if not verdict.member:
+        return MembershipVerdict(False, "hJ")
+    cand = verdict.candidate
+    if problem.b.is_zero():
+        if not cand.v.is_zero():
+            return MembershipVerdict(False, "hJ")
+        U = cand.U
+    else:
+        U = cand.U + outer(cand.v, problem.b.scale(_ONE / problem.b.dot(problem.b)))
+    out = DualCandidateJ(cand.lam, U)
+    require(check_feasible_J(problem, out), "hJ witness is feasible for D^J")
+    require(objective_J(problem, out) == objective_D(problem, cand), "hJ witness attains d")
+    return MembershipVerdict(True, "hJ", verdict.witness, out)
 
-    For b != 0 the value set coincides with the hB one: given (lam, z) a
-    matrix with U^T lam = z and Ub = d exists by a rank-two construction
-    along u = b/(b.b). For b = 0 the set collapses to {0} when the dual
-    is feasible at all, and is empty otherwise.
-    """
+
+def membership_hJ(problem: VlpProblem, d: QVector) -> MembershipVerdict:
+    """Objective values Ub of the abstract dual: the hB verdict mapped by
+    `hJ_from_hB`, with no LP of its own."""
     if d.dim != problem.k:
         raise DimensionError(f"value dim {d.dim} != image dim {problem.k}")
-    if problem.b.is_zero():
-        if not d.is_zero():
-            return MembershipVerdict(False, "hJ")
-        found = _lam_z_system(problem, None)
-        if found is None:
-            return MembershipVerdict(False, "hJ")
-        lam, z = found
-        U = outer(scaled_generator(problem.cone, lam), z)
-        cand = DualCandidateJ(lam, U)
-    else:
-        eq = QVector(tuple(d.entries) + tuple((-problem.b).entries))
-        found = _lam_z_system(problem, eq)
-        if found is None:
-            return MembershipVerdict(False, "hJ")
-        lam, z = found
-        tilde = scaled_generator(problem.cone, lam)
-        u = problem.b.scale(_ONE / problem.b.dot(problem.b))
-        w = d - tilde.scale(z.dot(problem.b))
-        U = outer(tilde, z) + outer(w, u)
-        cand = DualCandidateJ(lam, U)
-    require(check_feasible_J(problem, cand), "hJ witness is feasible for D^J")
-    require(objective_J(problem, cand) == d, "hJ witness attains d")
-    return MembershipVerdict(True, "hJ", found, cand)
+    if problem.b.is_zero() and not d.is_zero():
+        return MembershipVerdict(False, "hJ")
+    return hJ_from_hB(problem, membership_hB(problem, d))
 
 
 def h_H_value_membership(problem: VlpProblem, U: QMatrix, d: QVector) -> bool:

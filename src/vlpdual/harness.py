@@ -212,13 +212,13 @@ class _InstanceContext:
     problem: VlpProblem
     vertices: list[QVector]
     vertex_status: list[tuple[QVector, bool, object]]  # (vertex, efficient, cert or None)
-    duals: list[DualCandidateD]
+    duals: list[DualCandidateD]  # starts at feasible_dual_point: empty exactly when D is
     primals: list[QVector]
     values: list[QVector]
     us: list[QMatrix]
     constructed: list[tuple[QVector, DualCandidateD]] = field(default_factory=list)
     feasible_us: list[QMatrix] = field(default_factory=list)
-    mapped_values: list[QVector] = field(default_factory=list)
+    mapped_values: list[tuple[QVector, duality.MembershipVerdict]] = field(default_factory=list)  # (h, hB verdict)
 
 
 def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig) -> _InstanceContext:
@@ -237,9 +237,7 @@ def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig)
 
 
 def _check_quadrant(ctx: _InstanceContext, cfg, rng):
-    a_empty = not ctx.vertices
-    b_empty = not duality.dual_B_nonempty(ctx.problem)
-    return 1, [], {"A_empty": a_empty, "B_empty": b_empty}
+    return 1, [], {"A_empty": not ctx.vertices, "B_empty": not ctx.duals}
 
 
 def _check_efficient_iff_scalarizable(ctx: _InstanceContext, cfg, rng):
@@ -337,12 +335,12 @@ def _check_u_feasibility_agreement(ctx: _InstanceContext, cfg, rng):
 
 def _check_inclusion_chain(ctx: _InstanceContext, cfg, rng):
     failures = []
-    count = 0
+    verdicts = {}  # probe values repeat; solve each distinct one once
     for d in ctx.values:
-        count += 1
-        in_j = duality.membership_hJ(ctx.problem, d)
-        in_b = duality.membership_hB(ctx.problem, d)
-        in_l = duality.membership_hL(ctx.problem, d)
+        if d not in verdicts:
+            in_b = duality.membership_hB(ctx.problem, d)
+            verdicts[d] = duality.hJ_from_hB(ctx.problem, in_b), in_b, duality.membership_hL(ctx.problem, d)
+        in_j, in_b, in_l = verdicts[d]
         if in_j.member and not in_b.member:
             failures.append({"d": vector_to_list(d), "reason": "hJ member escaped hB"})
         if in_b.member and not in_l.member:
@@ -355,7 +353,7 @@ def _check_inclusion_chain(ctx: _InstanceContext, cfg, rng):
             if verdict.member:
                 if not checker(ctx.problem, verdict.candidate) or evaluate(verdict.candidate) != d:
                     failures.append({"d": vector_to_list(d), "reason": f"bad witness for {verdict.set_tag}"})
-    return count, failures, None
+    return len(ctx.values), failures, None
 
 
 def _check_hH_to_hB_map(ctx: _InstanceContext, cfg, rng):
@@ -372,13 +370,14 @@ def _check_hH_to_hB_map(ctx: _InstanceContext, cfg, rng):
             count += 1
             cand = duality.map_DH_to_D(ctx.problem, U, xbar)
             h = objective_D(ctx.problem, cand)
-            if not duality.membership_hB(ctx.problem, h).member:
+            in_b = duality.membership_hB(ctx.problem, h)
+            if not in_b.member:
                 failures.append({"h": vector_to_list(h), "reason": "mapped value escaped hB"})
                 continue
             if not duality.h_H_value_membership(ctx.problem, U, h):
                 failures.append({"h": vector_to_list(h), "reason": "mapped value not in its own image set"})
                 continue
-            ctx.mapped_values.append(h)
+            ctx.mapped_values.append((h, in_b))
     return count, failures, None
 
 
@@ -387,7 +386,7 @@ def _check_emptiness_biconditional(ctx: _InstanceContext, cfg, rng):
         return 0, [], None
     no_efficient = all(not eff for _, eff, _ in ctx.vertex_status)
     pointed = efficiency.recession_image_pointed(ctx.problem)
-    b_empty = not duality.dual_B_nonempty(ctx.problem)
+    b_empty = not ctx.duals
     failures = []
     if (no_efficient and not pointed) != b_empty:
         failures.append({"no_efficient_vertex": no_efficient, "recession_pointed": pointed, "B_empty": b_empty})
@@ -433,9 +432,9 @@ def _check_strictness(ctx: _InstanceContext, cfg, rng):
     found_j_vs_h = []
     candidates_h_vs_b = []
     count = 0
-    for h in ctx.mapped_values[: cfg.strictness_probes]:
+    for h, in_b in ctx.mapped_values[: cfg.strictness_probes]:
         count += 1
-        if not duality.membership_hJ(ctx.problem, h).member:
+        if not duality.hJ_from_hB(ctx.problem, in_b).member:
             found_j_vs_h.append(vector_to_list(h))
     if ctx.feasible_us:
         for cand in ctx.duals[: cfg.strictness_probes]:

@@ -218,3 +218,37 @@ sys.exit(3)
 """
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_certificate_error_in_cli_is_internal_error():
+    code = """
+import sys
+from vlpdual import cli, duality
+duality.check_feasible_D = lambda problem, cand: False
+sys.exit(cli.main(["member", "problems/segment.json", "--set", "hB", "--value", '["1", "0"]']))
+"""
+    proc = _run_optimized("-c", code)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "internal error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["vertices", "efficient", "verify"])
+def test_oversized_problem_is_input_error(tmp_path, capsys, command):
+    # A = [I I] has rank 10 over 20 columns: C(20, 10) = 184,756 bases, over the 100,000 limit.
+    eye = [["1" if i == j else "0" for j in range(10)] for i in range(10)]
+    big = {
+        "n": 20,
+        "m": 10,
+        "k": 2,
+        "L": [["0"] * 20, ["0"] * 20],
+        "A": [row + row for row in eye],
+        "b": ["1"] * 10,
+        "cone": {"orthant": 2},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err
+    assert "Traceback" not in err

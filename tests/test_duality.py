@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vlpdual import duality
 from vlpdual.cone import orthant, strictly_below
 from vlpdual.duality import (
     check_feasible_D,
@@ -327,16 +328,32 @@ def test_weak_duality_random(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_inclusion_chain_random(seed):
     rng = random.Random(500 + seed)
-    problem = random_problem(rng)
-    duals = sample_dual_points(problem, rng, 4)
-    values = [objective_D(problem, c) for c in duals]
-    values += [qvec(*[Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(problem.k)]) for _ in range(6)]
-    for d in values:
-        in_j = membership_hJ(problem, d).member
-        in_b = membership_hB(problem, d).member
-        in_l = membership_hL(problem, d).member
-        assert not (in_j and not in_b)
-        assert not (in_b and not in_l)
+    drawn = random_problem(rng)
+    # The same L, A and cone with b = 0, where hJ collapses to {0} cap hB.
+    zero_b = make_problem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)
+    for problem in (drawn, zero_b):
+        duals = sample_dual_points(problem, rng, 4)
+        values = [objective_D(problem, c) for c in duals] + [QVector.zeros(problem.k)]
+        values += [
+            qvec(*[Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(problem.k)]) for _ in range(6)
+        ]
+        for d in values:
+            in_j = membership_hJ(problem, d)
+            in_b = membership_hB(problem, d).member
+            in_l = membership_hL(problem, d).member
+            assert not (in_j.member and not in_b)
+            assert not (in_b and not in_l)
+            if problem.b.is_zero():
+                assert in_j.member == (d.is_zero() and dual_B_nonempty(problem))
+            else:
+                assert in_j.member == in_b
+            if in_j.member:
+                assert check_feasible_J(problem, in_j.candidate)
+                assert objective_J(problem, in_j.candidate) == d
+
+
+def test_duality_holds_no_cache():
+    assert [name for name, obj in vars(duality).items() if hasattr(obj, "cache_info")] == []
 
 
 @pytest.mark.parametrize("seed", range(8))
