@@ -108,8 +108,8 @@ def _cmd_dual_construct(args) -> int:
     point = _parse_cli_vector(args.point)
     cert = efficiency.proper_efficiency_certificate(problem, point)
     if cert is None:
-        print("point is not efficient; no dual solution constructed", file=sys.stderr)
-        return 1
+        _emit({"candidate": None}, args.format, ["point is not efficient; no dual solution constructed"])
+        return 0
     cand = duality.construct_dual_solution(problem, point, cert)
     payload = {"candidate": candidate_to_dict(cand), "objective": vector_to_list(objective_D(problem, cand))}
     _emit(payload, args.format, [json.dumps(candidate_to_dict(cand)), f"objective: {objective_D(problem, cand)}"])

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import DimensionError, QMatrix, QVector
-from .lp import solve_feasibility
+from .lp import GeneralProgram, GenRow, Optimal, solve_feasibility, solve_general
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,15 +88,13 @@ def multiplier(
     """
     width = M.rows if M is not None else cone.dim
     pad = (_ZERO,) * (width - cone.dim)
-    rows = [(QVector(g.entries + pad), _ONE) for g in cone.generators]
+    rows = [GenRow(eq, "=", _ZERO)] if eq is not None else []
+    rows += [GenRow(QVector(g.entries + pad), ">=", _ONE) for g in cone.generators]
     if M is not None:
-        rows += [(M.col(j), _ZERO) for j in range(M.cols)]
-    rows += extra
-    if eq is None:
-        result = solve_feasibility(QMatrix.zeros(0, width), None, rows, free_vars=True)
-    else:
-        result = solve_feasibility(QMatrix(1, width, eq.entries), QVector((_ZERO,)), rows, free_vars=True)
-    return result.point
+        rows += [GenRow(M.col(j), ">=", _ZERO) for j in range(M.cols)]
+    rows += [GenRow(coeffs, ">=", bound) for coeffs, bound in extra]
+    out = solve_general(GeneralProgram(QVector.zeros(width), tuple(rows), free=True))
+    return out.x if isinstance(out, Optimal) else None
 
 
 def validate_cone(cone: OrderingCone) -> OrderingCone:
@@ -135,8 +133,7 @@ def contains(cone: OrderingCone, v: QVector) -> bool:
         return False  # witness is in the dual cone, so members cannot go negative
     if cone.is_orthant:
         return v.is_nonneg()
-    result = solve_feasibility(generator_matrix(cone), v)
-    return result.point is not None
+    return solve_feasibility(generator_matrix(cone), v) is not None
 
 
 def in_dual(cone: OrderingCone, lam: QVector) -> bool:

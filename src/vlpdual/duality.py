@@ -25,15 +25,7 @@ from fractions import Fraction
 from .cone import OrderingCone, in_quasi_interior, multiplier, orthant, strictly_below
 from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
 from .exact import DimensionError, QMatrix, QVector, outer, require
-from .lp import (
-    GenOptimal,
-    GenUnbounded,
-    LinearProgram,
-    Infeasible,
-    solve_feasibility,
-    solve_general,
-    solve_lp,
-)
+from .lp import Infeasible, LinearProgram, Optimal, Unbounded, solve_feasibility, solve_general, solve_lp
 from .model import (
     DualCandidateD,
     DualCandidateJ,
@@ -53,7 +45,6 @@ _ONE = Fraction(1)
 class MembershipVerdict:
     member: bool
     set_tag: str  # "hB" | "hL" | "hJ"
-    witness: tuple[QVector, QVector] | None = None  # (lam, z)
     candidate: DualCandidateD | DualCandidateL | DualCandidateJ | None = None
 
 
@@ -105,7 +96,7 @@ def check_feasible_U(problem: VlpProblem, cand: DualCandidateU) -> bool:
     cone = orthant(problem.k) if cand.flavor == "I" else problem.cone
     M = _reduced_map(problem, cand.U)
     out = solve_general(domination_program(cone, M, QVector.zeros(problem.k), normalize=True))
-    require(isinstance(out, GenOptimal), "normalized domination program is bounded and feasible")
+    require(isinstance(out, Optimal), "normalized domination program is bounded and feasible")
     return out.value == 0
 
 
@@ -138,7 +129,7 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
         raise DimensionError(f"value dim {d.dim} != image dim {problem.k}")
     eq = QMatrix(problem.m + problem.k, problem.n, problem.A.entries + problem.L.entries)  # [A; L]
     rhs = QVector(tuple(problem.b.entries) + tuple(d.entries))
-    return solve_feasibility(eq, rhs).point
+    return solve_feasibility(eq, rhs)
 
 
 def _lam_z_system(
@@ -173,7 +164,7 @@ def membership_hB(problem: VlpProblem, d: QVector) -> MembershipVerdict:
     cand = DualCandidateD(lam, U, v)
     require(check_feasible_D(problem, cand), "hB witness is feasible for D")
     require(objective_D(problem, cand) == d, "hB witness attains d")
-    return MembershipVerdict(True, "hB", (lam, z), cand)
+    return MembershipVerdict(True, "hB", cand)
 
 
 def membership_hL(problem: VlpProblem, d: QVector) -> MembershipVerdict:
@@ -188,7 +179,7 @@ def membership_hL(problem: VlpProblem, d: QVector) -> MembershipVerdict:
     cand = DualCandidateL(lam, z, d)
     require(check_feasible_L(problem, cand), "hL witness is feasible for D^L")
     require(objective_L(cand) == d, "hL witness attains d")
-    return MembershipVerdict(True, "hL", (lam, z), cand)
+    return MembershipVerdict(True, "hL", cand)
 
 
 def hJ_from_hB(problem: VlpProblem, verdict: MembershipVerdict) -> MembershipVerdict:
@@ -205,7 +196,7 @@ def hJ_from_hB(problem: VlpProblem, verdict: MembershipVerdict) -> MembershipVer
     out = DualCandidateJ(cand.lam, U)
     require(check_feasible_J(problem, out), "hJ witness is feasible for D^J")
     require(objective_J(problem, out) == objective_D(problem, cand), "hJ witness attains d")
-    return MembershipVerdict(True, "hJ", verdict.witness, out)
+    return MembershipVerdict(True, "hJ", out)
 
 
 def membership_hJ(problem: VlpProblem, d: QVector) -> MembershipVerdict:
@@ -224,12 +215,12 @@ def h_H_value_membership(problem: VlpProblem, U: QMatrix, d: QVector) -> bool:
         raise ValueError("U not feasible for D^H")
     w = d - (U @ problem.b)
     M = _reduced_map(problem, U)
-    if solve_feasibility(M, w).point is None:
+    if solve_feasibility(M, w) is None:
         return False
     out = solve_general(domination_program(problem.cone, M, w))
-    if isinstance(out, GenUnbounded):
+    if isinstance(out, Unbounded):
         return False
-    require(isinstance(out, GenOptimal), "domination program over a feasible U is bounded")
+    require(isinstance(out, Optimal), "domination program over a feasible U is bounded")
     return out.value == 0
 
 
@@ -243,20 +234,24 @@ def minimize_over_image(problem: VlpProblem, U: QMatrix, x0: QVector) -> QVector
         raise ValueError("starting point must be nonnegative")
     M = _reduced_map(problem, U)
     out = solve_general(domination_program(problem.cone, M, M @ x0))
-    require(isinstance(out, GenOptimal), "feasible U keeps the domination program bounded")
+    require(isinstance(out, Optimal), "feasible U keeps the domination program bounded")
     return QVector(out.x.entries[: problem.n])
 
 
 def map_DH_to_D(problem: VlpProblem, U: QMatrix, xbar: QVector) -> DualCandidateD:
-    """Lift a feasible U and a minimal-image point into the vector dual."""
-    if not check_feasible_U(problem, DualCandidateU(U, "H")):
-        raise ValueError("U not feasible for D^H")
+    """Lift a feasible U and a minimal-image point into the vector dual.
+
+    The minimality test also rejects every U that is not feasible for D^H,
+    so no separate check is made: if some x >= 0 has (L - UA)x = -k with k
+    in K and k != 0, then xbar + x reaches vbar - k, and the domination
+    program at vbar finds the positive cone mass of k.
+    """
     if xbar.dim != problem.n or not xbar.is_nonneg():
         raise ValueError("point must be nonnegative of primal dimension")
     M = _reduced_map(problem, U)
     vbar = M @ xbar
     out = solve_general(domination_program(problem.cone, M, vbar))
-    if not (isinstance(out, GenOptimal) and out.value == 0):
+    if not (isinstance(out, Optimal) and out.value == 0):
         raise ValueError("image of the point is not minimal")
     gamma = multiplier(problem.cone, M, vbar)
     require(gamma is not None, "a separating gamma exists for every minimal image value")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cone import OrderingCone, generator_matrix, multiplier
 from .exact import QMatrix, QVector, require, solve_linear_system
-from .lp import GeneralProgram, GenOptimal, GenRow, GenUnbounded, solve_general
+from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
 from .model import VlpProblem, primal_feasible
 
 _ZERO = Fraction(0)
@@ -65,7 +65,7 @@ def domination_program(
     if normalize:
         rows.append(GenRow(QVector((_ONE,) * (n + g)), "<=", _ONE))
     objective = QVector((_ZERO,) * n + (-_ONE,) * g)
-    return GeneralProgram(objective, tuple(rows), (_ZERO,) * (n + g))
+    return GeneralProgram(objective, tuple(rows))
 
 
 def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCertificate | None]:
@@ -80,12 +80,12 @@ def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCe
     program = domination_program(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
     out = solve_general(program)
     n = problem.n
-    if isinstance(out, GenOptimal):
+    if isinstance(out, Optimal):
         if out.value == 0:
             return True, None
         dominator = QVector(out.x.entries[:n])
         return False, EfficiencyCertificate("dominated", dominator=dominator)
-    require(isinstance(out, GenUnbounded), "domination program is feasible at (xbar, 0)")
+    require(isinstance(out, Unbounded), "domination program is feasible at (xbar, 0)")
     dominator = QVector((out.x0 + out.ray).entries[:n])
     return False, EfficiencyCertificate("unbounded-domination", dominator=dominator)
 
@@ -179,5 +179,5 @@ def recession_image_pointed(problem: VlpProblem) -> bool:
         fixed=(problem.A, QVector.zeros(problem.m)), normalize=True,
     )
     out = solve_general(program)
-    require(isinstance(out, GenOptimal), "normalized domination program is bounded and feasible")
+    require(isinstance(out, Optimal), "normalized domination program is bounded and feasible")
     return out.value == 0

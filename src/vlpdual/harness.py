@@ -75,8 +75,10 @@ class CampaignConfig:
     primal_samples: int = 50
     value_samples: int = 50
     u_samples: int = 2
-    strictness_probes: int = 5
-    vertex_limit: int = 100000
+
+
+# How many mapped values and sampled duals the strictness search probes.
+_STRICTNESS_PROBES = 5
 
 
 # Pinned instances. Expected values on the derived fixtures were computed
@@ -169,8 +171,8 @@ def _run_fixture_check(problem: VlpProblem, name: str, params: dict):
         pairs = efficiency.efficient_vertices(problem)
         status = [(v, True, cert) for v, cert in pairs]
         ctx = _InstanceContext(problem, [v for v, _ in pairs], status, [], [], [], [])
-        strong, strong_failures, _ = _check_strong_duality(ctx, None, None)
-        _, converse_failures, _ = _check_converse_duality(ctx, None, None)
+        strong, strong_failures, _ = _check_strong_duality(ctx, None)
+        _, converse_failures, _ = _check_converse_duality(ctx, None)
         return strong > 0 and not strong_failures and not converse_failures
     raise ValueError(f"unknown fixture check {name!r}")
 
@@ -222,7 +224,7 @@ class _InstanceContext:
 
 
 def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig) -> _InstanceContext:
-    vertices = efficiency.enumerate_vertices(problem, cfg.vertex_limit)
+    vertices = efficiency.enumerate_vertices(problem)
     status = []
     for vertex in vertices:
         eff, _ = efficiency.is_efficient(problem, vertex)
@@ -236,11 +238,11 @@ def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig)
     return _InstanceContext(problem, vertices, status, duals, primals, values, us)
 
 
-def _check_quadrant(ctx: _InstanceContext, cfg, rng):
+def _check_quadrant(ctx: _InstanceContext, rng):
     return 1, [], {"A_empty": not ctx.vertices, "B_empty": not ctx.duals}
 
 
-def _check_efficient_iff_scalarizable(ctx: _InstanceContext, cfg, rng):
+def _check_efficient_iff_scalarizable(ctx: _InstanceContext, rng):
     failures = []
     count = 0
     for vertex, eff, cert in ctx.vertex_status:
@@ -261,7 +263,7 @@ def _check_efficient_iff_scalarizable(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_weak_duality(ctx: _InstanceContext, cfg, rng):
+def _check_weak_duality(ctx: _InstanceContext, rng):
     failures = []
     count = 0
     for cand in ctx.duals:
@@ -273,7 +275,7 @@ def _check_weak_duality(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_strong_duality(ctx: _InstanceContext, cfg, rng):
+def _check_strong_duality(ctx: _InstanceContext, rng):
     failures = []
     count = 0
     for vertex, eff, cert in ctx.vertex_status:
@@ -298,7 +300,7 @@ def _check_strong_duality(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_converse_duality(ctx: _InstanceContext, cfg, rng):
+def _check_converse_duality(ctx: _InstanceContext, rng):
     failures = []
     count = 0
     for vertex, cand in ctx.constructed:
@@ -318,7 +320,7 @@ def _check_converse_duality(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_u_feasibility_agreement(ctx: _InstanceContext, cfg, rng):
+def _check_u_feasibility_agreement(ctx: _InstanceContext, rng):
     failures = []
     count = 0
     for U in ctx.us:
@@ -333,7 +335,7 @@ def _check_u_feasibility_agreement(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_inclusion_chain(ctx: _InstanceContext, cfg, rng):
+def _check_inclusion_chain(ctx: _InstanceContext, rng):
     failures = []
     verdicts = {}  # probe values repeat; solve each distinct one once
     for d in ctx.values:
@@ -356,7 +358,7 @@ def _check_inclusion_chain(ctx: _InstanceContext, cfg, rng):
     return len(ctx.values), failures, None
 
 
-def _check_hH_to_hB_map(ctx: _InstanceContext, cfg, rng):
+def _check_hH_to_hB_map(ctx: _InstanceContext, rng):
     failures = []
     count = 0
     for U in ctx.feasible_us:
@@ -381,7 +383,7 @@ def _check_hH_to_hB_map(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_emptiness_biconditional(ctx: _InstanceContext, cfg, rng):
+def _check_emptiness_biconditional(ctx: _InstanceContext, rng):
     if not ctx.vertices:
         return 0, [], None
     no_efficient = all(not eff for _, eff, _ in ctx.vertex_status)
@@ -393,7 +395,7 @@ def _check_emptiness_biconditional(ctx: _InstanceContext, cfg, rng):
     return 1, failures, None
 
 
-def _check_improvement_on_empty_primal(ctx: _InstanceContext, cfg, rng):
+def _check_improvement_on_empty_primal(ctx: _InstanceContext, rng):
     if ctx.vertices or not ctx.duals:
         return 0, [], None
     failures = []
@@ -408,7 +410,7 @@ def _check_improvement_on_empty_primal(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_minmax_coincidence(ctx: _InstanceContext, cfg, rng):
+def _check_minmax_coincidence(ctx: _InstanceContext, rng):
     failures = []
     count = 0
     for vertex, eff, _ in ctx.vertex_status:
@@ -426,18 +428,18 @@ def _check_minmax_coincidence(ctx: _InstanceContext, cfg, rng):
     return count, failures, None
 
 
-def _check_strictness(ctx: _InstanceContext, cfg, rng):
+def _check_strictness(ctx: _InstanceContext, rng):
     """Informational search for witnesses that the image-set inclusions are
     strict. Finding none is not a failure."""
     found_j_vs_h = []
     candidates_h_vs_b = []
     count = 0
-    for h, in_b in ctx.mapped_values[: cfg.strictness_probes]:
+    for h, in_b in ctx.mapped_values[:_STRICTNESS_PROBES]:
         count += 1
         if not duality.hJ_from_hB(ctx.problem, in_b).member:
             found_j_vs_h.append(vector_to_list(h))
     if ctx.feasible_us:
-        for cand in ctx.duals[: cfg.strictness_probes]:
+        for cand in ctx.duals[:_STRICTNESS_PROBES]:
             d = objective_D(ctx.problem, cand)
             count += 1
             if all(not duality.h_H_value_membership(ctx.problem, U, d) for U in ctx.feasible_us):
@@ -483,7 +485,7 @@ def _run_instance_checks(
     records = []
     for check_name, check in _CAMPAIGN_CHECKS:
         try:
-            executed, failures, extra = check(ctx, cfg, rng)
+            executed, failures, extra = check(ctx, rng)
         except Exception as exc:  # a crash is a failure with a replayable payload
             executed, failures, extra = 1, [{"exception": f"{type(exc).__name__}: {exc}"}], None
         if failures:

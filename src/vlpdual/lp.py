@@ -4,6 +4,10 @@ The solver returns one of three fully certified outcomes: an optimal
 point with equality multipliers satisfying complementary optimality, a
 Farkas certificate of infeasibility, or an improving ray. Bland's rule
 is used unconditionally, so pivoting terminates on every input.
+
+The general form (<=, >=, = rows over all-free or all-nonnegative
+variables) reduces to the standard form and answers with the same three
+outcomes. `solve_feasibility` asks for a nonnegative solution of Mx = b.
 """
 
 from __future__ import annotations
@@ -187,8 +191,10 @@ def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
     raise TypeError(f"not an LP outcome: {out!r}")
 
 
-# General form: free or lower-bounded variables and <=, >=, = rows, reduced
-# to the equality standard form above with an exact back-map.
+# General form: <=, >=, = rows over variables that are all free or all
+# nonnegative, reduced to the equality standard form above. The standard
+# rows are the general rows one for one, so multipliers and Farkas
+# certificates need no back-map; points and rays map back by column.
 
 _RELATIONS = ("<=", ">=", "=")
 
@@ -206,15 +212,15 @@ class GenRow:
 
 @dataclass(frozen=True)
 class GeneralProgram:
-    """min objective.x over rows; lower[j] is the bound of x_j, None = free."""
+    """min objective.x over rows, with x free if `free` is set, else x >= 0."""
 
     objective: QVector
     rows: tuple[GenRow, ...]
-    lower: tuple[Fraction | None, ...]
+    free: bool = False
 
     def __post_init__(self):
-        if len(self.lower) != self.objective.dim:
-            raise DimensionError("one lower bound per variable required")
+        if not self.rows:
+            raise DimensionError("a program needs at least one row")
         for row in self.rows:
             if row.coeffs.dim != self.objective.dim:
                 raise DimensionError("row width differs from variable count")
@@ -223,154 +229,53 @@ class GeneralProgram:
     def n(self) -> int:
         return self.objective.dim
 
+    def spread(self, coeffs: QVector) -> list[Fraction]:
+        """Coefficients on the standard variable columns: a free x_j is
+        x_j+ - x_j-, two adjacent columns."""
+        if not self.free:
+            return list(coeffs.entries)
+        return [v for e in coeffs.entries for v in (e, -e)]
 
-@dataclass(frozen=True)
-class StandardizedProgram:
-    lp: LinearProgram
-    var_cols: tuple[tuple[int, int | None], ...]  # (positive col, negative col or None)
-    shifts: tuple[Fraction, ...]
-    value_shift: Fraction
-
-    def back_point(self, x_std: QVector) -> QVector:
-        out = []
-        for (pos, neg), shift in zip(self.var_cols, self.shifts):
-            v = x_std[pos] - (x_std[neg] if neg is not None else _ZERO)
-            out.append(v + shift)
-        return QVector(tuple(out))
-
-    def back_direction(self, d_std: QVector) -> QVector:
-        out = []
-        for pos, neg in self.var_cols:
-            out.append(d_std[pos] - (d_std[neg] if neg is not None else _ZERO))
-        return QVector(tuple(out))
+    def back(self, v: QVector) -> QVector:
+        """A standard-form point or ray as gp's variables; slacks drop."""
+        if not self.free:
+            return QVector(v.entries[: self.n])
+        return QVector(tuple(v[2 * j] - v[2 * j + 1] for j in range(self.n)))
 
 
-def to_standard_form(gp: GeneralProgram) -> StandardizedProgram:
-    var_cols: list[tuple[int, int | None]] = []
-    shifts: list[Fraction] = []
-    col = 0
-    for bound in gp.lower:
-        if bound is None:
-            var_cols.append((col, col + 1))
-            shifts.append(_ZERO)
-            col += 2
-        else:
-            var_cols.append((col, None))
-            shifts.append(Fraction(bound))
-            col += 1
-    slack_cols = []
+def to_standard_form(gp: GeneralProgram) -> LinearProgram:
+    """Each inequality row gets a slack column after the variable columns,
+    in row order: +1 on a <= row, -1 on a >= row."""
+    c = gp.spread(gp.objective)
+    cols = len(c)
+    pad = [_ZERO] * sum(row.rel != "=" for row in gp.rows)
+    a: list[Fraction] = []
+    slack = cols
     for row in gp.rows:
-        if row.rel == "=":
-            slack_cols.append(None)
-        else:
-            slack_cols.append(col)
-            col += 1
-    width = col
-
-    c_std = [_ZERO] * width
-    for j, (pos, neg) in enumerate(var_cols):
-        c_std[pos] = gp.objective[j]
-        if neg is not None:
-            c_std[neg] = -gp.objective[j]
-
-    a_rows: list[list[Fraction]] = []
-    b_std: list[Fraction] = []
-    for row, slack in zip(gp.rows, slack_cols):
-        line = [_ZERO] * width
-        rhs = row.rhs
-        for j, (pos, neg) in enumerate(var_cols):
-            coeff = row.coeffs[j]
-            if coeff == 0:
-                continue
-            line[pos] = coeff
-            if neg is not None:
-                line[neg] = -coeff
-            if shifts[j]:  # zero for free and zero-bounded variables, the common case
-                rhs -= coeff * shifts[j]
-        if slack is not None:
+        line = gp.spread(row.coeffs) + pad
+        if row.rel != "=":
             line[slack] = _ONE if row.rel == "<=" else -_ONE
-        a_rows.append(line)
-        b_std.append(rhs)
-
-    if not a_rows:
-        a_rows.append([_ZERO] * width)  # vacuous row so the equality form is well-shaped
-        b_std.append(_ZERO)
-    value_shift = sum((gp.objective[j] * shifts[j] for j in range(gp.n)), _ZERO)
-    lp = LinearProgram(
-        QVector(tuple(c_std)),
-        QMatrix(len(a_rows), width, tuple(v for line in a_rows for v in line)),
-        QVector(tuple(b_std)),
+            slack += 1
+        a += line
+    return LinearProgram(
+        QVector(tuple(c + pad)),
+        QMatrix(len(gp.rows), cols + len(pad), tuple(a)),
+        QVector(tuple(row.rhs for row in gp.rows)),
     )
-    return StandardizedProgram(lp, tuple(var_cols), tuple(shifts), value_shift)
 
 
-@dataclass(frozen=True)
-class GenOptimal:
-    x: QVector
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class GenInfeasible:
-    std_lp: LinearProgram  # certificate is stated against this equivalent program
-    farkas: QVector
-
-
-@dataclass(frozen=True)
-class GenUnbounded:
-    x0: QVector
-    ray: QVector
-
-
-GenOutcome = GenOptimal | GenInfeasible | GenUnbounded
-
-
-def solve_general(gp: GeneralProgram) -> GenOutcome:
-    std = to_standard_form(gp)
-    out = solve_lp(std.lp)
+def solve_general(gp: GeneralProgram) -> LpOutcome:
+    """solve_lp on the standard form; x, x0 and ray come back in gp's
+    variables, y and farkas stay indexed by gp's rows."""
+    out = solve_lp(to_standard_form(gp))
     if isinstance(out, Optimal):
-        return GenOptimal(std.back_point(out.x), out.value + std.value_shift)
-    if isinstance(out, Infeasible):
-        return GenInfeasible(std.lp, out.farkas)
-    return GenUnbounded(std.back_point(out.x0), std.back_direction(out.ray))
+        return Optimal(gp.back(out.x), out.y, out.value)
+    if isinstance(out, Unbounded):
+        return Unbounded(gp.back(out.x0), gp.back(out.ray))
+    return out
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    point: QVector | None
-    std_lp: LinearProgram | None = None
-    farkas: QVector | None = None
-
-
-def solve_feasibility(
-    eq_matrix: QMatrix,
-    eq_rhs: QVector | None,
-    extra_lower_bounds: tuple[tuple[QVector, Fraction], ...] | list = (),
-    *,
-    free_vars: bool = False,
-) -> FeasibilityResult:
-    """Find x with eq_matrix x = eq_rhs and row.x >= bound for each extra row.
-
-    Variables are nonnegative unless free_vars is set. Returns either an
-    exact feasible point or a Farkas certificate for the standardized
-    equality form of the system.
-    """
-    n = eq_matrix.cols
-    rows: list[GenRow] = []
-    if eq_matrix.rows:
-        if eq_rhs is None or eq_rhs.dim != eq_matrix.rows:
-            raise DimensionError("equality rhs must match equality rows")
-        for i in range(eq_matrix.rows):
-            rows.append(GenRow(eq_matrix.row(i), "=", eq_rhs[i]))
-    for coeffs, bound in extra_lower_bounds:
-        if coeffs.dim != n:
-            raise DimensionError("extra row width differs from variable count")
-        rows.append(GenRow(coeffs, ">=", Fraction(bound)))
-    if not rows:
-        return FeasibilityResult(QVector.zeros(n))
-    gp = GeneralProgram(QVector.zeros(n), tuple(rows), (None if free_vars else _ZERO,) * n)
-    out = solve_general(gp)
-    if isinstance(out, GenOptimal):
-        return FeasibilityResult(out.x)
-    require(isinstance(out, GenInfeasible), "zero objective cannot be unbounded")
-    return FeasibilityResult(None, out.std_lp, out.farkas)
+def solve_feasibility(M: QMatrix, rhs: QVector) -> QVector | None:
+    """An exact x >= 0 with Mx = rhs, or None when there is none."""
+    out = solve_lp(LinearProgram(QVector.zeros(M.cols), M, rhs))
+    return out.x if isinstance(out, Optimal) else None

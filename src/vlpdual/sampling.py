@@ -19,7 +19,7 @@ from .cone import (
 )
 from .duality import check_feasible_D, feasible_dual_point, scaled_generator
 from .exact import QMatrix, QVector, outer, require
-from .lp import GeneralProgram, GenOptimal, GenRow, GenUnbounded, solve_general
+from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
 from .model import DualCandidateD, VlpProblem, make_problem
 
 _ZERO = Fraction(0)
@@ -115,10 +115,10 @@ def _sample_z(problem: VlpProblem, lam: QVector, rng: random.Random) -> QVector 
         bound = -sum((problem.L.at(i, j) * lam[i] for i in range(k)), _ZERO)
         rows.append(GenRow(coeffs, ">=", bound))
     objective = random_vector(rng, m, -3, 3)
-    out = solve_general(GeneralProgram(objective, tuple(rows), (None,) * m))
-    if isinstance(out, GenOptimal):
+    out = solve_general(GeneralProgram(objective, tuple(rows), free=True))
+    if isinstance(out, Optimal):
         return out.x
-    if isinstance(out, GenUnbounded):
+    if isinstance(out, Unbounded):
         return out.x0
     return None
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vlpdual
 from vlpdual.cli import main
@@ -113,6 +116,18 @@ def test_dual_construct_and_check(seg_file, tmp_path, capsys):
     dual_path.write_text(json.dumps(data["candidate"]))
     assert main(["check-dual", seg_file, "--dual", str(dual_path), "--kind", "D", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"feasible": True}
+
+
+def test_dual_construct_non_efficient_point_answers_null(tmp_path, capsys):
+    # (0, 0, 1) is feasible, but its image (1, 1) is dominated by (1, 0).
+    widened = dict(SEG, n=3, L=[["1", "0", "1"], ["0", "1", "1"]], A=[["1", "1", "1"]])
+    path = tmp_path / "widened.json"
+    path.write_text(json.dumps(widened))
+    point = json.dumps(["0", "0", "1"])
+    assert main(["dual-construct", str(path), "--point", point, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"candidate": None}
+    assert main(["dual-construct", str(path), "--point", point]) == 0
+    assert "not efficient" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -252,3 +267,83 @@ def test_oversized_problem_is_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "input error:" in err
     assert "Traceback" not in err
+
+
+# Input boundary: structured mutations of well-formed problem and dual files
+# must end in an answer (0) or an input error (2), never in a traceback.
+
+_BIG_INT = "<5000-digit integer literal>"  # spliced into the JSON text unquoted
+_JUNK = (True, False, None, 1.5, float("nan"), 0, -1, "3/0", "1/0", "9" * 5000, _BIG_INT, "", "x", {}, [])
+_WEDGE = dict(SEG, cone={"dim": 2, "generators": [["1", "0"], ["1", "1"]]})
+
+
+def _problem_bases() -> list[dict]:
+    return [json.loads(path.read_text()) for path in sorted((REPO / "problems").glob("*.json"))] + [_WEDGE]
+
+
+def _dual_base(problem: dict, kind: str) -> dict:
+    k, m = problem["k"], problem["m"]
+    fields = {
+        "lambda": ["1"] * k,
+        "U": [["0"] * m for _ in range(k)],
+        "v": ["0"] * k,
+        "z": ["0"] * m,
+    }
+    keep = {"D": ("lambda", "U", "v"), "J": ("lambda", "U"), "L": ("lambda", "z", "v")}.get(kind, ("U",))
+    return {"kind": kind} | {key: fields[key] for key in keep}
+
+
+def _mutate(value, draw):
+    """One change at a random place: junk scalar, wrapped or unwrapped
+    nesting, a dropped or repeated entry (ragged rows), a dropped key."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        key = draw(st.sampled_from(list(value) if isinstance(value, dict) else range(len(value))))
+        out = dict(value) if isinstance(value, dict) else list(value)
+        out[key] = _mutate(value[key], draw)
+        return out
+    op = draw(st.sampled_from(("junk", "wrap", "unwrap", "drop", "repeat")))
+    if op == "wrap":
+        return [value]
+    if op == "unwrap" and isinstance(value, list) and value:
+        return value[0]
+    if op == "drop" and isinstance(value, list) and value:
+        return value[:-1]
+    if op == "drop" and isinstance(value, dict) and value:
+        return {key: v for key, v in value.items() if key != draw(st.sampled_from(list(value)))}
+    if op == "repeat" and isinstance(value, list) and value:
+        return value + value[-1:]
+    return draw(st.sampled_from(_JUNK))
+
+
+def _write_mutated(path: Path, value, draw) -> None:
+    for _ in range(draw(st.integers(1, 3))):
+        value = _mutate(value, draw)
+    path.write_text(json.dumps(value).replace(json.dumps(_BIG_INT), "9" * 5000))
+
+
+def _run_captured(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_input_boundary_fuzz(tmp_path_factory, data):
+    draw = data.draw
+    workdir = tmp_path_factory.mktemp("fuzz")
+    base = draw(st.sampled_from(_problem_bases()))
+    problem_path, good_path, dual_path = workdir / "p.json", workdir / "good.json", workdir / "d.json"
+    _write_mutated(problem_path, base, draw)
+    good_path.write_text(json.dumps(base))
+    kind = draw(st.sampled_from(("D", "J", "L", "H", "I")))
+    _write_mutated(dual_path, _dual_base(base, kind), draw)
+    for argv in (
+        ["validate", str(problem_path)],
+        ["check-dual", str(good_path), "--dual", str(dual_path), "--kind", kind],
+    ):
+        code, err = _run_captured(argv)
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert err.startswith("input error:"), (argv, err)

@@ -208,11 +208,10 @@ def test_membership_system_standard_form_roundtrip(r5_problem):
         coeffs = tuple(p.L.at(i, j) for i in range(p.k)) + tuple(-p.A.at(i, j) for i in range(p.m))
         rows.append(GenRow(QVector(coeffs), ">=", Fraction(0)))
     rows.append(GenRow(QVector(tuple(d.entries) + tuple((-p.b).entries)), "=", Fraction(0)))
-    gp = GeneralProgram(QVector.zeros(p.k + p.m), tuple(rows), (None,) * (p.k + p.m))
-    std = to_standard_form(gp)
-    out = solve_lp(std.lp)
+    gp = GeneralProgram(QVector.zeros(p.k + p.m), tuple(rows), free=True)
+    out = solve_lp(to_standard_form(gp))
     assert isinstance(out, Optimal)
-    point = std.back_point(out.x)
+    point = gp.back(out.x)
     lam, z = QVector(point.entries[: p.k]), QVector(point.entries[p.k :])
     assert all(lam.dot(g) >= 1 for g in p.cone.generators)
     assert lam.dot(d) == p.b.dot(z)
@@ -254,6 +253,30 @@ def test_map_DH_to_D_zero_rhs(zb_problem):
 def test_map_DH_to_D_rejects_nonminimal(seg_problem):
     with pytest.raises(ValueError, match="not minimal"):
         map_DH_to_D(seg_problem, QMatrix.zeros(2, 1), qvec(1, 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_map_DH_to_D_rejects_infeasible_U(seed, no_dual_problem):
+    # map_DH_to_D has no feasibility precondition of its own: its minimality
+    # test must reject every start point when U is not feasible for D^H.
+    rng = random.Random(800 + seed)
+    cases = [(no_dual_problem, QMatrix.zeros(2, 1))]
+    for _ in range(4):
+        problem = random_problem(rng)
+        cases += [(problem, random_matrix(rng, problem.k, problem.m)) for _ in range(3)]
+    rejected = 0
+    for problem, U in cases:
+        if check_feasible_U(problem, DualCandidateU(U, "H")):
+            continue
+        rejected += 1
+        starts = [QVector.zeros(problem.n)] + [
+            QVector(tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(problem.n)))
+            for _ in range(3)
+        ]
+        for xbar in starts:
+            with pytest.raises(ValueError, match="not minimal"):
+                map_DH_to_D(problem, U, xbar)
+    assert rejected
 
 
 def test_minimize_over_image(seg_problem):

@@ -153,7 +153,7 @@ def test_is_efficient_matches_augmented_enumeration(seed):
     vertices = enumerate_vertices(problem)
     for xbar in vertices[:3]:
         program = domination_program(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
-        lp = to_standard_form(program).lp
+        lp = to_standard_form(program)
         out = solve_lp(lp)
         eff, _ = is_efficient(problem, xbar)
         if isinstance(out, Optimal):

@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import brute_vertices
-from vlpdual.exact import QMatrix, QVector, qmat, qvec
+from vlpdual.exact import DimensionError, QMatrix, QVector, qmat, qvec
 from vlpdual.lp import (
     GeneralProgram,
-    GenInfeasible,
-    GenOptimal,
     GenRow,
     Infeasible,
     LinearProgram,
@@ -185,63 +184,62 @@ def test_random_lp_outcomes_verified_and_match_enumeration(seed):
 
 
 def test_standard_form_free_split():
-    gp = GeneralProgram(qvec(0), (), (None,))
-    std = to_standard_form(gp)
-    assert std.lp.n == 2
-    assert std.back_point(qvec(5, 2)) == qvec(3)
+    gp = GeneralProgram(qvec(2), (GenRow(qvec(1), "=", Fraction(3)),), free=True)
+    lp = to_standard_form(gp)
+    assert lp == LinearProgram(qvec(2, -2), qmat([[1, -1]]), qvec(3))
+    assert gp.back(qvec(5, 2)) == qvec(3)
 
 
 def test_standard_form_slack_row():
-    gp = GeneralProgram(qvec(0), (GenRow(qvec(1), "<=", Fraction(3)),), (Fraction(0),))
-    std = to_standard_form(gp)
-    assert std.lp.n == 2  # original variable plus one slack
-    assert std.lp.a == qmat([[1, 1]])
-    assert std.lp.b == qvec(3)
+    # one standard row per general row; a slack for each inequality, in row order
+    rows = (GenRow(qvec(1, 2), ">=", Fraction(1)), GenRow(qvec(3, 4), "=", Fraction(2)),
+            GenRow(qvec(5, 6), "<=", Fraction(3)))
+    lp = to_standard_form(GeneralProgram(qvec(1, 1), rows))
+    assert lp.a == qmat([[1, 2, -1, 0], [3, 4, 0, 0], [5, 6, 0, 1]])
+    assert lp.b == qvec(1, 2, 3)
+    assert lp.c == qvec(1, 1, 0, 0)
 
 
-def test_standard_form_lower_bound_shift():
-    gp = GeneralProgram(
-        qvec(1), (GenRow(qvec(1), ">=", Fraction(5)),), (Fraction(2),)
-    )
-    out = solve_general(gp)
-    assert isinstance(out, GenOptimal)
-    assert out.x == qvec(5)
-    assert out.value == 5
+def test_general_program_needs_a_row():
+    with pytest.raises(DimensionError):
+        GeneralProgram(qvec(0), ())
 
 
 def test_general_unbounded_direction_maps_back():
-    gp = GeneralProgram(qvec(1), (GenRow(qvec(1), "<=", Fraction(0)),), (None,))
+    gp = GeneralProgram(qvec(1), (GenRow(qvec(1), "<=", Fraction(0)),), free=True)
     out = solve_general(gp)
-    assert out.__class__.__name__ == "GenUnbounded"
+    assert isinstance(out, Unbounded)
     assert out.ray == qvec(-1)
     assert out.x0[0] <= 0
 
 
 def test_solve_feasibility_simple():
-    res = solve_feasibility(qmat([[1, 1]]), qvec(1))
-    assert res.point is not None
-    assert res.point.is_nonneg()
-    assert res.point[0] + res.point[1] == 1
+    point = solve_feasibility(qmat([[1, 1]]), qvec(1))
+    assert point is not None
+    assert point.is_nonneg()
+    assert point[0] + point[1] == 1
 
 
 def test_solve_feasibility_infeasible_certificate():
-    res = solve_feasibility(qmat([[1, 1]]), qvec(-1))
-    assert res.point is None
-    assert res.farkas is not None
-    assert verify_farkas(res.std_lp, res.farkas)
+    M, rhs = qmat([[1, 1]]), qvec(-1)
+    assert solve_feasibility(M, rhs) is None
+    lp = LinearProgram(QVector.zeros(2), M, rhs)
+    out = solve_lp(lp)
+    assert isinstance(out, Infeasible)
+    assert verify_farkas(lp, out.farkas)
 
 
-def test_solve_feasibility_free_vars_r5_system():
+def test_solve_general_free_r5_system():
     # (lam1, lam2, z1, z2) free with L^T lam - A^T z >= 0 and lam >= (1,1):
     # satisfied e.g. by lam = (1,1), z = (0,0)
-    rows = [
-        (qvec(0, 0, -1, -1), Fraction(0)),
-        (qvec(1, 0, 0, 0), Fraction(1)),
-        (qvec(0, 1, 0, 0), Fraction(1)),
-    ]
-    res = solve_feasibility(QMatrix.zeros(0, 4), None, rows, free_vars=True)
-    assert res.point is not None
-    lam1, lam2, z1, z2 = res.point
+    rows = (
+        GenRow(qvec(0, 0, -1, -1), ">=", Fraction(0)),
+        GenRow(qvec(1, 0, 0, 0), ">=", Fraction(1)),
+        GenRow(qvec(0, 1, 0, 0), ">=", Fraction(1)),
+    )
+    out = solve_general(GeneralProgram(QVector.zeros(4), rows, free=True))
+    assert isinstance(out, Optimal)
+    lam1, lam2, z1, z2 = out.x
     assert lam1 >= 1 and lam2 >= 1 and -z1 - z2 >= 0
 
 
@@ -255,17 +253,24 @@ def test_general_solutions_satisfy_rows(seed):
         coeffs = QVector(tuple(random_rational(rng) for _ in range(n)))
         rel = rng.choice(("<=", ">=", "="))
         rows.append(GenRow(coeffs, rel, random_rational(rng)))
-    lower = tuple(rng.choice((None, Fraction(0), Fraction(-2))) for _ in range(n))
-    gp = GeneralProgram(QVector(tuple(random_rational(rng) for _ in range(n))), tuple(rows), lower)
-    out = solve_general(gp)
-    if isinstance(out, GenOptimal):
-        x = out.x
+    free = rng.choice((True, False))
+    gp = GeneralProgram(QVector(tuple(random_rational(rng) for _ in range(n))), tuple(rows), free)
+
+    def satisfies(x, homogeneous=False):
         for row in rows:
-            lhs = row.coeffs.dot(x)
-            assert (lhs <= row.rhs) if row.rel == "<=" else (lhs >= row.rhs) if row.rel == ">=" else (lhs == row.rhs)
-        for bound, xi in zip(lower, x):
-            if bound is not None:
-                assert xi >= bound
-        assert out.value == gp.objective.dot(x)
-    elif isinstance(out, GenInfeasible):
-        assert verify_farkas(out.std_lp, out.farkas)
+            lhs, rhs = row.coeffs.dot(x), (0 if homogeneous else row.rhs)
+            if not ((lhs <= rhs) if row.rel == "<=" else (lhs >= rhs) if row.rel == ">=" else (lhs == rhs)):
+                return False
+        return free or x.is_nonneg()
+
+    out = solve_general(gp)
+    if isinstance(out, Optimal):
+        assert satisfies(out.x)
+        assert out.value == gp.objective.dot(out.x)
+        assert out.value == QVector(tuple(row.rhs for row in rows)).dot(out.y)  # y is indexed by gp's rows
+    elif isinstance(out, Infeasible):
+        assert verify_farkas(to_standard_form(gp), out.farkas)
+    else:
+        assert isinstance(out, Unbounded)
+        assert satisfies(out.x0) and satisfies(out.ray, homogeneous=True)
+        assert gp.objective.dot(out.ray) < 0
