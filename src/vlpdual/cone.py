@@ -72,15 +72,14 @@ def orthant(dim: int) -> OrderingCone:
     return OrderingCone(dim, gens, ones)
 
 
-def multiplier(
+def multiplier_program(
     cone: OrderingCone,
     M: QMatrix | None = None,
     eq: QVector | None = None,
     extra: tuple[tuple[QVector, Fraction], ...] = (),
-) -> QVector | None:
-    """A free lam with lam.g >= 1 on every generator, M[:, j].lam >= 0 on
-    every column of M, lam.eq = 0 and row.lam >= bound for each extra
-    (row, bound); None when no such lam exists.
+) -> GeneralProgram:
+    """The system of `multiplier` as a program over free lam, with a zero
+    objective.
 
     lam has M's row count (else the cone dimension), with the generators
     zero-padded to it. Rows go equality, generators, columns of M, extras:
@@ -93,7 +92,19 @@ def multiplier(
     if M is not None:
         rows += [GenRow(M.col(j), ">=", _ZERO) for j in range(M.cols)]
     rows += [GenRow(coeffs, ">=", bound) for coeffs, bound in extra]
-    out = solve_general(GeneralProgram(QVector.zeros(width), tuple(rows), free=True))
+    return GeneralProgram(QVector.zeros(width), tuple(rows), free=True)
+
+
+def multiplier(
+    cone: OrderingCone,
+    M: QMatrix | None = None,
+    eq: QVector | None = None,
+    extra: tuple[tuple[QVector, Fraction], ...] = (),
+) -> QVector | None:
+    """A free lam with lam.g >= 1 on every generator, M[:, j].lam >= 0 on
+    every column of M, lam.eq = 0 and row.lam >= bound for each extra
+    (row, bound); None when no such lam exists."""
+    out = solve_general(multiplier_program(cone, M, eq, extra))
     return out.x if isinstance(out, Optimal) else None
 
 

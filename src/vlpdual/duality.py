@@ -2,19 +2,31 @@
 for their image sets, and the constructive maps between them.
 
 The bilinear coupling between lam and U in the dual systems disappears
-under the substitution z = U^T lam, so each membership question becomes a
-single exact LP over (lam, z). A concrete U is rebuilt rank-one from
-(lam, z) for the witness. The normalization lam.g >= 1 on the cone
-generators is sound because every system here is positively homogeneous
-in (lam, z) jointly.
+under the substitution z = U^T lam. Every image-set question is then asked
+of one polyhedron per problem,
+
+    P = {(lam, z) : lam.g >= 1 on every generator, L^T lam - A^T z >= 0},
+
+whose feasible set does not depend on the probe value d; only the linear
+functional f(lam, z) = lam.d - b.z does (geometric duality, Heyde & Lohne
+2008). `DualPolyhedron` runs phase I on P once and answers each probe with
+phase II only:
+
+- d is in hL iff min f over P is <= 0;
+- d is in hB iff min f <= 0 <= max f: P is convex, so f(P) is an interval,
+  and it contains 0 exactly then.
+
+A concrete U is rebuilt rank-one from the witness (lam, z) and re-checked.
+The normalization lam.g >= 1 on the cone generators is sound because every
+system here is positively homogeneous in (lam, z) jointly.
 
 The hJ image set is the hB set mapped: for b != 0 a D point (lam, U, v)
 becomes the J point (lam, U + v b^T/(b.b)) with the same objective, and
 for b = 0 hJ is {0} intersected with hB. So hJ needs no LP of its own.
 
-Two builders assemble every LP here: `cone.multiplier` the systems in
-lam (or in (lam, z)), and `efficiency.domination_program` the domination
-programs over the reduced map L - UA.
+Two builders assemble every LP here: `cone.multiplier_program` the systems
+in lam (or in (lam, z)), and `efficiency.domination_program` the
+domination programs over the reduced map L - UA.
 """
 
 from __future__ import annotations
@@ -22,10 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import OrderingCone, in_quasi_interior, multiplier, orthant, strictly_below
+from .cone import OrderingCone, in_quasi_interior, multiplier, multiplier_program, orthant, strictly_below
 from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
 from .exact import DimensionError, QMatrix, QVector, outer, require
-from .lp import Infeasible, LinearProgram, Optimal, Unbounded, solve_feasibility, solve_general, solve_lp
+from .lp import (
+    Infeasible,
+    LinearProgram,
+    Optimal,
+    Unbounded,
+    phase_one,
+    phase_two,
+    solve_feasibility,
+    solve_general,
+    solve_lp,
+    to_standard_form,
+)
 from .model import (
     DualCandidateD,
     DualCandidateJ,
@@ -132,54 +155,111 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
     return solve_feasibility(eq, rhs)
 
 
-def _lam_z_system(
-    problem: VlpProblem, eq_coeffs: QVector | None, extra_ge: tuple[tuple[QVector, Fraction], ...] = ()
-) -> tuple[QVector, QVector] | None:
-    """Solve for free (lam, z): lam.g >= 1, L^T lam - A^T z >= 0, plus extras."""
-    n, m, k = problem.n, problem.m, problem.k
-    stacked = QMatrix(k + m, n, problem.L.entries + (-problem.A).entries)  # [L; -A]
-    point = multiplier(problem.cone, stacked, eq_coeffs, extra_ge)
-    if point is None:
-        return None
-    return QVector(point.entries[:k]), QVector(point.entries[k:])
+class DualPolyhedron:
+    """P of one problem with its phase-I basis; None in place of the basis
+    when P is empty. Probes run phase II on copies, so the basis is shared
+    by every probe and never changed by them.
+
+    P's program is `multiplier_program(cone, [L; -A])`, row for row, so
+    `dual_point` is the point `multiplier(cone, [L; -A])` returns.
+    """
+
+    def __init__(self, problem: VlpProblem):
+        self.problem = problem
+        stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
+        self._gp = multiplier_program(problem.cone, stacked)
+        start = phase_one(to_standard_form(self._gp))
+        self._basis = None if isinstance(start, Infeasible) else start
+
+    @property
+    def empty(self) -> bool:
+        return self._basis is None
+
+    def _split(self, point: QVector) -> tuple[QVector, QVector]:
+        k = self.problem.k
+        return QVector(point.entries[:k]), QVector(point.entries[k:])
+
+    def dual_point(self) -> DualCandidateD | None:
+        """A concrete feasible point of the vector dual (v = 0), or None."""
+        if self._basis is None:
+            return None
+        lam, z = self._split(self._gp.back(self._basis.x))
+        cand = DualCandidateD(lam, outer(scaled_generator(self.problem.cone, lam), z), QVector.zeros(self.problem.k))
+        require(check_feasible_D(self.problem, cand), "dual point is feasible for D")
+        return cand
+
+    def _lowest(self, w: QVector) -> tuple[QVector, Fraction]:
+        """A point of P minimizing w and its value; when w is unbounded
+        below on P, the point along the ray where w reaches 0 (or the ray's
+        start when w is already <= 0 there)."""
+        out = phase_two(self._basis, self._gp.cost(w))
+        if isinstance(out, Optimal):
+            return self._gp.back(out.x), out.value
+        point, ray = self._gp.back(out.x0), self._gp.back(out.ray)
+        value = w.dot(point)
+        if value > 0:
+            return point + ray.scale(value / -w.dot(ray)), _ZERO
+        return point, value
+
+    def _functional(self, d: QVector) -> QVector:
+        if d.dim != self.problem.k:
+            raise DimensionError(f"value dim {d.dim} != image dim {self.problem.k}")
+        return QVector(d.entries + (-self.problem.b).entries)  # f = lam.d - b.z
+
+    def hB(self, d: QVector) -> MembershipVerdict:
+        """Is d an objective value of the vector dual with objective Ub + v?
+
+        d belongs exactly when f = lam.d - b.z vanishes somewhere on P; the
+        witness is a point of P with f <= 0 if f = 0 there, else its convex
+        combination with a point of f >= 0 that lands on f = 0. The D point
+        (lam, U = tilde z^T, v = d - Ub) is rebuilt and re-checked.
+        """
+        w = self._functional(d)
+        if self._basis is None:
+            return MembershipVerdict(False, "hB")
+        low_point, low = self._lowest(w)
+        if low > 0:
+            return MembershipVerdict(False, "hB")
+        point = low_point
+        if low < 0:
+            high_point, neg_high = self._lowest(-w)
+            high = -neg_high
+            if high < 0:
+                return MembershipVerdict(False, "hB")
+            theta = high / (high - low)
+            point = low_point.scale(theta) + high_point.scale(_ONE - theta)
+        lam, z = self._split(point)
+        U = outer(scaled_generator(self.problem.cone, lam), z)
+        cand = DualCandidateD(lam, U, d - (U @ self.problem.b))
+        require(check_feasible_D(self.problem, cand), "hB witness is feasible for D")
+        require(objective_D(self.problem, cand) == d, "hB witness attains d")
+        return MembershipVerdict(True, "hB", cand)
+
+    def hL(self, d: QVector) -> MembershipVerdict:
+        """The hB question with lam.d = b.z relaxed to lam.d <= b.z: d
+        belongs exactly when min f over P is <= 0, and the minimizer (or a
+        point along the ray) is the witness."""
+        w = self._functional(d)
+        if self._basis is None:
+            return MembershipVerdict(False, "hL")
+        point, low = self._lowest(w)
+        if low > 0:
+            return MembershipVerdict(False, "hL")
+        lam, z = self._split(point)
+        cand = DualCandidateL(lam, z, d)
+        require(check_feasible_L(self.problem, cand), "hL witness is feasible for D^L")
+        require(objective_L(cand) == d, "hL witness attains d")
+        return MembershipVerdict(True, "hL", cand)
 
 
 def membership_hB(problem: VlpProblem, d: QVector) -> MembershipVerdict:
-    """Is d an objective value of the vector dual with objective Ub + v?
-
-    d belongs exactly when some lam in the quasi-interior of the dual cone
-    and some z satisfy lam.d = b.z and L^T lam - A^T z >= 0; the witness
-    (lam, U = tilde z^T, v = d - Ub) is rebuilt and re-checked on success.
-    """
-    if d.dim != problem.k:
-        raise DimensionError(f"value dim {d.dim} != image dim {problem.k}")
-    eq = QVector(tuple(d.entries) + tuple((-problem.b).entries))  # lam.d - b.z = 0
-    found = _lam_z_system(problem, eq)
-    if found is None:
-        return MembershipVerdict(False, "hB")
-    lam, z = found
-    tilde = scaled_generator(problem.cone, lam)
-    U = outer(tilde, z)
-    v = d - (U @ problem.b)
-    cand = DualCandidateD(lam, U, v)
-    require(check_feasible_D(problem, cand), "hB witness is feasible for D")
-    require(objective_D(problem, cand) == d, "hB witness attains d")
-    return MembershipVerdict(True, "hB", cand)
+    """One hB query: `DualPolyhedron.hB` on a polyhedron built for it."""
+    return DualPolyhedron(problem).hB(d)
 
 
 def membership_hL(problem: VlpProblem, d: QVector) -> MembershipVerdict:
-    """Same system as the hB oracle with the equality relaxed to lam.d <= b.z."""
-    if d.dim != problem.k:
-        raise DimensionError(f"value dim {d.dim} != image dim {problem.k}")
-    ge = QVector(tuple(-e for e in d.entries) + tuple(problem.b.entries))  # b.z - lam.d >= 0
-    found = _lam_z_system(problem, None, ((ge, _ZERO),))
-    if found is None:
-        return MembershipVerdict(False, "hL")
-    lam, z = found
-    cand = DualCandidateL(lam, z, d)
-    require(check_feasible_L(problem, cand), "hL witness is feasible for D^L")
-    require(objective_L(cand) == d, "hL witness attains d")
-    return MembershipVerdict(True, "hL", cand)
+    """One hL query: `DualPolyhedron.hL` on a polyhedron built for it."""
+    return DualPolyhedron(problem).hL(d)
 
 
 def hJ_from_hB(problem: VlpProblem, verdict: MembershipVerdict) -> MembershipVerdict:
@@ -275,18 +355,12 @@ def map_D_to_DL(problem: VlpProblem, cand: DualCandidateD) -> DualCandidateL:
 
 def dual_B_nonempty(problem: VlpProblem) -> bool:
     """Whether the vector dual has any feasible point (v = 0 completes one)."""
-    return _lam_z_system(problem, None) is not None
+    return not DualPolyhedron(problem).empty
 
 
 def feasible_dual_point(problem: VlpProblem) -> DualCandidateD | None:
     """A concrete feasible point of the vector dual, or None when empty."""
-    found = _lam_z_system(problem, None)
-    if found is None:
-        return None
-    lam, z = found
-    cand = DualCandidateD(lam, outer(scaled_generator(problem.cone, lam), z), QVector.zeros(problem.k))
-    require(check_feasible_D(problem, cand), "dual point is feasible for D")
-    return cand
+    return DualPolyhedron(problem).dual_point()
 
 
 def improve_dual_infeasible_primal(problem: VlpProblem, cand: DualCandidateD) -> DualCandidateD:

@@ -196,23 +196,21 @@ class QMatrix:
         if isinstance(other, QVector):
             if self.cols != other.dim:
                 raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by vector of dim {other.dim}")
-            return QVector(tuple(self.row(i).dot(other) for i in range(self.rows)))
+            return QVector(self._products([other.entries]))
         if isinstance(other, QMatrix):
             if self.cols != other.rows:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            out = []
-            for i in range(self.rows):
-                for j in range(other.cols):
-                    out.append(
-                        sum(
-                            (self.at(i, t) * other.at(t, j) for t in range(self.cols)),
-                            Fraction(0),
-                        )
-                    )
-            return QMatrix(self.rows, other.cols, tuple(out))
+            cols = [other.entries[j :: other.cols] for j in range(other.cols)]
+            return QMatrix(self.rows, other.cols, self._products(cols))
         return NotImplemented
+
+    def _products(self, cols: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+        """Every row times every column, row-major."""
+        width = self.cols
+        rows = [self.entries[i * width : (i + 1) * width] for i in range(self.rows)]
+        return tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for row in rows for col in cols)
 
     def rank(self) -> int:
         return len(row_reduce(self.to_lists(), self.cols))

@@ -170,7 +170,7 @@ def _run_fixture_check(problem: VlpProblem, name: str, params: dict):
         # vertex; no sampled duals, so no constructed point is filtered out.
         pairs = efficiency.efficient_vertices(problem)
         status = [(v, True, cert) for v, cert in pairs]
-        ctx = _InstanceContext(problem, [v for v, _ in pairs], status, [], [], [], [])
+        ctx = _InstanceContext(problem, duality.DualPolyhedron(problem), [v for v, _ in pairs], status, [], [], [], [])
         strong, strong_failures, _ = _check_strong_duality(ctx, None)
         _, converse_failures, _ = _check_converse_duality(ctx, None)
         return strong > 0 and not strong_failures and not converse_failures
@@ -212,9 +212,10 @@ def run_all_fixtures() -> VerificationReport:
 @dataclass
 class _InstanceContext:
     problem: VlpProblem
+    polyhedron: duality.DualPolyhedron  # the membership oracles' P: phase I once per instance
     vertices: list[QVector]
     vertex_status: list[tuple[QVector, bool, object]]  # (vertex, efficient, cert or None)
-    duals: list[DualCandidateD]  # starts at feasible_dual_point: empty exactly when D is
+    duals: list[DualCandidateD]  # starts at polyhedron.dual_point(): empty exactly when D is
     primals: list[QVector]
     values: list[QVector]
     us: list[QMatrix]
@@ -230,12 +231,13 @@ def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig)
         eff, _ = efficiency.is_efficient(problem, vertex)
         cert = efficiency.proper_efficiency_certificate(problem, vertex)
         status.append((vertex, eff, cert))
-    duals = sample_dual_points(problem, rng, cfg.dual_samples)
+    polyhedron = duality.DualPolyhedron(problem)
+    duals = sample_dual_points(problem, rng, cfg.dual_samples, polyhedron)
     primals = sample_primal_points(problem, vertices, rng, cfg.primal_samples)
     values = sample_probe_values(problem, duals, vertices, rng, cfg.value_samples)
     us = [QMatrix.zeros(problem.k, problem.m)]
     us += [random_matrix(rng, problem.k, problem.m) for _ in range(max(0, cfg.u_samples - 1))]
-    return _InstanceContext(problem, vertices, status, duals, primals, values, us)
+    return _InstanceContext(problem, polyhedron, vertices, status, duals, primals, values, us)
 
 
 def _check_quadrant(ctx: _InstanceContext, rng):
@@ -266,11 +268,12 @@ def _check_efficient_iff_scalarizable(ctx: _InstanceContext, rng):
 def _check_weak_duality(ctx: _InstanceContext, rng):
     failures = []
     count = 0
+    images = [ctx.problem.L @ x for x in ctx.primals]
     for cand in ctx.duals:
         h = objective_D(ctx.problem, cand)
-        for x in ctx.primals:
+        for x, image in zip(ctx.primals, images):
             count += 1
-            if strictly_below(ctx.problem.cone, ctx.problem.L @ x, h):
+            if strictly_below(ctx.problem.cone, image, h):
                 failures.append({"x": vector_to_list(x), "h": vector_to_list(h)})
     return count, failures, None
 
@@ -340,8 +343,8 @@ def _check_inclusion_chain(ctx: _InstanceContext, rng):
     verdicts = {}  # probe values repeat; solve each distinct one once
     for d in ctx.values:
         if d not in verdicts:
-            in_b = duality.membership_hB(ctx.problem, d)
-            verdicts[d] = duality.hJ_from_hB(ctx.problem, in_b), in_b, duality.membership_hL(ctx.problem, d)
+            in_b = ctx.polyhedron.hB(d)
+            verdicts[d] = duality.hJ_from_hB(ctx.problem, in_b), in_b, ctx.polyhedron.hL(d)
         in_j, in_b, in_l = verdicts[d]
         if in_j.member and not in_b.member:
             failures.append({"d": vector_to_list(d), "reason": "hJ member escaped hB"})
@@ -372,7 +375,7 @@ def _check_hH_to_hB_map(ctx: _InstanceContext, rng):
             count += 1
             cand = duality.map_DH_to_D(ctx.problem, U, xbar)
             h = objective_D(ctx.problem, cand)
-            in_b = duality.membership_hB(ctx.problem, h)
+            in_b = ctx.polyhedron.hB(h)
             if not in_b.member:
                 failures.append({"h": vector_to_list(h), "reason": "mapped value escaped hB"})
                 continue
@@ -418,7 +421,7 @@ def _check_minmax_coincidence(ctx: _InstanceContext, rng):
             continue
         count += 1
         w = ctx.problem.L @ vertex
-        if not duality.membership_hB(ctx.problem, w).member:
+        if not ctx.polyhedron.hB(w).member:
             failures.append({"w": vector_to_list(w), "reason": "minimal value not in hB"})
             continue
         for cand in ctx.duals:

@@ -5,6 +5,12 @@ point with equality multipliers satisfying complementary optimality, a
 Farkas certificate of infeasibility, or an improving ray. Bland's rule
 is used unconditionally, so pivoting terminates on every input.
 
+`solve_lp` is two functions composed. `phase_one(lp)` finds a feasible
+basis (or the Farkas certificate) and `phase_two(basis, c)` minimizes a
+cost from it. A program solved for many costs over one feasible set runs
+phase I once and phase II per cost; the stored basis is never changed by
+the solves made from it.
+
 The general form (<=, >=, = rows over all-free or all-nonnegative
 variables) reduces to the standard form and answers with the same three
 outcomes. `solve_feasibility` asks for a nonnegative solution of Mx = b.
@@ -99,17 +105,48 @@ def _bland_simplex(tab: list[list[Fraction]], basis: list[int], width: int) -> i
         basis[leave] = entering
 
 
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Two-phase exact simplex with certificates for all three outcomes.
+@dataclass(frozen=True)
+class Basis:
+    """A feasible simplex tableau after phase I, with every zero-level
+    artificial that can leave pivoted out.
 
-    The tableau keeps one artificial column per row in both phases and
-    carries the reduced-cost row last. Artificial t has reduced cost
-    (its cost) - y[t], with y the simplex multipliers of the sign-adjusted
-    rows, so y is read off that row: the Farkas certificate after phase I
-    (cost 1), the equality multipliers after phase II (cost 0).
+    One row per equality row of the program, each keeping its artificial
+    column and ending in the basic level. `pivot` replaces rows and never
+    edits them, so phase II works on a shallow copy and a Basis is never
+    changed by the solves made from it.
+    """
+
+    n: int  # structural columns
+    rows: tuple[list[Fraction], ...]
+    basis: tuple[int, ...]
+    signs: tuple[int, ...]  # the sign each row was multiplied by so its rhs is >= 0
+
+    @property
+    def x(self) -> QVector:
+        """The basic feasible point."""
+        return QVector(tuple(_basic_levels(self.rows, self.basis, self.n, -1)))
+
+
+def _basic_levels(rows, basis, n: int, col: int) -> list[Fraction]:
+    """Column col of the tableau read onto the basic structural variables."""
+    out = [_ZERO] * n
+    for bi, row in zip(basis, rows):
+        if bi < n:
+            out[bi] = row[col]
+    return out
+
+
+def phase_one(lp: LinearProgram) -> Basis | Infeasible:
+    """Minimize the sum of the artificials; a Basis of lp's feasible set,
+    or the Farkas certificate when the minimum is positive.
+
+    The tableau keeps one artificial column per row and carries the
+    reduced-cost row last. Artificial t has reduced cost 1 - y[t], with y
+    the simplex multipliers of the sign-adjusted rows, so the certificate
+    is read off that row.
     """
     m, n = lp.m, lp.n
-    signs = [1 if lp.b[i] >= 0 else -1 for i in range(m)]
+    signs = tuple(1 if lp.b[i] >= 0 else -1 for i in range(m))
     tab = [
         [lp.a.at(i, j) * signs[i] for j in range(n)]
         + [_ONE if t == i else _ZERO for t in range(m)]
@@ -117,43 +154,57 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         for i in range(m)
     ]
     basis = [n + i for i in range(m)]
-
-    # Phase I: minimize the sum of the artificials. Pivoting on the basic
-    # columns prices the cost row out.
+    # Pivoting on the basic columns prices the cost row out.
     tab.append([_ZERO] * n + [_ONE] * m + [_ZERO])
     for i in range(m):
         pivot(tab, i, basis[i])
     require(_bland_simplex(tab, basis, n + m) < 0, "phase I is bounded below by zero")
-    zrow = tab[m]
+    zrow = tab.pop()
     if zrow[-1] != 0:
         return Infeasible(QVector(tuple(signs[t] * (_ONE - zrow[n + t]) for t in range(m))))
-
-    # Phase II: artificials cost 0 and never enter. Zero-level artificials
-    # are pivoted out; a row that is zero on the structural columns is
-    # redundant and keeps its artificial basic at level 0. Pivoting on each
-    # basic column prices the new cost row out.
-    tab[m] = [lp.c[j] for j in range(n)] + [_ZERO] * (m + 1)
+    # Zero-level artificials are pivoted out; a row that is zero on the
+    # structural columns is redundant and keeps its artificial basic at 0.
     for i in range(m):
         if basis[i] >= n:
-            basis[i] = next((j for j in range(n) if tab[i][j]), basis[i])
+            j = next((j for j in range(n) if tab[i][j]), None)
+            if j is not None:
+                pivot(tab, i, j)
+                basis[i] = j
+    return Basis(n, tuple(tab), tuple(basis), signs)
+
+
+def phase_two(start: Basis, c: QVector) -> Optimal | Unbounded:
+    """Minimize c.x from a phase-I basis, on a copy of its tableau.
+
+    Artificials cost 0 and never enter. Pivoting on each basic column
+    prices the cost row out; artificial t then has reduced cost -y[t], so
+    the equality multipliers are read off that row.
+    """
+    n, m = start.n, len(start.basis)
+    if c.dim != n:
+        raise DimensionError(f"objective dim {c.dim} != column count {n}")
+    tab = list(start.rows)
+    basis = list(start.basis)
+    tab.append([c[j] for j in range(n)] + [_ZERO] * (m + 1))
+    for i in range(m):
         pivot(tab, i, basis[i])
     entering = _bland_simplex(tab, basis, n)
-    structural = [(bi, tab[i]) for i, bi in enumerate(basis) if bi < n]
+    x = _basic_levels(tab, basis, n, -1)
     if entering >= 0:
-        x0 = [_ZERO] * n
-        ray = [_ZERO] * n
+        ray = [-e for e in _basic_levels(tab, basis, n, entering)]
         ray[entering] = _ONE
-        for bi, row in structural:
-            x0[bi] = row[-1]
-            ray[bi] = -row[entering]
-        return Unbounded(QVector(tuple(x0)), QVector(tuple(ray)))
-
-    x = [_ZERO] * n
-    for bi, row in structural:
-        x[bi] = row[-1]
+        return Unbounded(QVector(tuple(x)), QVector(tuple(ray)))
     zrow = tab[m]
-    y = QVector(tuple(-signs[t] * zrow[n + t] for t in range(m)))
+    y = QVector(tuple(-start.signs[t] * zrow[n + t] for t in range(m)))
     return Optimal(QVector(tuple(x)), y, -zrow[-1])
+
+
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Two-phase exact simplex with certificates for all three outcomes."""
+    start = phase_one(lp)
+    if isinstance(start, Infeasible):
+        return start
+    return phase_two(start, lp.c)
 
 
 # Independent outcome verification: plain matrix arithmetic, sharing no
@@ -236,6 +287,16 @@ class GeneralProgram:
             return list(coeffs.entries)
         return [v for e in coeffs.entries for v in (e, -e)]
 
+    @property
+    def slacks(self) -> int:
+        """Slack columns of the standard form: one per inequality row."""
+        return sum(row.rel != "=" for row in self.rows)
+
+    def cost(self, w: QVector) -> QVector:
+        """w over gp's variables as a cost on the standard-form columns:
+        spread over the variable columns, 0 on every slack."""
+        return QVector(tuple(self.spread(w)) + (_ZERO,) * self.slacks)
+
     def back(self, v: QVector) -> QVector:
         """A standard-form point or ray as gp's variables; slacks drop."""
         if not self.free:
@@ -246,11 +307,10 @@ class GeneralProgram:
 def to_standard_form(gp: GeneralProgram) -> LinearProgram:
     """Each inequality row gets a slack column after the variable columns,
     in row order: +1 on a <= row, -1 on a >= row."""
-    c = gp.spread(gp.objective)
-    cols = len(c)
-    pad = [_ZERO] * sum(row.rel != "=" for row in gp.rows)
+    c = gp.cost(gp.objective)
+    pad = [_ZERO] * gp.slacks
     a: list[Fraction] = []
-    slack = cols
+    slack = c.dim - len(pad)
     for row in gp.rows:
         line = gp.spread(row.coeffs) + pad
         if row.rel != "=":
@@ -258,8 +318,8 @@ def to_standard_form(gp: GeneralProgram) -> LinearProgram:
             slack += 1
         a += line
     return LinearProgram(
-        QVector(tuple(c + pad)),
-        QMatrix(len(gp.rows), cols + len(pad), tuple(a)),
+        c,
+        QMatrix(len(gp.rows), c.dim, tuple(a)),
         QVector(tuple(row.rhs for row in gp.rows)),
     )
 

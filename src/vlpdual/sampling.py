@@ -17,7 +17,7 @@ from .cone import (
     orthant,
     validate_cone,
 )
-from .duality import check_feasible_D, feasible_dual_point, scaled_generator
+from .duality import DualPolyhedron, check_feasible_D, scaled_generator
 from .exact import QMatrix, QVector, outer, require
 from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
 from .model import DualCandidateD, VlpProblem, make_problem
@@ -123,16 +123,19 @@ def _sample_z(problem: VlpProblem, lam: QVector, rng: random.Random) -> QVector 
     return None
 
 
-def sample_dual_points(problem: VlpProblem, rng: random.Random, count: int) -> list[DualCandidateD]:
+def sample_dual_points(
+    problem: VlpProblem, rng: random.Random, count: int, polyhedron: DualPolyhedron
+) -> list[DualCandidateD]:
     """Feasible points of the vector dual, spread over lam, U, and v.
 
-    U is built rank-one from a sampled z, optionally bumped by a rank-one
-    term orthogonal to lam, which preserves feasibility exactly. Returns
-    fewer than requested (possibly none) when the dual is infeasible or
-    nearly so.
+    The first is `polyhedron.dual_point()`, with polyhedron the problem's
+    P. U is built rank-one from a sampled z, optionally bumped by a
+    rank-one term orthogonal to lam, which preserves feasibility exactly.
+    Returns fewer than requested (possibly none) when the dual is
+    infeasible or nearly so.
     """
     out: list[DualCandidateD] = []
-    seeded = feasible_dual_point(problem)
+    seeded = polyhedron.dual_point()
     if seeded is None:
         return []
     out.append(seeded)

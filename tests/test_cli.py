@@ -224,12 +224,16 @@ import sys
 from vlpdual import duality
 from vlpdual.exact import CertificateError, qvec
 from vlpdual.harness import FIXTURES
-duality.check_feasible_D = lambda problem, cand: False
-try:
-    duality.membership_hB(FIXTURES["FIX-ZB"].problem, qvec(1, -1))
-except CertificateError:
-    sys.exit(0)
-sys.exit(3)
+for checker, oracle in (("check_feasible_D", duality.membership_hB), ("check_feasible_L", duality.membership_hL)):
+    original = getattr(duality, checker)
+    setattr(duality, checker, lambda problem, cand: False)
+    try:
+        oracle(FIXTURES["FIX-ZB"].problem, qvec(1, -1))
+    except CertificateError:
+        setattr(duality, checker, original)
+        continue
+    sys.exit(3)
+sys.exit(0)
 """
     proc = _run_optimized("-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,11 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from _oracles import lam_z_stack, reference_dual_point, reference_membership
 from vlpdual import duality
-from vlpdual.cone import orthant, strictly_below
+from vlpdual.cone import multiplier_program, orthant, strictly_below
 from vlpdual.duality import (
+    DualPolyhedron,
     check_feasible_D,
     check_feasible_J,
     check_feasible_L,
@@ -15,6 +18,7 @@ from vlpdual.duality import (
     feasible_dual_point,
     h_H_value_membership,
     improve_dual_infeasible_primal,
+    scaled_generator,
     u_feasibility_multiplier,
     map_D_to_DL,
     map_DH_to_D,
@@ -31,8 +35,9 @@ from vlpdual.efficiency import (
     is_efficient,
     proper_efficiency_certificate,
 )
-from vlpdual.exact import QMatrix, QVector, qmat, qvec
-from vlpdual.lp import GeneralProgram, GenRow, Optimal, solve_lp, to_standard_form
+from vlpdual.exact import QMatrix, QVector, outer, qmat, qvec
+from vlpdual.harness import FIXTURES, CampaignConfig, run_instance_suite
+from vlpdual.lp import GeneralProgram, GenRow, Infeasible, Optimal, Unbounded, solve_general, solve_lp, to_standard_form
 from vlpdual.model import (
     DualCandidateD,
     DualCandidateJ,
@@ -43,7 +48,7 @@ from vlpdual.model import (
     objective_J,
     objective_L,
 )
-from vlpdual.sampling import random_matrix, random_problem, sample_dual_points
+from vlpdual.sampling import random_matrix, random_problem, random_vector, sample_dual_points
 
 
 @pytest.fixture
@@ -200,7 +205,7 @@ def test_membership_hJ_nonzero_rhs(r5_problem):
 
 
 def test_membership_system_standard_form_roundtrip(r5_problem):
-    # the (lam, z) system behind the hB oracle, standardized and mapped back
+    # the single-LP hB system of the reference oracle, standardized and mapped back
     d = qvec(1, -1)
     p = r5_problem
     rows = [GenRow(QVector(tuple(g.entries) + (Fraction(0),) * p.m), ">=", Fraction(1)) for g in p.cone.generators]
@@ -340,7 +345,7 @@ def test_improve_dual_requires_infeasible_primal(seg_problem):
 def test_weak_duality_random(seed):
     rng = random.Random(400 + seed)
     problem = random_problem(rng)
-    duals = sample_dual_points(problem, rng, 8)
+    duals = sample_dual_points(problem, rng, 8, DualPolyhedron(problem))
     vertices = enumerate_vertices(problem)
     for cand in duals:
         h = objective_D(problem, cand)
@@ -355,7 +360,7 @@ def test_inclusion_chain_random(seed):
     # The same L, A and cone with b = 0, where hJ collapses to {0} cap hB.
     zero_b = make_problem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)
     for problem in (drawn, zero_b):
-        duals = sample_dual_points(problem, rng, 4)
+        duals = sample_dual_points(problem, rng, 4, DualPolyhedron(problem))
         values = [objective_D(problem, c) for c in duals] + [QVector.zeros(problem.k)]
         values += [
             qvec(*[Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(problem.k)]) for _ in range(6)
@@ -406,3 +411,73 @@ def test_converse_duality_random(seed):
         assert (problem.L @ recovered) == d
         eff, _ = is_efficient(problem, recovered)
         assert eff
+
+
+def _branch(problem, d) -> str:
+    """Which case of the phase-II oracles d falls in, decided by solving
+    min and max of f = lam.d - b.z over P as plain LPs. P is closed under
+    scaling by t >= 1, so a finite min or max of f is never on the far
+    side of 0, and inf f < 0 < sup f needs both to be unbounded."""
+    gp = multiplier_program(problem.cone, lam_z_stack(problem))
+    f = QVector(d.entries + (-problem.b).entries)
+    low = solve_general(replace(gp, objective=f))
+    if isinstance(low, Infeasible):
+        return "empty P"
+    if isinstance(low, Optimal):
+        return "min = 0" if low.value == 0 else "optimal min"
+    high = solve_general(replace(gp, objective=-f))
+    return "convex combination" if isinstance(high, Unbounded) else "unbounded min"
+
+
+def test_phase_two_oracles_agree_with_single_lp_systems(no_dual_problem):
+    branches = dict.fromkeys(("optimal min", "unbounded min", "min = 0", "convex combination", "empty P"), 0)
+    rng = random.Random(900)
+    problems = [no_dual_problem, FIXTURES["FIX-R5"].problem, FIXTURES["FIX-ZB"].problem]
+    for _ in range(24):
+        drawn = random_problem(rng)
+        problems += [drawn, make_problem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)]
+    for problem in problems:
+        P = DualPolyhedron(problem)
+        assert P.empty == (reference_dual_point(problem) is None)
+        values = [objective_D(problem, c) for c in sample_dual_points(problem, rng, 3, P)]
+        values += [QVector.zeros(problem.k)] + [random_vector(rng, problem.k, -4, 4) for _ in range(4)]
+        for d in values:
+            branches[_branch(problem, d)] += 1
+            in_b, in_l = P.hB(d), P.hL(d)
+            assert in_b.member == (reference_membership(problem, d, relaxed=False) is not None)
+            assert in_l.member == (reference_membership(problem, d, relaxed=True) is not None)
+            if in_b.member:
+                assert check_feasible_D(problem, in_b.candidate) and objective_D(problem, in_b.candidate) == d
+            if in_l.member:
+                assert check_feasible_L(problem, in_l.candidate) and objective_L(in_l.candidate) == d
+    assert all(branches.values()), branches
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_feasible_dual_point_is_the_multiplier_point(seed):
+    rng = random.Random(950 + seed)
+    for _ in range(5):
+        problem = random_problem(rng)
+        cand, ref = feasible_dual_point(problem), reference_dual_point(problem)
+        assert (cand is None) == (ref is None) == (not dual_B_nonempty(problem))
+        if ref is not None:
+            lam, z = ref
+            assert cand == DualCandidateD(lam, outer(scaled_generator(problem.cone, lam), z), QVector.zeros(problem.k))
+
+
+def test_dual_polyhedron_built_once_per_instance(monkeypatch):
+    built = []
+    init = DualPolyhedron.__init__
+
+    def counting_init(self, problem):
+        built.append(problem)
+        init(self, problem)
+
+    monkeypatch.setattr(DualPolyhedron, "__init__", counting_init)
+    cfg = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=12)
+    rng = random.Random(31)
+    problems = [fixture.problem for fixture in FIXTURES.values()] + [random_problem(rng) for _ in range(4)]
+    for problem in problems:
+        built.clear()
+        assert run_instance_suite(problem, seed=5, config=cfg).ok
+        assert built == [problem]

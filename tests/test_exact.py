@@ -112,6 +112,28 @@ def test_identity_matmul():
     assert m @ qvec(1, 1) == qvec(3, 7)
 
 
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 4), st.data())
+def test_matmul_matches_entrywise_definition(rows, inner, cols, data):
+    # Shapes include 1 x n, n x 1 and inner dimension 0 (an all-zero product).
+    def draw(r, c):
+        return QMatrix(r, c, tuple(data.draw(st.lists(small_fractions, min_size=r * c, max_size=r * c))))
+
+    a, b = draw(rows, inner), draw(inner, cols)
+    product = a @ b
+    assert (product.rows, product.cols) == (rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            expected = sum((a.at(i, t) * b.at(t, j) for t in range(inner)), Fraction(0))
+            assert type(product.at(i, j)) is Fraction and product.at(i, j) == expected
+    if inner:
+        v = QVector(tuple(data.draw(st.lists(small_fractions, min_size=inner, max_size=inner))))
+        image = a @ v
+        assert all(type(e) is Fraction for e in image)
+        assert image.entries == tuple(
+            sum((a.at(i, t) * v[t] for t in range(inner)), Fraction(0)) for i in range(rows)
+        )
+
+
 def test_matmul_dim_mismatch():
     with pytest.raises(DimensionError):
         qmat([[1, 2]]) @ qmat([[1, 2]])

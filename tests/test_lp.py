@@ -7,12 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import brute_vertices
 from vlpdual.exact import DimensionError, QMatrix, QVector, qmat, qvec
 from vlpdual.lp import (
+    Basis,
     GeneralProgram,
     GenRow,
     Infeasible,
     LinearProgram,
     Optimal,
     Unbounded,
+    phase_one,
+    phase_two,
     solve_feasibility,
     solve_general,
     solve_lp,
@@ -274,3 +277,57 @@ def test_general_solutions_satisfy_rows(seed):
         assert isinstance(out, Unbounded)
         assert satisfies(out.x0) and satisfies(out.ray, homogeneous=True)
         assert gp.objective.dot(out.ray) < 0
+
+
+def _criterion_8_lps(rng, count):
+    # the recipe of tests/test_acceptance.py::test_criterion_8_lp_engine
+    for _ in range(count):
+        n, m = rng.randint(1, 6), rng.randint(1, 3)
+        c = QVector(tuple(random_rational(rng) for _ in range(n)))
+        a = QMatrix(m, n, tuple(random_rational(rng) for _ in range(m * n)))
+        if rng.random() < 0.5:
+            b = a @ QVector(tuple(abs(random_rational(rng)) for _ in range(n)))
+        else:
+            b = QVector(tuple(random_rational(rng) for _ in range(m)))
+        yield LinearProgram(c, a, b)
+
+
+def test_solve_lp_is_phase_two_after_phase_one():
+    kinds = set()
+    for lp in _criterion_8_lps(random.Random(99), 500):
+        start = phase_one(lp)
+        if isinstance(start, Infeasible):
+            assert solve_lp(lp) == start
+        else:
+            assert isinstance(start, Basis)
+            assert solve_lp(lp) == phase_two(start, lp.c)
+        kinds.add(type(solve_lp(lp)))
+    assert kinds == {Optimal, Infeasible, Unbounded}
+
+
+def test_phase_two_reuses_a_basis_without_changing_it():
+    # Fresh costs on one stored basis: each answer is certified against its
+    # own program, and solving them in either order gives the same answers.
+    rng = random.Random(17)
+    solved = 0
+    for lp in _criterion_8_lps(rng, 200):
+        start = phase_one(lp)
+        if isinstance(start, Infeasible):
+            continue
+        before = [list(row) for row in start.rows], start.basis
+        costs = [QVector(tuple(random_rational(rng) for _ in range(lp.n))) for _ in range(2)]
+        forward = [phase_two(start, c) for c in costs]
+        backward = [phase_two(start, c) for c in reversed(costs)][::-1]
+        assert forward == backward
+        assert ([list(row) for row in start.rows], start.basis) == before
+        for c, out in zip(costs, forward):
+            assert verify_outcome(LinearProgram(c, lp.a, lp.b), out)
+        assert phase_two(start, lp.c) == solve_lp(lp)
+        solved += 1
+    assert solved > 50
+
+
+def test_phase_two_rejects_a_cost_of_the_wrong_width():
+    start = phase_one(LinearProgram(qvec(1, 0), qmat([[1, 1]]), qvec(1)))
+    with pytest.raises(DimensionError):
+        phase_two(start, qvec(1))
