@@ -18,14 +18,12 @@ def main() -> int:
     parser.add_argument("--dual-samples", type=int, default=50)
     parser.add_argument("--primal-samples", type=int, default=50)
     parser.add_argument("--value-samples", type=int, default=50)
-    parser.add_argument("--u-samples", type=int, default=2)
     parser.add_argument("--format", choices=("human", "json"), default="human")
     args = parser.parse_args()
     config = CampaignConfig(
         dual_samples=args.dual_samples,
         primal_samples=args.primal_samples,
         value_samples=args.value_samples,
-        u_samples=args.u_samples,
     )
     report = run_random_campaign(args.seed, args.count, config)
     print(emit_report(report, args.format))

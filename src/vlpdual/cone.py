@@ -1,15 +1,17 @@
 """Polyhedral ordering cones given by finite generator lists.
 
-A cone here is the set of nonnegative combinations of its generators.
-Pointedness is certified constructively: a vector with product >= 1
-against every generator exists iff the cone is pointed, and that witness
-doubles as a quasi-interior point of the dual cone.
+A cone here is the set of nonnegative combinations of its generators, and
+every `OrderingCone` is pointed by construction. Pointedness is certified
+constructively: a vector with product >= 1 against every generator exists
+iff the cone is pointed, and that witness doubles as a quasi-interior point
+of the dual cone. The constructor computes it by one LP, or checks a
+supplied one by dot products, and raises `ConeError` when there is none.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,18 +28,30 @@ class ConeError(ValueError):
 
 @dataclass(frozen=True)
 class OrderingCone:
+    """A pointed cone; qi_witness has product >= 1 against every generator.
+
+    Leave qi_witness out to have it computed by `multiplier`; a supplied
+    one is checked by dot products, with no LP.
+    """
+
     dim: int
     generators: tuple[QVector, ...]
-    qi_witness: QVector | None = field(default=None, compare=False)
+    qi_witness: QVector = field(default=None, compare=False)
 
     def __post_init__(self):
         for g in self.generators:
             if g.dim != self.dim:
                 raise DimensionError(f"generator dim {g.dim} != cone dim {self.dim}")
-
-    @property
-    def validated(self) -> bool:
-        return self.qi_witness is not None
+        if not self.generators:
+            raise ConeError("trivial cone")
+        witness = self.qi_witness
+        if witness is None:
+            witness = multiplier(self)
+            if witness is None:
+                raise ConeError("not pointed")
+            object.__setattr__(self, "qi_witness", witness)
+        elif any(witness.dot(g) < 1 for g in self.generators):
+            raise ConeError("witness has product < 1 against a generator")
 
     @cached_property
     def is_orthant(self) -> bool:
@@ -60,10 +74,7 @@ class SeparationCertificate:
 
 def make_cone(dim: int, generators) -> OrderingCone:
     """Build a cone, silently dropping zero generators."""
-    gens = tuple(g for g in generators if not g.is_zero())
-    if not gens:
-        raise ConeError("trivial cone")
-    return OrderingCone(dim, gens)
+    return OrderingCone(dim, tuple(g for g in generators if not g.is_zero()))
 
 
 def orthant(dim: int) -> OrderingCone:
@@ -72,18 +83,13 @@ def orthant(dim: int) -> OrderingCone:
     return OrderingCone(dim, gens, ones)
 
 
-def multiplier_program(
-    cone: OrderingCone,
-    M: QMatrix | None = None,
-    eq: QVector | None = None,
-    extra: tuple[tuple[QVector, Fraction], ...] = (),
-) -> GeneralProgram:
+def multiplier_program(cone: OrderingCone, M: QMatrix | None = None, eq: QVector | None = None) -> GeneralProgram:
     """The system of `multiplier` as a program over free lam, with a zero
     objective.
 
     lam has M's row count (else the cone dimension), with the generators
-    zero-padded to it. Rows go equality, generators, columns of M, extras:
-    that order fixes the pivot sequence and so the returned point.
+    zero-padded to it. Rows go equality, generators, columns of M: that
+    order fixes the pivot sequence and so the returned point.
     """
     width = M.rows if M is not None else cone.dim
     pad = (_ZERO,) * (width - cone.dim)
@@ -91,47 +97,27 @@ def multiplier_program(
     rows += [GenRow(QVector(g.entries + pad), ">=", _ONE) for g in cone.generators]
     if M is not None:
         rows += [GenRow(M.col(j), ">=", _ZERO) for j in range(M.cols)]
-    rows += [GenRow(coeffs, ">=", bound) for coeffs, bound in extra]
     return GeneralProgram(QVector.zeros(width), tuple(rows), free=True)
 
 
-def multiplier(
-    cone: OrderingCone,
-    M: QMatrix | None = None,
-    eq: QVector | None = None,
-    extra: tuple[tuple[QVector, Fraction], ...] = (),
-) -> QVector | None:
+def multiplier(cone: OrderingCone, M: QMatrix | None = None, eq: QVector | None = None) -> QVector | None:
     """A free lam with lam.g >= 1 on every generator, M[:, j].lam >= 0 on
-    every column of M, lam.eq = 0 and row.lam >= bound for each extra
-    (row, bound); None when no such lam exists."""
-    out = solve_general(multiplier_program(cone, M, eq, extra))
+    every column of M and lam.eq = 0; None when no such lam exists."""
+    out = solve_general(multiplier_program(cone, M, eq))
     return out.x if isinstance(out, Optimal) else None
 
 
-def validate_cone(cone: OrderingCone) -> OrderingCone:
-    """Certify pointedness; returns the cone carrying its witness vector.
-
-    A finitely generated cone with nonzero generators is pointed exactly
-    when some lambda has lambda.g >= 1 for every generator g.
-    """
-    if not cone.generators:
-        raise ConeError("trivial cone")
-    witness = multiplier(cone)
-    if witness is None:
-        raise ConeError("not pointed")
-    return replace(cone, qi_witness=witness)
+def _column_matrix(dim: int, cols) -> QMatrix:
+    return QMatrix(dim, len(cols), tuple(v[i] for i in range(dim) for v in cols))
 
 
 def generator_matrix(cone: OrderingCone) -> QMatrix:
     """k x g matrix whose columns are the generators."""
-    k = cone.dim
-    cols = cone.generators
-    return QMatrix(k, len(cols), tuple(cols[j][i] for i in range(k) for j in range(len(cols))))
+    return _column_matrix(cone.dim, cone.generators)
 
 
 def negate(cone: OrderingCone) -> OrderingCone:
-    witness = -cone.qi_witness if cone.qi_witness is not None else None
-    return OrderingCone(cone.dim, tuple(-g for g in cone.generators), witness)
+    return OrderingCone(cone.dim, tuple(-g for g in cone.generators), -cone.qi_witness)
 
 
 def contains(cone: OrderingCone, v: QVector) -> bool:
@@ -140,7 +126,7 @@ def contains(cone: OrderingCone, v: QVector) -> bool:
         raise DimensionError(f"vector dim {v.dim} != cone dim {cone.dim}")
     if v.is_zero():
         return True
-    if cone.qi_witness is not None and cone.qi_witness.dot(v) < 0:
+    if cone.qi_witness.dot(v) < 0:
         return False  # witness is in the dual cone, so members cannot go negative
     if cone.is_orthant:
         return v.is_nonneg()
@@ -210,18 +196,11 @@ def separate_from_cone(cone: OrderingCone, m_points, m_rays) -> SeparationCertif
     gamma.r >= 0 on the points and rays of M, or None when no such gamma
     exists (in particular when M meets the cone outside the origin).
     """
-    rows: list[tuple[QVector, Fraction]] = []
+    cols: list[QVector] = []
     for label, vectors in (("point", m_points), ("ray", m_rays)):
         for v in vectors:
             if v.dim != cone.dim:
                 raise DimensionError(f"separation {label} dim mismatch")
-            rows.append((v, _ZERO))
-    gamma = multiplier(negate(cone), extra=tuple(rows))  # gamma.(-g) >= 1
+            cols.append(v)
+    gamma = multiplier(negate(cone), _column_matrix(cone.dim, cols))  # gamma.(-g) >= 1
     return None if gamma is None else SeparationCertificate(gamma)
-
-
-def find_quasi_interior_point(cone: OrderingCone) -> QVector:
-    """A lambda with lambda.g >= 1 for every generator."""
-    if cone.qi_witness is not None:
-        return cone.qi_witness
-    return validate_cone(cone).qi_witness

@@ -34,14 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import OrderingCone, in_quasi_interior, multiplier, multiplier_program, orthant, strictly_below
+from .cone import OrderingCone, in_quasi_interior, multiplier, multiplier_program, strictly_below
 from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
 from .exact import DimensionError, QMatrix, QVector, outer, require
 from .lp import (
     Infeasible,
     LinearProgram,
     Optimal,
-    Unbounded,
     phase_one,
     phase_two,
     solve_feasibility,
@@ -116,9 +115,8 @@ def check_feasible_U(problem: VlpProblem, cand: DualCandidateU) -> bool:
     """No x >= 0 may have (L - UA)x strictly below zero in the relevant order."""
     if cand.flavor == "I" and not problem.cone.is_orthant:
         raise ValueError("flavor 'I' is defined only for the orthant order")
-    cone = orthant(problem.k) if cand.flavor == "I" else problem.cone
     M = _reduced_map(problem, cand.U)
-    out = solve_general(domination_program(cone, M, QVector.zeros(problem.k), normalize=True))
+    out = solve_general(domination_program(problem.cone, M, QVector.zeros(problem.k), normalize=True))
     require(isinstance(out, Optimal), "normalized domination program is bounded and feasible")
     return out.value == 0
 
@@ -294,14 +292,8 @@ def h_H_value_membership(problem: VlpProblem, U: QMatrix, d: QVector) -> bool:
     if not check_feasible_U(problem, DualCandidateU(U, "H")):
         raise ValueError("U not feasible for D^H")
     w = d - (U @ problem.b)
-    M = _reduced_map(problem, U)
-    if solve_feasibility(M, w) is None:
-        return False
-    out = solve_general(domination_program(problem.cone, M, w))
-    if isinstance(out, Unbounded):
-        return False
-    require(isinstance(out, Optimal), "domination program over a feasible U is bounded")
-    return out.value == 0
+    out = solve_general(domination_program(problem.cone, _reduced_map(problem, U), w))
+    return isinstance(out, Optimal) and out.value == 0
 
 
 def minimize_over_image(problem: VlpProblem, U: QMatrix, x0: QVector) -> QVector:

@@ -159,10 +159,10 @@ def enumerate_vertices(problem: VlpProblem, limit: int = 100000) -> list[QVector
     return out
 
 
-def efficient_vertices(problem: VlpProblem, limit: int = 100000) -> list[tuple[QVector, EfficiencyCertificate]]:
+def efficient_vertices(problem: VlpProblem) -> list[tuple[QVector, EfficiencyCertificate]]:
     """Efficient vertices, each with its scalarization certificate."""
     result = []
-    for vertex in enumerate_vertices(problem, limit):
+    for vertex in enumerate_vertices(problem):
         efficient, _ = is_efficient(problem, vertex)
         if not efficient:
             continue

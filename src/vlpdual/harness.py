@@ -23,7 +23,6 @@ from .model import (
     DualCandidateL,
     DualCandidateU,
     VlpProblem,
-    make_problem,
     objective_D,
     objective_L,
     problem_to_dict,
@@ -74,11 +73,15 @@ class CampaignConfig:
     dual_samples: int = 50
     primal_samples: int = 50
     value_samples: int = 50
-    u_samples: int = 2
 
 
 # How many mapped values and sampled duals the strictness search probes.
 _STRICTNESS_PROBES = 5
+
+# U matrices per instance: the zero matrix plus random ones. Criterion 6's
+# count of at least 200 (instance, U) pairs over the acceptance campaign
+# rests on it.
+_U_SAMPLES = 2
 
 
 # Pinned instances. Expected values on the derived fixtures were computed
@@ -93,23 +96,23 @@ class Fixture:
 
 
 def _problem_r5() -> VlpProblem:
-    return make_problem(QMatrix.zeros(2, 1), qmat([[1], [1]]), qvec(-1, -1), orthant(2))
+    return VlpProblem(QMatrix.zeros(2, 1), qmat([[1], [1]]), qvec(-1, -1), orthant(2))
 
 
 def _problem_zb() -> VlpProblem:
-    return make_problem(qmat([[-1, 1], [1, -1]]), QMatrix.zeros(1, 2), qvec(0), orthant(2))
+    return VlpProblem(qmat([[-1, 1], [1, -1]]), QMatrix.zeros(1, 2), qvec(0), orthant(2))
 
 
 def _problem_seg() -> VlpProblem:
-    return make_problem(QMatrix.identity(2), qmat([[1, 1]]), qvec(1), orthant(2))
+    return VlpProblem(QMatrix.identity(2), qmat([[1, 1]]), qvec(1), orthant(2))
 
 
 def _problem_noeff() -> VlpProblem:
-    return make_problem(QMatrix.identity(2).scale(-1), QMatrix.zeros(1, 2), qvec(0), orthant(2))
+    return VlpProblem(QMatrix.identity(2).scale(-1), QMatrix.zeros(1, 2), qvec(0), orthant(2))
 
 
 def _problem_allempty() -> VlpProblem:
-    return make_problem(QMatrix.identity(2).scale(-1), QMatrix.zeros(1, 2), qvec(1), orthant(2))
+    return VlpProblem(QMatrix.identity(2).scale(-1), QMatrix.zeros(1, 2), qvec(1), orthant(2))
 
 
 def _fixtures() -> dict[str, Fixture]:
@@ -236,7 +239,7 @@ def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig)
     primals = sample_primal_points(problem, vertices, rng, cfg.primal_samples)
     values = sample_probe_values(problem, duals, vertices, rng, cfg.value_samples)
     us = [QMatrix.zeros(problem.k, problem.m)]
-    us += [random_matrix(rng, problem.k, problem.m) for _ in range(max(0, cfg.u_samples - 1))]
+    us += [random_matrix(rng, problem.k, problem.m) for _ in range(_U_SAMPLES - 1)]
     return _InstanceContext(problem, polyhedron, vertices, status, duals, primals, values, us)
 
 

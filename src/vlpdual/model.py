@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cone import OrderingCone, make_cone, orthant, validate_cone
+from .cone import OrderingCone, make_cone, orthant
 from .exact import (
     DimensionError,
     QMatrix,
@@ -51,12 +51,6 @@ class VlpProblem:
     @property
     def k(self) -> int:
         return self.L.rows
-
-
-def make_problem(L: QMatrix, A: QMatrix, b: QVector, cone: OrderingCone) -> VlpProblem:
-    if not cone.validated:
-        cone = validate_cone(cone)
-    return VlpProblem(L, A, b, cone)
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,7 @@ def parse_cone(data, k: int) -> OrderingCone:
         _parse_vector(g, f"cone.generators[{i}]", k)
         for i, g in enumerate(data["generators"])
     ]
-    return validate_cone(make_cone(k, gens))
+    return make_cone(k, gens)
 
 
 def cone_to_dict(cone: OrderingCone) -> dict:
@@ -185,7 +179,7 @@ def problem_from_dict(data: dict) -> VlpProblem:
     A = _parse_matrix(data["A"], "A", m, n)
     b = _parse_vector(data["b"], "b", m)
     cone = parse_cone(data["cone"], k)
-    return make_problem(L, A, b, cone)
+    return VlpProblem(L, A, b, cone)
 
 
 def load_problem(text: str) -> VlpProblem:

@@ -8,19 +8,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cone import (
-    ConeError,
-    OrderingCone,
-    find_quasi_interior_point,
-    in_quasi_interior,
-    make_cone,
-    orthant,
-    validate_cone,
-)
+from .cone import ConeError, OrderingCone, in_quasi_interior, make_cone, orthant
 from .duality import DualPolyhedron, check_feasible_D, scaled_generator
 from .exact import QMatrix, QVector, outer, require
 from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
-from .model import DualCandidateD, VlpProblem, make_problem
+from .model import DualCandidateD, VlpProblem, objective_D
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -46,7 +38,7 @@ def random_cone(rng: random.Random, k: int) -> OrderingCone:
         count = rng.randint(2, 4)
         gens = [random_vector(rng, k) for _ in range(count)]
         try:
-            return validate_cone(make_cone(k, gens))
+            return make_cone(k, gens)
         except ConeError:
             continue
     return orthant(k)
@@ -68,7 +60,7 @@ def random_problem(rng: random.Random) -> VlpProblem:
         b = QVector.zeros(m)
     else:
         b = random_vector(rng, m)
-    return make_problem(L, A, b, random_cone(rng, k))
+    return VlpProblem(L, A, b, random_cone(rng, k))
 
 
 def sample_quasi_interior(rng: random.Random, cone: OrderingCone, count: int) -> list[QVector]:
@@ -78,7 +70,7 @@ def sample_quasi_interior(rng: random.Random, cone: OrderingCone, count: int) ->
     combinations that leave the quasi-interior are rejected, which keeps
     the sampler sound for every pointed cone.
     """
-    base = find_quasi_interior_point(cone)
+    base = cone.qi_witness
     out = [base]
     attempts = 0
     while len(out) < count and attempts < 8 * count:
@@ -191,8 +183,6 @@ def sample_probe_values(
 ) -> list[QVector]:
     """Image-space values to run the membership oracles on: dual objective
     values, vertex images, and plain random vectors."""
-    from .model import objective_D
-
     pool: list[QVector] = []
     for cand in duals:
         pool.append(objective_D(problem, cand))

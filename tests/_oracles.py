@@ -32,15 +32,21 @@ def lam_z_stack(problem) -> QMatrix:
     return QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
 
 
+def _append_column(m: QMatrix, col: QVector) -> QMatrix:
+    entries = tuple(v for i in range(m.rows) for v in m.row(i).entries + (col[i],))
+    return QMatrix(m.rows, m.cols + 1, entries)
+
+
 def reference_membership(problem, d: QVector, relaxed: bool) -> tuple[QVector, QVector] | None:
     """(lam, z) from one LP over P = {lam.g >= 1, L^T lam - A^T z >= 0}
     with the probe as one more row: lam.d - b.z = 0 for hB, or
     b.z - lam.d >= 0 for hL (relaxed). None when the system is empty."""
     f = QVector(tuple(d.entries) + tuple((-problem.b).entries))
-    if relaxed:
-        point = multiplier(problem.cone, lam_z_stack(problem), extra=((-f, Fraction(0)),))
+    stack = lam_z_stack(problem)
+    if relaxed:  # -f as one more column of [L; -A]: the row -f.(lam, z) >= 0
+        point = multiplier(problem.cone, _append_column(stack, -f))
     else:
-        point = multiplier(problem.cone, lam_z_stack(problem), eq=f)
+        point = multiplier(problem.cone, stack, eq=f)
     if point is None:
         return None
     return QVector(point.entries[: problem.k]), QVector(point.entries[problem.k :])

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vlpdual import cone as cone_module
 from vlpdual.cone import (
     Comparison,
     ConeError,
+    OrderingCone,
     cmp,
     contains,
-    find_quasi_interior_point,
     in_dual,
     in_quasi_interior,
     make_cone,
@@ -19,7 +20,6 @@ from vlpdual.cone import (
     orthant,
     separate_from_cone,
     strictly_below,
-    validate_cone,
 )
 from vlpdual.exact import qvec
 from vlpdual.sampling import random_rational
@@ -27,23 +27,50 @@ from vlpdual.sampling import random_rational
 
 def wedge():
     # generators (1,0) and (1,1): pointed, not the orthant
-    return validate_cone(make_cone(2, [qvec(1, 0), qvec(1, 1)]))
+    return make_cone(2, [qvec(1, 0), qvec(1, 1)])
 
 
 def test_validate_orthant():
-    cone = validate_cone(make_cone(2, [qvec(1, 0), qvec(0, 1)]))
+    cone = make_cone(2, [qvec(1, 0), qvec(0, 1)])
     w = cone.qi_witness
     assert all(w.dot(g) >= 1 for g in cone.generators)
 
 
 def test_validate_rejects_line():
     with pytest.raises(ConeError, match="not pointed"):
-        validate_cone(make_cone(2, [qvec(1, 0), qvec(-1, 0)]))
+        make_cone(2, [qvec(1, 0), qvec(-1, 0)])
 
 
 def test_validate_rejects_trivial():
     with pytest.raises(ConeError, match="trivial cone"):
         make_cone(2, [qvec(0, 0)])
+
+
+def test_ordering_cone_rejects_line():
+    # the constructor itself certifies pointedness, so no VlpProblem can hold a line
+    with pytest.raises(ConeError, match="not pointed"):
+        OrderingCone(2, (qvec(1, 0), qvec(-1, 0)))
+    with pytest.raises(ConeError, match="trivial cone"):
+        OrderingCone(2, ())
+
+
+def test_ordering_cone_rejects_bad_witness():
+    with pytest.raises(ConeError, match="witness"):
+        OrderingCone(2, (qvec(1, 0), qvec(0, 1)), qvec(1, 0))
+
+
+def test_supplied_witness_runs_no_lp(monkeypatch):
+    wedge_cone = wedge()
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("multiplier LP ran")
+
+    monkeypatch.setattr(cone_module, "multiplier", no_lp)
+    assert orthant(3).qi_witness == qvec(1, 1, 1)
+    flipped = negate(wedge_cone)
+    assert flipped.qi_witness == -wedge_cone.qi_witness
+    with pytest.raises(AssertionError, match="multiplier LP ran"):
+        OrderingCone(2, (qvec(1, 0), qvec(1, 1)))
 
 
 def test_validate_wedge():
@@ -145,16 +172,14 @@ def test_separate_two_rays():
 
 def test_find_quasi_interior_point():
     for cone in (orthant(2), orthant(3), wedge()):
-        lam = find_quasi_interior_point(cone)
+        lam = cone.qi_witness
         assert all(lam.dot(g) >= 1 for g in cone.generators)
 
 
 def random_pointed_cone(rng, k):
     while True:
         try:
-            return validate_cone(
-                make_cone(k, [qvec(*[random_rational(rng) for _ in range(k)]) for _ in range(rng.randint(2, 4))])
-            )
+            return make_cone(k, [qvec(*[random_rational(rng) for _ in range(k)]) for _ in range(rng.randint(2, 4))])
         except ConeError:
             continue
 
@@ -177,7 +202,7 @@ def test_quasi_interior_soundness(seed):
     rng = random.Random(seed)
     k = rng.choice((2, 3))
     cone = orthant(k) if rng.random() < 0.5 else random_pointed_cone(rng, k)
-    lam = find_quasi_interior_point(cone)
+    lam = cone.qi_witness
     assert in_quasi_interior(cone, lam)
     for _ in range(50):
         coeffs = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in cone.generators]
@@ -208,8 +233,8 @@ def test_contains_fast_path_matches_lp_path(seed):
     # same set, different code paths: unit generators take the sign test,
     # the redundant third generator forces the feasibility program
     rng = random.Random(seed)
-    fast = validate_cone(make_cone(2, [qvec(2, 0), qvec(0, 3)]))
-    slow = validate_cone(make_cone(2, [qvec(1, 0), qvec(0, 1), qvec(1, 1)]))
+    fast = make_cone(2, [qvec(2, 0), qvec(0, 3)])
+    slow = make_cone(2, [qvec(1, 0), qvec(0, 1), qvec(1, 1)])
     v = qvec(*[random_rational(rng) for _ in range(2)])
     assert contains(fast, v) == contains(slow, v) == v.is_nonneg()
 
@@ -217,7 +242,7 @@ def test_contains_fast_path_matches_lp_path(seed):
 def test_quasi_interior_exact_on_1000_members():
     rng = random.Random(5)
     cone = wedge()
-    lam = find_quasi_interior_point(cone)
+    lam = cone.qi_witness
     checked = 0
     while checked < 1000:
         coeffs = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in cone.generators]

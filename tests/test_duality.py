@@ -30,6 +30,7 @@ from vlpdual.duality import (
 )
 from vlpdual.efficiency import (
     EfficiencyCertificate,
+    domination_program,
     efficient_vertices,
     enumerate_vertices,
     is_efficient,
@@ -43,7 +44,7 @@ from vlpdual.model import (
     DualCandidateJ,
     DualCandidateL,
     DualCandidateU,
-    make_problem,
+    VlpProblem,
     objective_D,
     objective_J,
     objective_L,
@@ -54,7 +55,7 @@ from vlpdual.sampling import random_matrix, random_problem, random_vector, sampl
 @pytest.fixture
 def no_dual_problem():
     # L^T lam >= 0 forces lam <= 0: the dual feasible set is empty
-    return make_problem(QMatrix.identity(2).scale(-1), QMatrix.zeros(1, 2), qvec(0), orthant(2))
+    return VlpProblem(QMatrix.identity(2).scale(-1), QMatrix.zeros(1, 2), qvec(0), orthant(2))
 
 
 def test_check_feasible_D_r5(r5_problem):
@@ -81,7 +82,7 @@ def test_check_feasible_U_negative(no_dual_problem):
 
 
 def test_check_feasible_U_flavor_I_needs_orthant():
-    wedge_problem = make_problem(
+    wedge_problem = VlpProblem(
         QMatrix.identity(2),
         qmat([[1, 1]]),
         qvec(1),
@@ -92,9 +93,9 @@ def test_check_feasible_U_flavor_I_needs_orthant():
 
 
 def make_cone_wedge():
-    from vlpdual.cone import make_cone, validate_cone
+    from vlpdual.cone import make_cone
 
-    return validate_cone(make_cone(2, [qvec(1, 0), qvec(1, 1)]))
+    return make_cone(2, [qvec(1, 0), qvec(1, 1)])
 
 
 def test_check_feasible_U_flavors_agree_on_orthant(seg_problem):
@@ -233,6 +234,14 @@ def test_h_H_value_membership_zero_rhs(zb_problem):
     assert h_H_value_membership(zb_problem, QMatrix.zeros(2, 1), qvec(1, -1))
 
 
+def test_h_H_value_membership_infeasible_program():
+    # w = (-1, -1) needs mu = w in the orthant: the domination program is empty
+    problem = FIXTURES["FIX-R5"].problem
+    program = domination_program(problem.cone, problem.L, qvec(-1, -1))
+    assert isinstance(solve_general(program), Infeasible)
+    assert h_H_value_membership(problem, QMatrix.zeros(2, 2), qvec(-1, -1)) is False
+
+
 def test_h_H_value_membership_precondition(no_dual_problem):
     with pytest.raises(ValueError, match="not feasible"):
         h_H_value_membership(no_dual_problem, QMatrix.zeros(2, 1), qvec(0, 0))
@@ -358,7 +367,7 @@ def test_inclusion_chain_random(seed):
     rng = random.Random(500 + seed)
     drawn = random_problem(rng)
     # The same L, A and cone with b = 0, where hJ collapses to {0} cap hB.
-    zero_b = make_problem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)
+    zero_b = VlpProblem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)
     for problem in (drawn, zero_b):
         duals = sample_dual_points(problem, rng, 4, DualPolyhedron(problem))
         values = [objective_D(problem, c) for c in duals] + [QVector.zeros(problem.k)]
@@ -435,7 +444,7 @@ def test_phase_two_oracles_agree_with_single_lp_systems(no_dual_problem):
     problems = [no_dual_problem, FIXTURES["FIX-R5"].problem, FIXTURES["FIX-ZB"].problem]
     for _ in range(24):
         drawn = random_problem(rng)
-        problems += [drawn, make_problem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)]
+        problems += [drawn, VlpProblem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)]
     for problem in problems:
         P = DualPolyhedron(problem)
         assert P.empty == (reference_dual_point(problem) is None)

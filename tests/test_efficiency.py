@@ -17,7 +17,7 @@ from vlpdual.efficiency import (
 )
 from vlpdual.exact import QMatrix, QVector, qmat, qvec, solve_linear_system
 from vlpdual.lp import Optimal, Unbounded, solve_lp, to_standard_form, verify_unbounded
-from vlpdual.model import make_problem
+from vlpdual.model import VlpProblem
 from vlpdual.sampling import random_problem
 
 
@@ -30,7 +30,7 @@ def test_r5_has_no_vertices(r5_problem):
 
 
 def test_point_polytope_vertex():
-    p = make_problem(QMatrix.identity(2), QMatrix.identity(2), qvec(1, 1), orthant(2))
+    p = VlpProblem(QMatrix.identity(2), QMatrix.identity(2), qvec(1, 1), orthant(2))
     assert enumerate_vertices(p) == [qvec(1, 1)]
 
 
@@ -109,12 +109,12 @@ def test_recession_bounded(seg_problem):
 
 
 def test_recession_ray_harmless():
-    p = make_problem(QMatrix.identity(2), qmat([[1, -1]]), qvec(0), orthant(2))
+    p = VlpProblem(QMatrix.identity(2), qmat([[1, -1]]), qvec(0), orthant(2))
     assert recession_image_pointed(p)
 
 
 def test_recession_ray_into_negative_cone():
-    p = make_problem(QMatrix.identity(2).scale(-1), qmat([[1, -1]]), qvec(0), orthant(2))
+    p = VlpProblem(QMatrix.identity(2).scale(-1), qmat([[1, -1]]), qvec(0), orthant(2))
     assert not recession_image_pointed(p)
 
 

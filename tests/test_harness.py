@@ -14,7 +14,7 @@ from vlpdual.harness import (
     run_random_campaign,
 )
 
-SMALL = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=6, u_samples=2)
+SMALL = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=6)
 
 
 @pytest.fixture(scope="module")
