@@ -6,17 +6,24 @@ constructively: a vector with product >= 1 against every generator exists
 iff the cone is pointed, and that witness doubles as a quasi-interior point
 of the dual cone. The constructor computes it by one LP, or checks a
 supplied one by dot products, and raises `ConeError` when there is none.
+
+The cone order needs no LP: `facets` holds the cone's inequality
+description (its facet normals, plus both signs of a basis of the
+generators' orthogonal complement when the cone is lower-dimensional),
+computed once per cone by exact elimination, and membership is the sign of
+a few dot products.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import DimensionError, QMatrix, QVector
-from .lp import GeneralProgram, GenRow, Optimal, solve_feasibility, solve_general
+from .exact import DimensionError, QMatrix, QVector, require, solve_linear_system
+from .lp import GeneralProgram, GenRow, Optimal, solve_general
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,8 +37,8 @@ class ConeError(ValueError):
 class OrderingCone:
     """A pointed cone; qi_witness has product >= 1 against every generator.
 
-    Leave qi_witness out to have it computed by `multiplier`; a supplied
-    one is checked by dot products, with no LP.
+    Zero generators are dropped. Leave qi_witness out to have it computed
+    by `multiplier`; a supplied one is checked by dot products, with no LP.
     """
 
     dim: int
@@ -42,6 +49,7 @@ class OrderingCone:
         for g in self.generators:
             if g.dim != self.dim:
                 raise DimensionError(f"generator dim {g.dim} != cone dim {self.dim}")
+        object.__setattr__(self, "generators", tuple(g for g in self.generators if not g.is_zero()))
         if not self.generators:
             raise ConeError("trivial cone")
         witness = self.qi_witness
@@ -64,6 +72,41 @@ class OrderingCone:
             covered.add(support[0])
         return covered == set(range(self.dim))
 
+    @cached_property
+    def facets(self) -> tuple[QVector, ...]:
+        """Normals h with h.g >= 0 on every generator g, such that v lies
+        in the cone iff h.v >= 0 for every h.
+
+        Both signs of a basis of the generators' orthogonal complement hold
+        v to their span, of dimension d. Within the span, every facet is
+        spanned by d - 1 generators, so each (d - 1)-subset whose
+        complement in the span is a line gives one candidate normal, kept
+        when no two generators lie on opposite sides of it.
+        """
+        off_span = _nullspace(self.generators, self.dim)
+        normals = [h for u in off_span for h in (u, -u)]
+        for subset in itertools.combinations(self.generators, self.dim - len(off_span) - 1):
+            line = _nullspace(subset + off_span, self.dim)
+            if len(line) != 1:
+                continue
+            h = line[0]
+            if any(h.dot(g) < 0 for g in self.generators):
+                h = -h
+            if any(h.dot(g) < 0 for g in self.generators) or h in normals:
+                continue
+            normals.append(h)
+        for h in normals:
+            require(all(h.dot(g) >= 0 for g in self.generators), "facet normal is >= 0 on every generator")
+        return tuple(normals)
+
+
+def _nullspace(rows: tuple[QVector, ...], dim: int) -> tuple[QVector, ...]:
+    """A basis of the vectors orthogonal to every row."""
+    if not rows:
+        return tuple(QVector.unit(dim, i) for i in range(dim))
+    matrix = QMatrix(len(rows), dim, tuple(e for r in rows for e in r))
+    return solve_linear_system(matrix, QVector.zeros(len(rows))).nullspace
+
 
 @dataclass(frozen=True)
 class SeparationCertificate:
@@ -73,8 +116,8 @@ class SeparationCertificate:
 
 
 def make_cone(dim: int, generators) -> OrderingCone:
-    """Build a cone, silently dropping zero generators."""
-    return OrderingCone(dim, tuple(g for g in generators if not g.is_zero()))
+    """Build a cone from any iterable of generators."""
+    return OrderingCone(dim, tuple(generators))
 
 
 def orthant(dim: int) -> OrderingCone:
@@ -120,17 +163,15 @@ def negate(cone: OrderingCone) -> OrderingCone:
     return OrderingCone(cone.dim, tuple(-g for g in cone.generators), -cone.qi_witness)
 
 
-def contains(cone: OrderingCone, v: QVector) -> bool:
-    """Membership v in K, decided by exact feasibility of the generator combination."""
+def _facet_values(cone: OrderingCone, v: QVector) -> list[Fraction]:
     if v.dim != cone.dim:
         raise DimensionError(f"vector dim {v.dim} != cone dim {cone.dim}")
-    if v.is_zero():
-        return True
-    if cone.qi_witness.dot(v) < 0:
-        return False  # witness is in the dual cone, so members cannot go negative
-    if cone.is_orthant:
-        return v.is_nonneg()
-    return solve_feasibility(generator_matrix(cone), v) is not None
+    return [h.dot(v) for h in cone.facets]
+
+
+def contains(cone: OrderingCone, v: QVector) -> bool:
+    """Membership v in K: h.v >= 0 on every normal of `cone.facets`."""
+    return all(x >= 0 for x in _facet_values(cone, v))
 
 
 def in_dual(cone: OrderingCone, lam: QVector) -> bool:
@@ -155,9 +196,10 @@ class Comparison(enum.Enum):
 def cmp(cone: OrderingCone, v: QVector, w: QVector) -> Comparison:
     if v == w:
         return Comparison.EQUAL
-    if contains(cone, w - v):
+    values = _facet_values(cone, w - v)
+    if all(x >= 0 for x in values):
         return Comparison.LESS
-    if contains(cone, v - w):
+    if all(x <= 0 for x in values):
         return Comparison.GREATER
     return Comparison.INCOMPARABLE
 

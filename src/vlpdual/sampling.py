@@ -11,7 +11,7 @@ from fractions import Fraction
 from .cone import ConeError, OrderingCone, in_quasi_interior, make_cone, orthant
 from .duality import DualPolyhedron, check_feasible_D, scaled_generator
 from .exact import QMatrix, QVector, outer, require
-from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
+from .lp import Basis, GeneralProgram, GenRow, Infeasible, Optimal, phase_one, phase_two, to_standard_form
 from .model import DualCandidateD, VlpProblem, objective_D
 
 _ZERO = Fraction(0)
@@ -98,21 +98,31 @@ def _orthogonal_basis(lam: QVector) -> list[QVector]:
     return basis
 
 
-def _sample_z(problem: VlpProblem, lam: QVector, rng: random.Random) -> QVector | None:
-    """A point of {z : L^T lam - A^T z >= 0}, steered by a random objective."""
+def _z_program(problem: VlpProblem, lam: QVector) -> tuple[GeneralProgram, Basis | None]:
+    """{z : L^T lam - A^T z >= 0} as a program over free z, with its
+    phase-I basis, or None in place of the basis when the set is empty."""
     n, m, k = problem.n, problem.m, problem.k
     rows = []
     for j in range(n):
         coeffs = QVector(tuple(-problem.A.at(i, j) for i in range(m)))
         bound = -sum((problem.L.at(i, j) * lam[i] for i in range(k)), _ZERO)
         rows.append(GenRow(coeffs, ">=", bound))
-    objective = random_vector(rng, m, -3, 3)
-    out = solve_general(GeneralProgram(objective, tuple(rows), free=True))
-    if isinstance(out, Optimal):
-        return out.x
-    if isinstance(out, Unbounded):
-        return out.x0
-    return None
+    gp = GeneralProgram(QVector.zeros(m), tuple(rows), free=True)
+    start = phase_one(to_standard_form(gp))
+    return gp, None if isinstance(start, Infeasible) else start
+
+
+def _sample_z(z_program: tuple[GeneralProgram, Basis | None], rng: random.Random) -> QVector | None:
+    """A point of lam's z-set, steered by a random objective: phase II from
+    the set's phase-I basis, which gives the point one `solve_general` over
+    the same rows with that objective gives. The objective is drawn even
+    when the set is empty, so the rng sequence does not depend on it."""
+    gp, start = z_program
+    objective = random_vector(rng, gp.n, -3, 3)
+    if start is None:
+        return None
+    out = phase_two(start, gp.cost(objective))
+    return gp.back(out.x if isinstance(out, Optimal) else out.x0)
 
 
 def sample_dual_points(
@@ -123,8 +133,9 @@ def sample_dual_points(
     The first is `polyhedron.dual_point()`, with polyhedron the problem's
     P. U is built rank-one from a sampled z, optionally bumped by a
     rank-one term orthogonal to lam, which preserves feasibility exactly.
-    Returns fewer than requested (possibly none) when the dual is
-    infeasible or nearly so.
+    Each distinct lam's z-set runs phase I once per call, and its samples
+    are phase II solves from that basis. Returns fewer than requested
+    (possibly none) when the dual is infeasible or nearly so.
     """
     out: list[DualCandidateD] = []
     seeded = polyhedron.dual_point()
@@ -132,11 +143,14 @@ def sample_dual_points(
         return []
     out.append(seeded)
     lams = sample_quasi_interior(rng, problem.cone, max(4, count // 8))
+    z_programs: dict[QVector, tuple[GeneralProgram, Basis | None]] = {}
     attempts = 0
     while len(out) < count and attempts < 4 * count:
         attempts += 1
         lam = lams[rng.randrange(len(lams))]
-        z = _sample_z(problem, lam, rng)
+        if lam not in z_programs:
+            z_programs[lam] = _z_program(problem, lam)
+        z = _sample_z(z_programs[lam], rng)
         if z is None:
             continue
         tilde = scaled_generator(problem.cone, lam)

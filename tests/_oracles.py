@@ -4,7 +4,11 @@ import itertools
 from fractions import Fraction
 
 from vlpdual.cone import multiplier
-from vlpdual.exact import QMatrix, QVector, solve_linear_system
+from vlpdual.duality import scaled_generator
+from vlpdual.exact import QMatrix, QVector, outer, solve_linear_system
+from vlpdual.lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
+from vlpdual.model import DualCandidateD
+from vlpdual.sampling import _orthogonal_basis, random_rational, random_vector, sample_quasi_interior
 
 
 def brute_vertices(a: QMatrix, b: QVector) -> list[QVector]:
@@ -58,3 +62,43 @@ def reference_dual_point(problem) -> tuple[QVector, QVector] | None:
     if point is None:
         return None
     return QVector(point.entries[: problem.k]), QVector(point.entries[problem.k :])
+
+
+def reference_sample_dual_points(problem, rng, count: int, polyhedron) -> list:
+    """`sample_dual_points` with one `solve_general` per sample: every z
+    comes from a fresh two-phase solve of {z : L^T lam - A^T z >= 0}."""
+    seeded = polyhedron.dual_point()
+    if seeded is None:
+        return []
+    out = [seeded]
+    lams = sample_quasi_interior(rng, problem.cone, max(4, count // 8))
+    attempts = 0
+    while len(out) < count and attempts < 4 * count:
+        attempts += 1
+        lam = lams[rng.randrange(len(lams))]
+        rows = tuple(
+            GenRow(
+                QVector(tuple(-problem.A.at(i, j) for i in range(problem.m))),
+                ">=",
+                -sum((problem.L.at(i, j) * lam[i] for i in range(problem.k)), Fraction(0)),
+            )
+            for j in range(problem.n)
+        )
+        solved = solve_general(GeneralProgram(random_vector(rng, problem.m, -3, 3), rows, free=True))
+        if isinstance(solved, Optimal):
+            z = solved.x
+        elif isinstance(solved, Unbounded):
+            z = solved.x0
+        else:
+            continue
+        U = outer(scaled_generator(problem.cone, lam), z)
+        if rng.random() < 0.5:
+            w = QVector.zeros(problem.k)
+            for vec in _orthogonal_basis(lam):
+                w = w + vec.scale(random_rational(rng, -3, 3))
+            U = U + outer(w, random_vector(rng, problem.m, -3, 3))
+        v = QVector.zeros(problem.k)
+        for vec in _orthogonal_basis(lam):
+            v = v + vec.scale(random_rational(rng, -4, 4))
+        out.append(DualCandidateD(lam, U, v))
+    return out

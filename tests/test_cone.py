@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlpdual import cone as cone_module
+from vlpdual import lp as lp_module
 from vlpdual.cone import (
     Comparison,
     ConeError,
@@ -18,10 +19,12 @@ from vlpdual.cone import (
     min_elements_finite,
     negate,
     orthant,
+    generator_matrix,
     separate_from_cone,
     strictly_below,
 )
-from vlpdual.exact import qvec
+from vlpdual.exact import QVector, qvec
+from vlpdual.lp import solve_feasibility
 from vlpdual.sampling import random_rational
 
 
@@ -81,6 +84,15 @@ def test_validate_wedge():
 def test_zero_generators_stripped():
     cone = make_cone(2, [qvec(0, 0), qvec(1, 0)])
     assert cone.generators == (qvec(1, 0),)
+
+
+def test_constructor_drops_zero_generators():
+    ray = OrderingCone(2, (qvec(0, 0), qvec(1, 0)))
+    assert ray.generators == (qvec(1, 0),)
+    assert contains(ray, qvec(1, 0))
+    assert not contains(ray, qvec(-1, 0))
+    with pytest.raises(ConeError, match="trivial cone"):
+        OrderingCone(2, (qvec(0, 0),))
 
 
 def test_contains_orthant():
@@ -230,8 +242,7 @@ def test_min_max_duality_and_reference(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_contains_fast_path_matches_lp_path(seed):
-    # same set, different code paths: unit generators take the sign test,
-    # the redundant third generator forces the feasibility program
+    # the same set from two generator lists, one with a redundant generator
     rng = random.Random(seed)
     fast = make_cone(2, [qvec(2, 0), qvec(0, 3)])
     slow = make_cone(2, [qvec(1, 0), qvec(0, 1), qvec(1, 1)])
@@ -253,3 +264,87 @@ def test_quasi_interior_exact_on_1000_members():
             continue
         assert lam.dot(member) > 0
         checked += 1
+
+
+def _combination(rng, vectors, lo, hi):
+    out = QVector.zeros(vectors[0].dim)
+    for v in vectors:
+        out = out + v.scale(Fraction(rng.randint(lo, hi), rng.choice((1, 2))))
+    return out
+
+
+def random_cone_any_rank(rng, k):
+    """A pointed cone in R^k whose span has any dimension 1..k, with
+    redundant generators (positive combinations of others) half the time."""
+    while True:
+        span = [qvec(*[random_rational(rng, -4, 4) for _ in range(k)]) for _ in range(rng.randint(1, k))]
+        gens = [_combination(rng, span, -3, 3) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            gens.append(_combination(rng, gens, 0, 3))
+        try:
+            return make_cone(k, gens)
+        except ConeError:
+            continue
+
+
+def _queries(rng, cone):
+    """Random vectors, vectors of the span and members of the cone."""
+    gens = list(cone.generators)
+    out = [qvec(*[random_rational(rng, -4, 4) for _ in range(cone.dim)]) for _ in range(3)]
+    out += [_combination(rng, gens, -2, 3) for _ in range(4)]
+    out += [_combination(rng, gens, 0, 3) for _ in range(3)]
+    return out
+
+
+def _lp_contains(cone, v):
+    return solve_feasibility(generator_matrix(cone), v) is not None
+
+
+def test_facet_contains_matches_feasibility_lp():
+    rng = random.Random(2010)
+    checked = {True: 0, False: 0}
+    low_dim = 0
+    for k in (1, 2, 3, 4):
+        for _ in range(40):
+            cone = random_cone_any_rank(rng, k)
+            low_dim += generator_matrix(cone).rank() < k
+            for v in _queries(rng, cone):
+                want = _lp_contains(cone, v)
+                assert contains(cone, v) == want, (cone.generators, v)
+                checked[want] += 1
+    assert min(checked.values()) > 100 and low_dim > 20
+
+
+def test_facets_are_nonnegative_on_generators():
+    rng = random.Random(1953)
+    for k in (1, 2, 3, 4):
+        for _ in range(40):
+            cone = random_cone_any_rank(rng, k)
+            assert cone.facets
+            assert all(h.dot(g) >= 0 for h in cone.facets for g in cone.generators)
+
+
+def test_cone_order_runs_no_lp(monkeypatch):
+    rng = random.Random(1996)
+    cases = []
+    for cone in [wedge(), orthant(3)] + [random_cone_any_rank(rng, k) for k in (2, 3, 3, 4)]:
+        points = _queries(rng, cone)[:6]
+        below = {(i, j): i != j and _lp_contains(cone, q - p) for i, p in enumerate(points) for j, q in enumerate(points)}
+        cases.append((cone, points, below))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(lp_module, "solve_lp", no_lp)
+    monkeypatch.setattr(lp_module, "solve_feasibility", no_lp)
+    monkeypatch.setattr(cone_module, "solve_general", no_lp)
+    for cone, points, below in cases:
+        for (i, j), less in below.items():
+            p, q = points[i], points[j]
+            assert contains(cone, q - p) == (less or p == q)
+            expected = Comparison.EQUAL if p == q else Comparison.LESS if less else None
+            if expected is None:
+                expected = Comparison.GREATER if below[j, i] else Comparison.INCOMPARABLE
+            assert cmp(cone, p, q) is expected
+        dominated = {i for (j, i), less in below.items() if less and points[i] != points[j]}
+        assert min_elements_finite(cone, points) == [p for i, p in enumerate(points) if i not in dominated]
