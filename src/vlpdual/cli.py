@@ -27,6 +27,7 @@ from .model import (
     ProblemFormatError,
     candidate_from_dict,
     candidate_to_dict,
+    decode_json,
     load_problem,
     objective_D,
     problem_to_dict,
@@ -42,7 +43,7 @@ def _load(path: str):
 
 
 def _parse_cli_vector(text: str) -> QVector:
-    data = json.loads(text)
+    data = decode_json(text)
     if not isinstance(data, list) or not data:
         raise ValueError("expected a nonempty JSON array of rationals")
     return qvec(*data)
@@ -119,7 +120,7 @@ def _cmd_dual_construct(args) -> int:
 def _cmd_check_dual(args) -> int:
     problem = _load(args.file)
     with open(args.dual, "r", encoding="utf-8") as handle:
-        data = json.loads(handle.read())
+        data = decode_json(handle.read())
     cand = candidate_from_dict(data, problem, args.kind)
     if args.kind == "D":
         feasible = duality.check_feasible_D(problem, cand)
@@ -239,9 +240,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except json.JSONDecodeError as exc:
-        print(f"input error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -1,28 +1,31 @@
-"""Feasibility checks for the five dual problems, exact membership oracles
-for their image sets, and the constructive maps between them.
+"""Feasibility checks for the five dual problems, one exact membership
+query for the chain of their image sets, and the constructive maps
+between them.
 
 The bilinear coupling between lam and U in the dual systems disappears
-under the substitution z = U^T lam. Every image-set question is then asked
-of one polyhedron per problem,
+under the substitution z = U^T lam. The image sets hJ, hB and hL are then
+decided together on one polyhedron per problem,
 
     P = {(lam, z) : lam.g >= 1 on every generator, L^T lam - A^T z >= 0},
 
 whose feasible set does not depend on the probe value d; only the linear
 functional f(lam, z) = lam.d - b.z does (geometric duality, Heyde & Lohne
-2008). `DualPolyhedron` runs phase I on P once and answers each probe with
-phase II only:
+2008). `DualPolyhedron` runs phase I on P once, and
+`DualPolyhedron.image_sets(d)` answers each probe with at most two phase-II
+solves:
 
 - d is in hL iff min f over P is <= 0;
-- d is in hB iff min f <= 0 <= max f: P is convex, so f(P) is an interval,
-  and it contains 0 exactly then.
+- d is in hB iff also max f >= 0: P is convex, so f(P) is an interval,
+  and it contains 0 exactly then;
+- d is in hJ iff the hB point maps into the abstract dual. For b != 0 the
+  D point (lam, U, v) becomes the J point (lam, U + v b^T/(b.b)) with the
+  same objective, so hJ = hB; for b = 0 only v = 0 maps, and hJ is {0}
+  intersected with hB.
 
-A concrete U is rebuilt rank-one from the witness (lam, z) and re-checked.
-The normalization lam.g >= 1 on the cone generators is sound because every
-system here is positively homogeneous in (lam, z) jointly.
-
-The hJ image set is the hB set mapped: for b != 0 a D point (lam, U, v)
-becomes the J point (lam, U + v b^T/(b.b)) with the same objective, and
-for b = 0 hJ is {0} intersected with hB. So hJ needs no LP of its own.
+A concrete U is rebuilt rank-one from the witness (lam, z) and every
+witness is re-checked. The normalization lam.g >= 1 on the cone generators
+is sound because every system here is positively homogeneous in (lam, z)
+jointly.
 
 Two builders assemble every LP here: `cone.multiplier_program` the systems
 in lam (or in (lam, z)), and `efficiency.domination_program` the
@@ -66,8 +69,22 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class MembershipVerdict:
     member: bool
-    set_tag: str  # "hB" | "hL" | "hJ"
     candidate: DualCandidateD | DualCandidateL | DualCandidateJ | None = None
+
+
+_NOT_A_MEMBER = MembershipVerdict(False)
+
+
+@dataclass(frozen=True)
+class ImageSets:
+    """The verdicts on one value d along the chain hJ <= hB <= hL."""
+
+    hJ: MembershipVerdict
+    hB: MembershipVerdict
+    hL: MembershipVerdict
+
+
+_IN_NONE = ImageSets(_NOT_A_MEMBER, _NOT_A_MEMBER, _NOT_A_MEMBER)
 
 
 def scaled_generator(cone: OrderingCone, lam: QVector) -> QVector:
@@ -155,8 +172,9 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
 
 class DualPolyhedron:
     """P of one problem with its phase-I basis; None in place of the basis
-    when P is empty. Probes run phase II on copies, so the basis is shared
-    by every probe and never changed by them.
+    when P is empty. `image_sets(d)` is the one membership query: its
+    phase-II solves run on copies, so the basis is shared by every probe
+    and never changed by them.
 
     P's program is `multiplier_program(cone, [L; -A])`, row for row, so
     `dual_point` is the point `multiplier(cone, [L; -A])` returns.
@@ -204,87 +222,69 @@ class DualPolyhedron:
             raise DimensionError(f"value dim {d.dim} != image dim {self.problem.k}")
         return QVector(d.entries + (-self.problem.b).entries)  # f = lam.d - b.z
 
-    def hB(self, d: QVector) -> MembershipVerdict:
-        """Is d an objective value of the vector dual with objective Ub + v?
+    def image_sets(self, d: QVector) -> ImageSets:
+        """Is d in hL, hB and hJ? One minimum of f = lam.d - b.z over P and
+        at most one maximum decide all three.
 
-        d belongs exactly when f = lam.d - b.z vanishes somewhere on P; the
-        witness is a point of P with f <= 0 if f = 0 there, else its convex
-        combination with a point of f >= 0 that lands on f = 0. The D point
-        (lam, U = tilde z^T, v = d - Ub) is rebuilt and re-checked.
+        - hL: min f <= 0; the minimizer (or a point along the ray) is the
+          witness (lam, z, d).
+        - hB: also max f >= 0; the witness is the minimizer if f = 0 there,
+          else its convex combination with the maximizer that lands on
+          f = 0, rebuilt as the D point (lam, U = tilde z^T, v = d - Ub).
+        - hJ: that D point mapped as in the module docstring.
         """
         w = self._functional(d)
         if self._basis is None:
-            return MembershipVerdict(False, "hB")
+            return _IN_NONE
         low_point, low = self._lowest(w)
         if low > 0:
-            return MembershipVerdict(False, "hB")
+            return _IN_NONE
+        lam, z = self._split(low_point)
+        in_l = DualCandidateL(lam, z, d)
+        require(check_feasible_L(self.problem, in_l), "hL witness is feasible for D^L")
+        require(objective_L(in_l) == d, "hL witness attains d")
+        hL = MembershipVerdict(True, in_l)
+
         point = low_point
         if low < 0:
             high_point, neg_high = self._lowest(-w)
             high = -neg_high
             if high < 0:
-                return MembershipVerdict(False, "hB")
+                return ImageSets(_NOT_A_MEMBER, _NOT_A_MEMBER, hL)
             theta = high / (high - low)
             point = low_point.scale(theta) + high_point.scale(_ONE - theta)
         lam, z = self._split(point)
         U = outer(scaled_generator(self.problem.cone, lam), z)
-        cand = DualCandidateD(lam, U, d - (U @ self.problem.b))
-        require(check_feasible_D(self.problem, cand), "hB witness is feasible for D")
-        require(objective_D(self.problem, cand) == d, "hB witness attains d")
-        return MembershipVerdict(True, "hB", cand)
+        in_b = DualCandidateD(lam, U, d - (U @ self.problem.b))
+        require(check_feasible_D(self.problem, in_b), "hB witness is feasible for D")
+        require(objective_D(self.problem, in_b) == d, "hB witness attains d")
+        hB = MembershipVerdict(True, in_b)
 
-    def hL(self, d: QVector) -> MembershipVerdict:
-        """The hB question with lam.d = b.z relaxed to lam.d <= b.z: d
-        belongs exactly when min f over P is <= 0, and the minimizer (or a
-        point along the ray) is the witness."""
-        w = self._functional(d)
-        if self._basis is None:
-            return MembershipVerdict(False, "hL")
-        point, low = self._lowest(w)
-        if low > 0:
-            return MembershipVerdict(False, "hL")
-        lam, z = self._split(point)
-        cand = DualCandidateL(lam, z, d)
-        require(check_feasible_L(self.problem, cand), "hL witness is feasible for D^L")
-        require(objective_L(cand) == d, "hL witness attains d")
-        return MembershipVerdict(True, "hL", cand)
+        b = self.problem.b
+        if b.is_zero():
+            if not in_b.v.is_zero():
+                return ImageSets(_NOT_A_MEMBER, hB, hL)
+        else:
+            U = U + outer(in_b.v, b.scale(_ONE / b.dot(b)))
+        in_j = DualCandidateJ(lam, U)
+        require(check_feasible_J(self.problem, in_j), "hJ witness is feasible for D^J")
+        require(objective_J(self.problem, in_j) == d, "hJ witness attains d")
+        return ImageSets(MembershipVerdict(True, in_j), hB, hL)
 
 
 def membership_hB(problem: VlpProblem, d: QVector) -> MembershipVerdict:
-    """One hB query: `DualPolyhedron.hB` on a polyhedron built for it."""
-    return DualPolyhedron(problem).hB(d)
+    """One hB query: `DualPolyhedron.image_sets` on a polyhedron built for it."""
+    return DualPolyhedron(problem).image_sets(d).hB
 
 
 def membership_hL(problem: VlpProblem, d: QVector) -> MembershipVerdict:
-    """One hL query: `DualPolyhedron.hL` on a polyhedron built for it."""
-    return DualPolyhedron(problem).hL(d)
-
-
-def hJ_from_hB(problem: VlpProblem, verdict: MembershipVerdict) -> MembershipVerdict:
-    """The hJ verdict for the value of an hB verdict, by the map above."""
-    if not verdict.member:
-        return MembershipVerdict(False, "hJ")
-    cand = verdict.candidate
-    if problem.b.is_zero():
-        if not cand.v.is_zero():
-            return MembershipVerdict(False, "hJ")
-        U = cand.U
-    else:
-        U = cand.U + outer(cand.v, problem.b.scale(_ONE / problem.b.dot(problem.b)))
-    out = DualCandidateJ(cand.lam, U)
-    require(check_feasible_J(problem, out), "hJ witness is feasible for D^J")
-    require(objective_J(problem, out) == objective_D(problem, cand), "hJ witness attains d")
-    return MembershipVerdict(True, "hJ", out)
+    """One hL query: `DualPolyhedron.image_sets` on a polyhedron built for it."""
+    return DualPolyhedron(problem).image_sets(d).hL
 
 
 def membership_hJ(problem: VlpProblem, d: QVector) -> MembershipVerdict:
-    """Objective values Ub of the abstract dual: the hB verdict mapped by
-    `hJ_from_hB`, with no LP of its own."""
-    if d.dim != problem.k:
-        raise DimensionError(f"value dim {d.dim} != image dim {problem.k}")
-    if problem.b.is_zero() and not d.is_zero():
-        return MembershipVerdict(False, "hJ")
-    return hJ_from_hB(problem, membership_hB(problem, d))
+    """One hJ query: `DualPolyhedron.image_sets` on a polyhedron built for it."""
+    return DualPolyhedron(problem).image_sets(d).hJ
 
 
 def h_H_value_membership(problem: VlpProblem, U: QMatrix, d: QVector) -> bool:

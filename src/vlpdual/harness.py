@@ -24,6 +24,7 @@ from .model import (
     DualCandidateU,
     VlpProblem,
     objective_D,
+    objective_J,
     objective_L,
     problem_to_dict,
     vector_to_list,
@@ -224,7 +225,7 @@ class _InstanceContext:
     us: list[QMatrix]
     constructed: list[tuple[QVector, DualCandidateD]] = field(default_factory=list)
     feasible_us: list[QMatrix] = field(default_factory=list)
-    mapped_values: list[tuple[QVector, duality.MembershipVerdict]] = field(default_factory=list)  # (h, hB verdict)
+    mapped_values: list[tuple[QVector, duality.ImageSets]] = field(default_factory=list)
 
 
 def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig) -> _InstanceContext:
@@ -346,21 +347,21 @@ def _check_inclusion_chain(ctx: _InstanceContext, rng):
     verdicts = {}  # probe values repeat; solve each distinct one once
     for d in ctx.values:
         if d not in verdicts:
-            in_b = ctx.polyhedron.hB(d)
-            verdicts[d] = duality.hJ_from_hB(ctx.problem, in_b), in_b, ctx.polyhedron.hL(d)
-        in_j, in_b, in_l = verdicts[d]
-        if in_j.member and not in_b.member:
+            verdicts[d] = ctx.polyhedron.image_sets(d)
+        sets = verdicts[d]
+        if sets.hJ.member and not sets.hB.member:
             failures.append({"d": vector_to_list(d), "reason": "hJ member escaped hB"})
-        if in_b.member and not in_l.member:
+        if sets.hB.member and not sets.hL.member:
             failures.append({"d": vector_to_list(d), "reason": "hB member escaped hL"})
-        for verdict, checker, evaluate in (
-            (in_b, duality.check_feasible_D, lambda c: objective_D(ctx.problem, c)),
-            (in_l, duality.check_feasible_L, lambda c: objective_L(c)),
-            (in_j, duality.check_feasible_J, lambda c: c.U @ ctx.problem.b),
+        for name, checker, evaluate in (
+            ("hB", duality.check_feasible_D, lambda c: objective_D(ctx.problem, c)),
+            ("hL", duality.check_feasible_L, objective_L),
+            ("hJ", duality.check_feasible_J, lambda c: objective_J(ctx.problem, c)),
         ):
+            verdict = getattr(sets, name)
             if verdict.member:
                 if not checker(ctx.problem, verdict.candidate) or evaluate(verdict.candidate) != d:
-                    failures.append({"d": vector_to_list(d), "reason": f"bad witness for {verdict.set_tag}"})
+                    failures.append({"d": vector_to_list(d), "reason": f"bad witness for {name}"})
     return len(ctx.values), failures, None
 
 
@@ -378,14 +379,14 @@ def _check_hH_to_hB_map(ctx: _InstanceContext, rng):
             count += 1
             cand = duality.map_DH_to_D(ctx.problem, U, xbar)
             h = objective_D(ctx.problem, cand)
-            in_b = ctx.polyhedron.hB(h)
-            if not in_b.member:
+            sets = ctx.polyhedron.image_sets(h)
+            if not sets.hB.member:
                 failures.append({"h": vector_to_list(h), "reason": "mapped value escaped hB"})
                 continue
             if not duality.h_H_value_membership(ctx.problem, U, h):
                 failures.append({"h": vector_to_list(h), "reason": "mapped value not in its own image set"})
                 continue
-            ctx.mapped_values.append((h, in_b))
+            ctx.mapped_values.append((h, sets))
     return count, failures, None
 
 
@@ -424,7 +425,7 @@ def _check_minmax_coincidence(ctx: _InstanceContext, rng):
             continue
         count += 1
         w = ctx.problem.L @ vertex
-        if not ctx.polyhedron.hB(w).member:
+        if not ctx.polyhedron.image_sets(w).hB.member:
             failures.append({"w": vector_to_list(w), "reason": "minimal value not in hB"})
             continue
         for cand in ctx.duals:
@@ -440,9 +441,9 @@ def _check_strictness(ctx: _InstanceContext, rng):
     found_j_vs_h = []
     candidates_h_vs_b = []
     count = 0
-    for h, in_b in ctx.mapped_values[:_STRICTNESS_PROBES]:
+    for h, sets in ctx.mapped_values[:_STRICTNESS_PROBES]:
         count += 1
-        if not duality.hJ_from_hB(ctx.problem, in_b).member:
+        if not sets.hJ.member:
             found_j_vs_h.append(vector_to_list(h))
     if ctx.feasible_us:
         for cand in ctx.duals[:_STRICTNESS_PROBES]:

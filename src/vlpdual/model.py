@@ -182,11 +182,19 @@ def problem_from_dict(data: dict) -> VlpProblem:
     return VlpProblem(L, A, b, cone)
 
 
-def load_problem(text: str) -> VlpProblem:
+def decode_json(text: str):
+    """`json.loads`, with malformed text and nesting too deep to decode both
+    raised as ProblemFormatError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ProblemFormatError("invalid JSON: nested too deeply") from None
+
+
+def load_problem(text: str) -> VlpProblem:
+    data = decode_json(text)
     if not isinstance(data, dict):
         raise ProblemFormatError("top level must be an object")
     return problem_from_dict(data)

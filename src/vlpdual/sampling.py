@@ -10,13 +10,9 @@ from fractions import Fraction
 
 from .cone import ConeError, OrderingCone, in_quasi_interior, make_cone, orthant
 from .duality import DualPolyhedron, check_feasible_D, scaled_generator
-from .exact import QMatrix, QVector, outer, require
+from .exact import QMatrix, QVector, outer, require, solve_linear_system
 from .lp import Basis, GeneralProgram, GenRow, Infeasible, Optimal, phase_one, phase_two, to_standard_form
 from .model import DualCandidateD, VlpProblem, objective_D
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def random_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3)))
@@ -84,30 +80,12 @@ def sample_quasi_interior(rng: random.Random, cone: OrderingCone, count: int) ->
     return out[:count]
 
 
-def _orthogonal_basis(lam: QVector) -> list[QVector]:
-    """Basis of the hyperplane lam.v = 0."""
-    pivot = next(i for i, e in enumerate(lam) if e != 0)
-    basis = []
-    for j in range(lam.dim):
-        if j == pivot:
-            continue
-        vec = [_ZERO] * lam.dim
-        vec[j] = _ONE
-        vec[pivot] = -lam[j] / lam[pivot]
-        basis.append(QVector(tuple(vec)))
-    return basis
-
-
 def _z_program(problem: VlpProblem, lam: QVector) -> tuple[GeneralProgram, Basis | None]:
     """{z : L^T lam - A^T z >= 0} as a program over free z, with its
     phase-I basis, or None in place of the basis when the set is empty."""
-    n, m, k = problem.n, problem.m, problem.k
-    rows = []
-    for j in range(n):
-        coeffs = QVector(tuple(-problem.A.at(i, j) for i in range(m)))
-        bound = -sum((problem.L.at(i, j) * lam[i] for i in range(k)), _ZERO)
-        rows.append(GenRow(coeffs, ">=", bound))
-    gp = GeneralProgram(QVector.zeros(m), tuple(rows), free=True)
+    bounds = problem.L.T @ lam
+    rows = tuple(GenRow(-problem.A.col(j), ">=", -bounds[j]) for j in range(problem.n))
+    gp = GeneralProgram(QVector.zeros(problem.m), rows, free=True)
     start = phase_one(to_standard_form(gp))
     return gp, None if isinstance(start, Infeasible) else start
 
@@ -155,14 +133,14 @@ def sample_dual_points(
             continue
         tilde = scaled_generator(problem.cone, lam)
         U = outer(tilde, z)
+        ortho = solve_linear_system(QMatrix(1, problem.k, lam.entries), QVector.zeros(1)).nullspace  # lam.v = 0
         if rng.random() < 0.5:
-            ortho = _orthogonal_basis(lam)
             w = QVector.zeros(problem.k)
             for vec in ortho:
                 w = w + vec.scale(random_rational(rng, -3, 3))
             U = U + outer(w, random_vector(rng, problem.m, -3, 3))
         v = QVector.zeros(problem.k)
-        for vec in _orthogonal_basis(lam):
+        for vec in ortho:
             v = v + vec.scale(random_rational(rng, -4, 4))
         cand = DualCandidateD(lam, U, v)
         require(check_feasible_D(problem, cand), "sampled dual point is feasible for D")

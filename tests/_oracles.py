@@ -8,7 +8,7 @@ from vlpdual.duality import scaled_generator
 from vlpdual.exact import QMatrix, QVector, outer, solve_linear_system
 from vlpdual.lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
 from vlpdual.model import DualCandidateD
-from vlpdual.sampling import _orthogonal_basis, random_rational, random_vector, sample_quasi_interior
+from vlpdual.sampling import random_rational, random_vector, sample_quasi_interior
 
 
 def brute_vertices(a: QMatrix, b: QVector) -> list[QVector]:
@@ -30,6 +30,21 @@ def brute_vertices(a: QMatrix, b: QVector) -> list[QVector]:
             seen.add(key)
             out.append(QVector(key))
     return out
+
+
+def orthogonal_basis(lam: QVector) -> list[QVector]:
+    """Basis of the hyperplane lam.v = 0 by the explicit formula: e_j with
+    -lam[j]/lam[p] at the first nonzero index p, for every j != p."""
+    pivot = next(i for i, e in enumerate(lam) if e != 0)
+    basis = []
+    for j in range(lam.dim):
+        if j == pivot:
+            continue
+        vec = [Fraction(0)] * lam.dim
+        vec[j] = Fraction(1)
+        vec[pivot] = -lam[j] / lam[pivot]
+        basis.append(QVector(tuple(vec)))
+    return basis
 
 
 def lam_z_stack(problem) -> QMatrix:
@@ -94,11 +109,11 @@ def reference_sample_dual_points(problem, rng, count: int, polyhedron) -> list:
         U = outer(scaled_generator(problem.cone, lam), z)
         if rng.random() < 0.5:
             w = QVector.zeros(problem.k)
-            for vec in _orthogonal_basis(lam):
+            for vec in orthogonal_basis(lam):
                 w = w + vec.scale(random_rational(rng, -3, 3))
             U = U + outer(w, random_vector(rng, problem.m, -3, 3))
         v = QVector.zeros(problem.k)
-        for vec in _orthogonal_basis(lam):
+        for vec in orthogonal_basis(lam):
             v = v + vec.scale(random_rational(rng, -4, 4))
         out.append(DualCandidateD(lam, U, v))
     return out

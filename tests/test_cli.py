@@ -145,6 +145,36 @@ def test_check_dual_malformed_is_input_error(r5_file, tmp_path, capsys, dual):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
+
+
+def test_nested_problem_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["member", "--set", "hB", "--value"], ["recover", "--value"], ["certify", "--point"]],
+)
+def test_nested_cli_vector_is_input_error(r5_file, capsys, argv):
+    deep = "[" * 50_000 + "]" * 50_000
+    assert main([argv[0], r5_file, *argv[1:], deep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_nested_dual_file_is_input_error(r5_file, tmp_path, capsys):
+    dual_path = tmp_path / "deep_dual.json"
+    dual_path.write_text(_DEEP)
+    assert main(["check-dual", r5_file, "--dual", str(dual_path), "--kind", "D"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_recover(seg_file, capsys):
     assert main(["recover", seg_file, "--value", "[\"1\", \"0\"]", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"recovered": ["1", "0"]}

@@ -452,13 +452,20 @@ def test_phase_two_oracles_agree_with_single_lp_systems(no_dual_problem):
         values += [QVector.zeros(problem.k)] + [random_vector(rng, problem.k, -4, 4) for _ in range(4)]
         for d in values:
             branches[_branch(problem, d)] += 1
-            in_b, in_l = P.hB(d), P.hL(d)
+            sets = P.image_sets(d)
+            in_j, in_b, in_l = sets.hJ, sets.hB, sets.hL
             assert in_b.member == (reference_membership(problem, d, relaxed=False) is not None)
             assert in_l.member == (reference_membership(problem, d, relaxed=True) is not None)
+            if problem.b.is_zero():
+                assert in_j.member == (d.is_zero() and in_b.member)
+            else:
+                assert in_j.member == in_b.member
             if in_b.member:
                 assert check_feasible_D(problem, in_b.candidate) and objective_D(problem, in_b.candidate) == d
             if in_l.member:
                 assert check_feasible_L(problem, in_l.candidate) and objective_L(in_l.candidate) == d
+            if in_j.member:
+                assert check_feasible_J(problem, in_j.candidate) and objective_J(problem, in_j.candidate) == d
     assert all(branches.values()), branches
 
 
@@ -490,3 +497,26 @@ def test_dual_polyhedron_built_once_per_instance(monkeypatch):
         built.clear()
         assert run_instance_suite(problem, seed=5, config=cfg).ok
         assert built == [problem]
+
+
+def test_inclusion_chain_solves_each_minimum_once(monkeypatch):
+    from vlpdual import harness
+
+    solves = []
+    phase_two = duality.phase_two
+
+    def recording_phase_two(start, c):
+        solves.append((id(start), c))
+        return phase_two(start, c)
+
+    monkeypatch.setattr(duality, "phase_two", recording_phase_two)
+    cfg = CampaignConfig(dual_samples=8, primal_samples=4, value_samples=16)
+    total = 0
+    for index, (instance, problem) in enumerate(harness._campaign_instances(42, 4)):
+        rng = random.Random(index)
+        ctx = harness._build_context(problem, rng, cfg)
+        solves.clear()
+        harness._check_inclusion_chain(ctx, rng)
+        assert len(solves) == len(set(solves)), f"{instance}: a cost was solved twice on the same basis"
+        total += len(solves)
+    assert total > 0
