@@ -228,7 +228,8 @@ def min_elements_finite(cone: OrderingCone, points) -> list[QVector]:
 
 
 def max_elements_finite(cone: OrderingCone, points) -> list[QVector]:
-    return min_elements_finite(negate(cone), points)
+    """Minima of the negated points under the same cone, negated back."""
+    return [-p for p in min_elements_finite(cone, [-p for p in points])]
 
 
 def separate_from_cone(cone: OrderingCone, m_points, m_rays) -> SeparationCertificate | None:

@@ -10,9 +10,9 @@ decided together on one polyhedron per problem,
 
 whose feasible set does not depend on the probe value d; only the linear
 functional f(lam, z) = lam.d - b.z does (geometric duality, Heyde & Lohne
-2008). `DualPolyhedron` runs phase I on P once, and
-`DualPolyhedron.image_sets(d)` answers each probe with at most two phase-II
-solves:
+2008). `DualPolyhedron` is P as an `lp.Region`: phase I runs once per
+problem, and `DualPolyhedron.image_sets(d)` answers each probe with at most
+two `Region.minimize` calls:
 
 - d is in hL iff min f over P is <= 0;
 - d is in hB iff also max f >= 0: P is convex, so f(P) is an interval,
@@ -40,17 +40,7 @@ from fractions import Fraction
 from .cone import OrderingCone, in_quasi_interior, multiplier, multiplier_program, strictly_below
 from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
 from .exact import DimensionError, QMatrix, QVector, outer, require
-from .lp import (
-    Infeasible,
-    LinearProgram,
-    Optimal,
-    phase_one,
-    phase_two,
-    solve_feasibility,
-    solve_general,
-    solve_lp,
-    to_standard_form,
-)
+from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_general, solve_lp
 from .model import (
     DualCandidateD,
     DualCandidateJ,
@@ -170,11 +160,10 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
     return solve_feasibility(eq, rhs)
 
 
-class DualPolyhedron:
-    """P of one problem with its phase-I basis; None in place of the basis
-    when P is empty. `image_sets(d)` is the one membership query: its
-    phase-II solves run on copies, so the basis is shared by every probe
-    and never changed by them.
+class DualPolyhedron(Region):
+    """P of one problem as a Region over (lam, z). `image_sets(d)` is the
+    one membership query; its minima run on copies of the phase-I basis,
+    so every probe shares it and none changes it.
 
     P's program is `multiplier_program(cone, [L; -A])`, row for row, so
     `dual_point` is the point `multiplier(cone, [L; -A])` returns.
@@ -183,13 +172,7 @@ class DualPolyhedron:
     def __init__(self, problem: VlpProblem):
         self.problem = problem
         stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
-        self._gp = multiplier_program(problem.cone, stacked)
-        start = phase_one(to_standard_form(self._gp))
-        self._basis = None if isinstance(start, Infeasible) else start
-
-    @property
-    def empty(self) -> bool:
-        return self._basis is None
+        super().__init__(multiplier_program(problem.cone, stacked))
 
     def _split(self, point: QVector) -> tuple[QVector, QVector]:
         k = self.problem.k
@@ -197,9 +180,9 @@ class DualPolyhedron:
 
     def dual_point(self) -> DualCandidateD | None:
         """A concrete feasible point of the vector dual (v = 0), or None."""
-        if self._basis is None:
+        if self.empty:
             return None
-        lam, z = self._split(self._gp.back(self._basis.x))
+        lam, z = self._split(self.point)
         cand = DualCandidateD(lam, outer(scaled_generator(self.problem.cone, lam), z), QVector.zeros(self.problem.k))
         require(check_feasible_D(self.problem, cand), "dual point is feasible for D")
         return cand
@@ -208,14 +191,13 @@ class DualPolyhedron:
         """A point of P minimizing w and its value; when w is unbounded
         below on P, the point along the ray where w reaches 0 (or the ray's
         start when w is already <= 0 there)."""
-        out = phase_two(self._basis, self._gp.cost(w))
+        out = self.minimize(w)
         if isinstance(out, Optimal):
-            return self._gp.back(out.x), out.value
-        point, ray = self._gp.back(out.x0), self._gp.back(out.ray)
-        value = w.dot(point)
+            return out.x, out.value
+        value = w.dot(out.x0)
         if value > 0:
-            return point + ray.scale(value / -w.dot(ray)), _ZERO
-        return point, value
+            return out.x0 + out.ray.scale(value / -w.dot(out.ray)), _ZERO
+        return out.x0, value
 
     def _functional(self, d: QVector) -> QVector:
         if d.dim != self.problem.k:
@@ -234,7 +216,7 @@ class DualPolyhedron:
         - hJ: that D point mapped as in the module docstring.
         """
         w = self._functional(d)
-        if self._basis is None:
+        if self.empty:
             return _IN_NONE
         low_point, low = self._lowest(w)
         if low > 0:

@@ -28,10 +28,11 @@ from .model import VlpProblem, primal_feasible
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+VERTEX_LIMIT = 100_000  # most column subsets enumerate_vertices will try
 
 
 class VertexLimitError(RuntimeError):
-    """Raised when basis enumeration would exceed the configured budget."""
+    """Raised when basis enumeration would try more than VERTEX_LIMIT subsets."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def verify_scalarization_certificate(
     return lam.dot(problem.L @ xbar) + problem.b.dot(eta) == 0
 
 
-def enumerate_vertices(problem: VlpProblem, limit: int = 100000) -> list[QVector]:
+def enumerate_vertices(problem: VlpProblem) -> list[QVector]:
     """All basic feasible solutions of {x >= 0 : Ax = b}, deduplicated and sorted.
 
     The feasible set contains no lines, so it is empty exactly when this
@@ -133,9 +134,9 @@ def enumerate_vertices(problem: VlpProblem, limit: int = 100000) -> list[QVector
     """
     A, b, n = problem.A, problem.b, problem.n
     r = A.rank()
-    if math.comb(n, r) > limit:
+    if math.comb(n, r) > VERTEX_LIMIT:
         raise VertexLimitError(
-            f"basis enumeration needs {math.comb(n, r)} subsets (limit {limit}); shrink the instance"
+            f"basis enumeration needs {math.comb(n, r)} subsets (limit {VERTEX_LIMIT}); shrink the instance"
         )
     if r == 0:
         return [QVector.zeros(n)] if b.is_zero() else []

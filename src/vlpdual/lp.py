@@ -7,13 +7,13 @@ is used unconditionally, so pivoting terminates on every input.
 
 `solve_lp` is two functions composed. `phase_one(lp)` finds a feasible
 basis (or the Farkas certificate) and `phase_two(basis, c)` minimizes a
-cost from it. A program solved for many costs over one feasible set runs
-phase I once and phase II per cost; the stored basis is never changed by
-the solves made from it.
+cost from it; the stored basis is never changed by the solves made from it.
 
 The general form (<=, >=, = rows over all-free or all-nonnegative
 variables) reduces to the standard form and answers with the same three
-outcomes. `solve_feasibility` asks for a nonnegative solution of Mx = b.
+outcomes. A general feasible set searched with many costs is a `Region`:
+phase I once, then phase II per cost, answered in the program's own
+variables. `solve_feasibility` asks for a nonnegative solution of Mx = b.
 """
 
 from __future__ import annotations
@@ -324,15 +324,46 @@ def to_standard_form(gp: GeneralProgram) -> LinearProgram:
     )
 
 
-def solve_general(gp: GeneralProgram) -> LpOutcome:
-    """solve_lp on the standard form; x, x0 and ray come back in gp's
-    variables, y and farkas stay indexed by gp's rows."""
-    out = solve_lp(to_standard_form(gp))
+def _in_variables(gp: GeneralProgram, out: LpOutcome) -> LpOutcome:
+    """A standard-form outcome with x, x0 and ray in gp's variables; y and
+    farkas stay indexed by gp's rows."""
     if isinstance(out, Optimal):
         return Optimal(gp.back(out.x), out.y, out.value)
     if isinstance(out, Unbounded):
         return Unbounded(gp.back(out.x0), gp.back(out.ray))
     return out
+
+
+def solve_general(gp: GeneralProgram) -> LpOutcome:
+    """solve_lp on the standard form, answered in gp's variables."""
+    return _in_variables(gp, solve_lp(to_standard_form(gp)))
+
+
+class Region:
+    """The feasible set of gp's rows after one phase I; gp's objective is
+    not used. `minimize(w)` runs phase II on a copy of the stored basis,
+    so every cost asked of the set shares that one phase I.
+    """
+
+    def __init__(self, gp: GeneralProgram):
+        self._gp = gp
+        start = phase_one(to_standard_form(gp))
+        self._basis = None if isinstance(start, Infeasible) else start
+
+    @property
+    def empty(self) -> bool:
+        return self._basis is None
+
+    @property
+    def point(self) -> QVector | None:
+        """The basic feasible point in gp's variables, or None when empty."""
+        return None if self._basis is None else self._gp.back(self._basis.x)
+
+    def minimize(self, w: QVector) -> Optimal | Unbounded:
+        """min w.x over the set, w and the answer in gp's variables."""
+        if self._basis is None:
+            raise ValueError("the region is empty")
+        return _in_variables(self._gp, phase_two(self._basis, self._gp.cost(w)))
 
 
 def solve_feasibility(M: QMatrix, rhs: QVector) -> QVector | None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .cone import ConeError, OrderingCone, in_quasi_interior, make_cone, orthant
 from .duality import DualPolyhedron, check_feasible_D, scaled_generator
 from .exact import QMatrix, QVector, outer, require, solve_linear_system
-from .lp import Basis, GeneralProgram, GenRow, Infeasible, Optimal, phase_one, phase_two, to_standard_form
+from .lp import GeneralProgram, GenRow, Optimal, Region
 from .model import DualCandidateD, VlpProblem, objective_D
 
 def random_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
@@ -80,29 +80,6 @@ def sample_quasi_interior(rng: random.Random, cone: OrderingCone, count: int) ->
     return out[:count]
 
 
-def _z_program(problem: VlpProblem, lam: QVector) -> tuple[GeneralProgram, Basis | None]:
-    """{z : L^T lam - A^T z >= 0} as a program over free z, with its
-    phase-I basis, or None in place of the basis when the set is empty."""
-    bounds = problem.L.T @ lam
-    rows = tuple(GenRow(-problem.A.col(j), ">=", -bounds[j]) for j in range(problem.n))
-    gp = GeneralProgram(QVector.zeros(problem.m), rows, free=True)
-    start = phase_one(to_standard_form(gp))
-    return gp, None if isinstance(start, Infeasible) else start
-
-
-def _sample_z(z_program: tuple[GeneralProgram, Basis | None], rng: random.Random) -> QVector | None:
-    """A point of lam's z-set, steered by a random objective: phase II from
-    the set's phase-I basis, which gives the point one `solve_general` over
-    the same rows with that objective gives. The objective is drawn even
-    when the set is empty, so the rng sequence does not depend on it."""
-    gp, start = z_program
-    objective = random_vector(rng, gp.n, -3, 3)
-    if start is None:
-        return None
-    out = phase_two(start, gp.cost(objective))
-    return gp.back(out.x if isinstance(out, Optimal) else out.x0)
-
-
 def sample_dual_points(
     problem: VlpProblem, rng: random.Random, count: int, polyhedron: DualPolyhedron
 ) -> list[DualCandidateD]:
@@ -111,8 +88,9 @@ def sample_dual_points(
     The first is `polyhedron.dual_point()`, with polyhedron the problem's
     P. U is built rank-one from a sampled z, optionally bumped by a
     rank-one term orthogonal to lam, which preserves feasibility exactly.
-    Each distinct lam's z-set runs phase I once per call, and its samples
-    are phase II solves from that basis. Returns fewer than requested
+    Each distinct lam's z-set is one Region per call, and a sample is its
+    minimum under a random objective: the point one `solve_general` over
+    the same rows with that objective gives. Returns fewer than requested
     (possibly none) when the dual is infeasible or nearly so.
     """
     out: list[DualCandidateD] = []
@@ -121,16 +99,21 @@ def sample_dual_points(
         return []
     out.append(seeded)
     lams = sample_quasi_interior(rng, problem.cone, max(4, count // 8))
-    z_programs: dict[QVector, tuple[GeneralProgram, Basis | None]] = {}
+    z_regions: dict[QVector, Region] = {}
     attempts = 0
     while len(out) < count and attempts < 4 * count:
         attempts += 1
         lam = lams[rng.randrange(len(lams))]
-        if lam not in z_programs:
-            z_programs[lam] = _z_program(problem, lam)
-        z = _sample_z(z_programs[lam], rng)
-        if z is None:
+        if lam not in z_regions:  # {z : L^T lam - A^T z >= 0} over free z
+            bounds = problem.L.T @ lam
+            rows = tuple(GenRow(-problem.A.col(j), ">=", -bounds[j]) for j in range(problem.n))
+            z_regions[lam] = Region(GeneralProgram(QVector.zeros(problem.m), rows, free=True))
+        # drawn also for an empty z-set, so the rng sequence does not depend on it
+        objective = random_vector(rng, problem.m, -3, 3)
+        if z_regions[lam].empty:
             continue
+        lowest = z_regions[lam].minimize(objective)
+        z = lowest.x if isinstance(lowest, Optimal) else lowest.x0
         tilde = scaled_generator(problem.cone, lam)
         U = outer(tilde, z)
         ortho = solve_linear_system(QMatrix(1, problem.k, lam.entries), QVector.zeros(1)).nullspace  # lam.v = 0

@@ -348,3 +348,22 @@ def test_cone_order_runs_no_lp(monkeypatch):
             assert cmp(cone, p, q) is expected
         dominated = {i for (j, i), less in below.items() if less and points[i] != points[j]}
         assert min_elements_finite(cone, points) == [p for i, p in enumerate(points) if i not in dominated]
+
+
+def test_max_elements_reuse_the_cones_facets(monkeypatch):
+    # a warm cone enumerates no facets again, for minima and maxima alike
+    rng = random.Random(7)
+    cone = random_cone_any_rank(rng, 3)
+    points = _queries(rng, cone)[:6]
+    expected = max_elements_finite(cone, points)
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return nullspace(*args)
+
+    nullspace = cone_module._nullspace
+    monkeypatch.setattr(cone_module, "_nullspace", counted)
+    assert max_elements_finite(cone, points) == expected
+    assert min_elements_finite(cone, points) == brute_min(cone, points)
+    assert solves == []

@@ -500,16 +500,16 @@ def test_dual_polyhedron_built_once_per_instance(monkeypatch):
 
 
 def test_inclusion_chain_solves_each_minimum_once(monkeypatch):
-    from vlpdual import harness
+    from vlpdual import harness, lp
 
     solves = []
-    phase_two = duality.phase_two
+    phase_two = lp.phase_two
 
     def recording_phase_two(start, c):
         solves.append((id(start), c))
         return phase_two(start, c)
 
-    monkeypatch.setattr(duality, "phase_two", recording_phase_two)
+    monkeypatch.setattr(lp, "phase_two", recording_phase_two)
     cfg = CampaignConfig(dual_samples=8, primal_samples=4, value_samples=16)
     total = 0
     for index, (instance, problem) in enumerate(harness._campaign_instances(42, 4)):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from vlpdual.cone import cmp, Comparison, generator_matrix, orthant
 from vlpdual.efficiency import (
+    VERTEX_LIMIT,
     VertexLimitError,
     domination_program,
     efficient_vertices,
@@ -34,9 +36,13 @@ def test_point_polytope_vertex():
     assert enumerate_vertices(p) == [qvec(1, 1)]
 
 
-def test_vertex_limit(seg_problem):
+def test_vertex_limit():
+    # A = [I I] has rank 10 over 20 columns: C(20, 10) = 184,756 bases, over the limit.
+    eye = QMatrix.identity(10)
+    A = QMatrix(10, 20, tuple(eye.at(i, j % 10) for i in range(10) for j in range(20)))
+    assert math.comb(20, 10) > VERTEX_LIMIT
     with pytest.raises(VertexLimitError):
-        enumerate_vertices(seg_problem, limit=1)
+        enumerate_vertices(VlpProblem(QMatrix.zeros(2, 20), A, QVector((Fraction(1),) * 10), orthant(2)))
 
 
 def test_segment_vertices_efficient(seg_problem):

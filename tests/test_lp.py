@@ -13,6 +13,7 @@ from vlpdual.lp import (
     Infeasible,
     LinearProgram,
     Optimal,
+    Region,
     Unbounded,
     phase_one,
     phase_two,
@@ -246,10 +247,7 @@ def test_solve_general_free_r5_system():
     assert lam1 >= 1 and lam2 >= 1 and -z1 - z2 >= 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_general_solutions_satisfy_rows(seed):
-    rng = random.Random(seed)
+def _random_general_program(rng) -> GeneralProgram:
     n = rng.randint(1, 4)
     rows = []
     for _ in range(rng.randint(1, 4)):
@@ -257,26 +255,54 @@ def test_general_solutions_satisfy_rows(seed):
         rel = rng.choice(("<=", ">=", "="))
         rows.append(GenRow(coeffs, rel, random_rational(rng)))
     free = rng.choice((True, False))
-    gp = GeneralProgram(QVector(tuple(random_rational(rng) for _ in range(n))), tuple(rows), free)
+    return GeneralProgram(QVector(tuple(random_rational(rng) for _ in range(n))), tuple(rows), free)
 
-    def satisfies(x, homogeneous=False):
-        for row in rows:
-            lhs, rhs = row.coeffs.dot(x), (0 if homogeneous else row.rhs)
-            if not ((lhs <= rhs) if row.rel == "<=" else (lhs >= rhs) if row.rel == ">=" else (lhs == rhs)):
-                return False
-        return free or x.is_nonneg()
 
+def _satisfies(gp: GeneralProgram, x: QVector, homogeneous=False) -> bool:
+    for row in gp.rows:
+        lhs, rhs = row.coeffs.dot(x), (0 if homogeneous else row.rhs)
+        if not ((lhs <= rhs) if row.rel == "<=" else (lhs >= rhs) if row.rel == ">=" else (lhs == rhs)):
+            return False
+    return gp.free or x.is_nonneg()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_general_solutions_satisfy_rows(seed):
+    gp = _random_general_program(random.Random(seed))
     out = solve_general(gp)
     if isinstance(out, Optimal):
-        assert satisfies(out.x)
+        assert _satisfies(gp, out.x)
         assert out.value == gp.objective.dot(out.x)
-        assert out.value == QVector(tuple(row.rhs for row in rows)).dot(out.y)  # y is indexed by gp's rows
+        assert out.value == QVector(tuple(row.rhs for row in gp.rows)).dot(out.y)  # y is indexed by gp's rows
     elif isinstance(out, Infeasible):
         assert verify_farkas(to_standard_form(gp), out.farkas)
     else:
         assert isinstance(out, Unbounded)
-        assert satisfies(out.x0) and satisfies(out.ray, homogeneous=True)
+        assert _satisfies(gp, out.x0) and _satisfies(gp, out.ray, homogeneous=True)
         assert gp.objective.dot(out.ray) < 0
+
+
+def test_region_minimize_is_solve_general_per_cost():
+    # One phase I per feasible set; each cost then answers exactly as a
+    # fresh solve_general of the same rows with that objective.
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(150):
+        gp = _random_general_program(rng)
+        region = Region(gp)
+        assert region.empty == isinstance(solve_general(gp), Infeasible)
+        if region.empty:
+            assert region.point is None
+            with pytest.raises(ValueError):
+                region.minimize(gp.objective)
+            continue
+        assert _satisfies(gp, region.point)
+        for w in [gp.objective] + [QVector(tuple(random_rational(rng) for _ in range(gp.n))) for _ in range(2)]:
+            out = region.minimize(w)
+            assert out == solve_general(GeneralProgram(w, gp.rows, gp.free))
+            kinds.add(type(out))
+    assert kinds == {Optimal, Unbounded}
 
 
 def _criterion_8_lps(rng, count):

@@ -1,7 +1,7 @@
 import random
 
 from _oracles import reference_sample_dual_points
-from vlpdual import sampling
+from vlpdual import lp
 from vlpdual.duality import DualPolyhedron, check_feasible_D
 from vlpdual.lp import Infeasible, phase_one
 from vlpdual.sampling import random_problem, sample_dual_points, sample_quasi_interior
@@ -13,24 +13,25 @@ SEEDS = (0, 1, 2, 3, 4, 5, 6, 11, 25, 30, 33)
 def test_sample_dual_points_match_per_sample_solves(monkeypatch):
     runs = []
 
-    def counted(lp):
-        out = phase_one(lp)
+    def counted(program):
+        out = phase_one(program)
         runs.append(out)
         return out
 
-    monkeypatch.setattr(sampling, "phase_one", counted)
+    monkeypatch.setattr(lp, "phase_one", counted)
     empty_sets = samples = 0
     for seed in SEEDS:
         problem = random_problem(random.Random(seed))
         polyhedron = DualPolyhedron(problem)
         runs.clear()
         got = sample_dual_points(problem, random.Random(seed), 16, polyhedron)
-        assert got == reference_sample_dual_points(problem, random.Random(seed), 16, polyhedron)
-        assert all(check_feasible_D(problem, cand) for cand in got)
         # the rng draws the lam pool right after the seeded point, as the sampler does
         lams = sample_quasi_interior(random.Random(seed), problem.cone, 4)
         assert len(runs) <= len(set(lams)), "phase I ran more than once for one lam"
         empty_sets += sum(isinstance(run, Infeasible) for run in runs)
+        # the reference solves each sample afresh, so it is run after the count
+        assert got == reference_sample_dual_points(problem, random.Random(seed), 16, polyhedron)
+        assert all(check_feasible_D(problem, cand) for cand in got)
         samples += max(len(got) - 1, 0)
     assert empty_sets > 0
     assert samples > 4 * len(SEEDS)

@@ -1,0 +1,53 @@
+"""Rules on the package source that no behavioural test can see."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vlpdual"
+# The standard-form layout and its phase-I basis stay behind lp.Region.
+LP_INTERNALS = {"phase_one", "phase_two", "Basis", "to_standard_form"}
+CACHES = {"lru_cache", "cache"}  # cached_property stays allowed
+
+
+def _names(tree: ast.AST):
+    """Every identifier the module binds, reads or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+            if node.asname:
+                yield node.asname
+
+
+def _functools_caches(tree: ast.AST):
+    """lru_cache or cache taken from functools, imported or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (alias.name for alias in node.names if alias.name in CACHES)
+        elif isinstance(node, ast.Attribute) and node.attr in CACHES:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.attr
+
+
+def _modules():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def test_source_has_no_assert_and_no_function_cache():
+    # checks go through exact.require, which stays on under python -O;
+    # shared results live on objects, not in a process-global cache
+    for name, tree in _modules():
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{name}: assert statement at lines {asserts}"
+        caches = sorted(_functools_caches(tree))
+        assert not caches, f"{name}: uses functools {caches}"
+
+
+def test_lp_internals_are_named_only_in_lp():
+    seen = {name: sorted(set(_names(tree)) & LP_INTERNALS) for name, tree in _modules() if name != "lp.py"}
+    assert not any(seen.values()), {name: found for name, found in seen.items() if found}
