@@ -10,8 +10,12 @@ supplied one by dot products, and raises `ConeError` when there is none.
 The cone order needs no LP: `facets` holds the cone's inequality
 description (its facet normals, plus both signs of a basis of the
 generators' orthogonal complement when the cone is lower-dimensional),
-computed once per cone by exact elimination, and membership is the sign of
-a few dot products.
+computed once per cone by exact elimination. `coordinates(v)` is the
+tuple of h.v over those normals, and the order compares coordinates:
+v lies in K iff each is >= 0, and v is below w iff each of v's is <= w's,
+since h.(w - v) = h.w - h.v. On a pointed cone equal coordinates mean
+equal vectors, so `precedes` needs no w - v and no vector equality. A
+caller that compares many pairs takes each vector's coordinates once.
 """
 
 from __future__ import annotations
@@ -99,6 +103,12 @@ class OrderingCone:
             require(all(h.dot(g) >= 0 for g in self.generators), "facet normal is >= 0 on every generator")
         return tuple(normals)
 
+    def coordinates(self, v: QVector) -> tuple[Fraction, ...]:
+        """h.v for each normal h of `facets`, in order."""
+        if v.dim != self.dim:
+            raise DimensionError(f"vector dim {v.dim} != cone dim {self.dim}")
+        return tuple(h.dot(v) for h in self.facets)
+
 
 def _nullspace(rows: tuple[QVector, ...], dim: int) -> tuple[QVector, ...]:
     """A basis of the vectors orthogonal to every row."""
@@ -163,15 +173,9 @@ def negate(cone: OrderingCone) -> OrderingCone:
     return OrderingCone(cone.dim, tuple(-g for g in cone.generators), -cone.qi_witness)
 
 
-def _facet_values(cone: OrderingCone, v: QVector) -> list[Fraction]:
-    if v.dim != cone.dim:
-        raise DimensionError(f"vector dim {v.dim} != cone dim {cone.dim}")
-    return [h.dot(v) for h in cone.facets]
-
-
 def contains(cone: OrderingCone, v: QVector) -> bool:
-    """Membership v in K: h.v >= 0 on every normal of `cone.facets`."""
-    return all(x >= 0 for x in _facet_values(cone, v))
+    """Membership v in K: every coordinate of v is >= 0."""
+    return all(x >= 0 for x in cone.coordinates(v))
 
 
 def in_dual(cone: OrderingCone, lam: QVector) -> bool:
@@ -193,37 +197,41 @@ class Comparison(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+def precedes(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
+    """Whether coordinates a, of v, lie strictly below coordinates b, of w,
+    under one cone: they differ and each of a's is <= b's. Then w - v is a
+    nonzero member of the cone, which is `strictly_below(cone, v, w)`."""
+    return a != b and all(x <= y for x, y in zip(a, b))
+
+
 def cmp(cone: OrderingCone, v: QVector, w: QVector) -> Comparison:
-    if v == w:
+    a, b = cone.coordinates(v), cone.coordinates(w)
+    if a == b:
         return Comparison.EQUAL
-    values = _facet_values(cone, w - v)
-    if all(x >= 0 for x in values):
+    if all(x <= y for x, y in zip(a, b)):
         return Comparison.LESS
-    if all(x <= 0 for x in values):
+    if all(x >= y for x, y in zip(a, b)):
         return Comparison.GREATER
     return Comparison.INCOMPARABLE
 
 
 def strictly_below(cone: OrderingCone, v: QVector, w: QVector) -> bool:
-    return v != w and contains(cone, w - v)
+    return precedes(cone.coordinates(v), cone.coordinates(w))
 
 
 def min_elements_finite(cone: OrderingCone, points) -> list[QVector]:
     """Points not strictly dominated by any other value in the list.
 
     Equal vectors at different positions count as one value, so duplicates
-    of a retained value are all retained.
+    of a retained value are all retained. Each value's coordinates are
+    taken once.
     """
     points = list(points)
-    values = []
+    coords: dict[QVector, tuple[Fraction, ...]] = {}
     for p in points:
-        if p not in values:
-            values.append(p)
-    surviving = []
-    for p in values:
-        dominated = any(q != p and contains(cone, p - q) for q in values)
-        if not dominated:
-            surviving.append(p)
+        if p not in coords:
+            coords[p] = cone.coordinates(p)
+    surviving = {p for p, a in coords.items() if not any(precedes(b, a) for b in coords.values())}
     return [p for p in points if p in surviving]
 
 

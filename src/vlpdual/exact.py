@@ -8,6 +8,12 @@ dense on purpose: instances are desk-scale.
 `pivot`, one Gauss-Jordan step on a list of rows, is the package's only
 elimination kernel: the simplex tableau in `lp`, `solve_linear_system`
 and `QMatrix.rank` all reduce through it.
+
+`QVector.dot` and every `QMatrix @` product share one product kernel,
+`_sum_of_products`: it adds the products of numerators over one running
+integer denominator and builds a single reduced `Fraction` per result,
+instead of normalizing a `Fraction` after every term. The values are
+exactly those of the term-by-term sum.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ class QVector:
 
     def dot(self, other: QVector) -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        return _sum_of_products(_ratios(self.entries), _ratios(other.entries))
 
     def is_nonneg(self) -> bool:
         return all(a >= 0 for a in self.entries)
@@ -118,6 +124,34 @@ class QVector:
 
     def __str__(self) -> str:
         return "(" + ", ".join(format_rational(a) for a in self.entries) + ")"
+
+
+def _ratios(values) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each entry; ints pass as n/1."""
+    return [(v.numerator, v.denominator) for v in values]
+
+
+def _sum_of_products(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> Fraction:
+    """sum(x * y) over pairs of ratios, as one reduced Fraction.
+
+    The running sum is num/den with den a product of term denominators;
+    a term whose denominator divides den is scaled up to it, any other
+    multiplies den by its own. Zero terms are skipped.
+    """
+    num, den = 0, 1
+    for (a, b), (c, d) in zip(xs, ys):
+        p = a * c
+        if not p:
+            continue
+        q = b * d
+        if q == den:
+            num += p
+        elif den % q == 0:
+            num += p * (den // q)
+        else:
+            num = num * q + p * den
+            den *= q
+    return Fraction(num, den)
 
 
 def qvec(*values: int | str | Fraction) -> QVector:
@@ -209,8 +243,9 @@ class QMatrix:
     def _products(self, cols: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
         """Every row times every column, row-major."""
         width = self.cols
-        rows = [self.entries[i * width : (i + 1) * width] for i in range(self.rows)]
-        return tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for row in rows for col in cols)
+        rows = [_ratios(self.entries[i * width : (i + 1) * width]) for i in range(self.rows)]
+        col_ratios = [_ratios(col) for col in cols]
+        return tuple(_sum_of_products(row, col) for row in rows for col in col_ratios)
 
     def rank(self) -> int:
         return len(row_reduce(self.to_lists(), self.cols))

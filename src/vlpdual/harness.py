@@ -14,9 +14,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import duality, efficiency
-from .cone import orthant, strictly_below
+from .cone import orthant, precedes
 from .exact import QMatrix, QVector, qmat, qvec
 from .model import (
     DualCandidateD,
@@ -227,6 +228,13 @@ class _InstanceContext:
     feasible_us: list[QMatrix] = field(default_factory=list)
     mapped_values: list[tuple[QVector, duality.ImageSets]] = field(default_factory=list)
 
+    @cached_property
+    def dual_values(self) -> list[tuple[QVector, tuple[Fraction, ...]]]:
+        """Each sampled dual's objective value and its cone coordinates,
+        taken once for every pair loop over the duals."""
+        values = [objective_D(self.problem, cand) for cand in self.duals]
+        return [(h, self.problem.cone.coordinates(h)) for h in values]
+
 
 def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig) -> _InstanceContext:
     vertices = efficiency.enumerate_vertices(problem)
@@ -271,15 +279,12 @@ def _check_efficient_iff_scalarizable(ctx: _InstanceContext, rng):
 
 def _check_weak_duality(ctx: _InstanceContext, rng):
     failures = []
-    count = 0
-    images = [ctx.problem.L @ x for x in ctx.primals]
-    for cand in ctx.duals:
-        h = objective_D(ctx.problem, cand)
+    images = [ctx.problem.cone.coordinates(ctx.problem.L @ x) for x in ctx.primals]
+    for h, h_coords in ctx.dual_values:
         for x, image in zip(ctx.primals, images):
-            count += 1
-            if strictly_below(ctx.problem.cone, image, h):
+            if precedes(image, h_coords):
                 failures.append({"x": vector_to_list(x), "h": vector_to_list(h)})
-    return count, failures, None
+    return len(ctx.dual_values) * len(images), failures, None
 
 
 def _check_strong_duality(ctx: _InstanceContext, rng):
@@ -298,10 +303,9 @@ def _check_strong_duality(ctx: _InstanceContext, rng):
         if vertex.dot((ctx.problem.L - cand.U @ ctx.problem.A).T @ cand.lam) != 0:
             failures.append({"vertex": vector_to_list(vertex), "reason": "complementarity violated"})
             continue
-        for other in ctx.duals:
-            if strictly_below(ctx.problem.cone, h, objective_D(ctx.problem, other)):
-                failures.append({"vertex": vector_to_list(vertex), "dominated_by_sampled_dual": True})
-                break
+        h_coords = ctx.problem.cone.coordinates(h)
+        if any(precedes(h_coords, other) for _, other in ctx.dual_values):
+            failures.append({"vertex": vector_to_list(vertex), "dominated_by_sampled_dual": True})
         else:
             ctx.constructed.append((vertex, cand))
     return count, failures, None
@@ -406,15 +410,11 @@ def _check_improvement_on_empty_primal(ctx: _InstanceContext, rng):
     if ctx.vertices or not ctx.duals:
         return 0, [], None
     failures = []
-    count = 0
-    for cand in ctx.duals:
-        count += 1
+    for cand, (h, h_coords) in zip(ctx.duals, ctx.dual_values):
         improved = duality.improve_dual_infeasible_primal(ctx.problem, cand)
-        if not strictly_below(
-            ctx.problem.cone, objective_D(ctx.problem, cand), objective_D(ctx.problem, improved)
-        ):
-            failures.append({"h": vector_to_list(objective_D(ctx.problem, cand))})
-    return count, failures, None
+        if not precedes(h_coords, ctx.problem.cone.coordinates(objective_D(ctx.problem, improved))):
+            failures.append({"h": vector_to_list(h)})
+    return len(ctx.duals), failures, None
 
 
 def _check_minmax_coincidence(ctx: _InstanceContext, rng):
@@ -428,10 +428,9 @@ def _check_minmax_coincidence(ctx: _InstanceContext, rng):
         if not ctx.polyhedron.image_sets(w).hB.member:
             failures.append({"w": vector_to_list(w), "reason": "minimal value not in hB"})
             continue
-        for cand in ctx.duals:
-            if strictly_below(ctx.problem.cone, w, objective_D(ctx.problem, cand)):
-                failures.append({"w": vector_to_list(w), "reason": "sampled dual value dominates a minimal value"})
-                break
+        w_coords = ctx.problem.cone.coordinates(w)
+        if any(precedes(w_coords, other) for _, other in ctx.dual_values):
+            failures.append({"w": vector_to_list(w), "reason": "sampled dual value dominates a minimal value"})
     return count, failures, None
 
 

@@ -88,10 +88,11 @@ def sample_dual_points(
     The first is `polyhedron.dual_point()`, with polyhedron the problem's
     P. U is built rank-one from a sampled z, optionally bumped by a
     rank-one term orthogonal to lam, which preserves feasibility exactly.
-    Each distinct lam's z-set is one Region per call, and a sample is its
-    minimum under a random objective: the point one `solve_general` over
-    the same rows with that objective gives. Returns fewer than requested
-    (possibly none) when the dual is infeasible or nearly so.
+    Each distinct lam's z-set is one Region per call, kept next to a basis
+    of lam's orthogonal complement, and a sample is its minimum under a
+    random objective: the point one `solve_general` over the same rows
+    with that objective gives. Returns fewer than requested (possibly
+    none) when the dual is infeasible or nearly so.
     """
     out: list[DualCandidateD] = []
     seeded = polyhedron.dual_point()
@@ -99,24 +100,25 @@ def sample_dual_points(
         return []
     out.append(seeded)
     lams = sample_quasi_interior(rng, problem.cone, max(4, count // 8))
-    z_regions: dict[QVector, Region] = {}
+    per_lam: dict[QVector, tuple[Region, tuple[QVector, ...]]] = {}
     attempts = 0
     while len(out) < count and attempts < 4 * count:
         attempts += 1
         lam = lams[rng.randrange(len(lams))]
-        if lam not in z_regions:  # {z : L^T lam - A^T z >= 0} over free z
+        if lam not in per_lam:  # {z : L^T lam - A^T z >= 0} over free z, and {v : lam.v = 0}
             bounds = problem.L.T @ lam
             rows = tuple(GenRow(-problem.A.col(j), ">=", -bounds[j]) for j in range(problem.n))
-            z_regions[lam] = Region(GeneralProgram(QVector.zeros(problem.m), rows, free=True))
+            ortho = solve_linear_system(QMatrix(1, problem.k, lam.entries), QVector.zeros(1)).nullspace
+            per_lam[lam] = (Region(GeneralProgram(QVector.zeros(problem.m), rows, free=True)), ortho)
+        z_set, ortho = per_lam[lam]
         # drawn also for an empty z-set, so the rng sequence does not depend on it
         objective = random_vector(rng, problem.m, -3, 3)
-        if z_regions[lam].empty:
+        if z_set.empty:
             continue
-        lowest = z_regions[lam].minimize(objective)
+        lowest = z_set.minimize(objective)
         z = lowest.x if isinstance(lowest, Optimal) else lowest.x0
         tilde = scaled_generator(problem.cone, lam)
         U = outer(tilde, z)
-        ortho = solve_linear_system(QMatrix(1, problem.k, lam.entries), QVector.zeros(1)).nullspace  # lam.v = 0
         if rng.random() < 0.5:
             w = QVector.zeros(problem.k)
             for vec in ortho:

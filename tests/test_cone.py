@@ -346,8 +346,34 @@ def test_cone_order_runs_no_lp(monkeypatch):
             if expected is None:
                 expected = Comparison.GREATER if below[j, i] else Comparison.INCOMPARABLE
             assert cmp(cone, p, q) is expected
+            assert strictly_below(cone, p, q) == less
         dominated = {i for (j, i), less in below.items() if less and points[i] != points[j]}
         assert min_elements_finite(cone, points) == [p for i, p in enumerate(points) if i not in dominated]
+
+
+def test_strictly_below_by_coordinates_matches_feasibility_lp():
+    rng = random.Random(1968)
+    outcomes = {True: 0, False: 0}
+    ranks, off_span = set(), 0
+    for k in (1, 2, 3, 4):
+        for _ in range(25):
+            cone = random_cone_any_rank(rng, k)
+            ranks.add((k, generator_matrix(cone).rank()))
+            ortho = cone_module._nullspace(cone.generators, cone.dim)  # the span's complement
+            for v in _queries(rng, cone)[:5]:
+                member = _combination(rng, list(cone.generators), 0, 3)
+                targets = [v, v + member] + _queries(rng, cone)[:3]
+                if ortho:
+                    u = _combination(rng, list(ortho), -2, 2)
+                    targets += [v + u, v + member + u]
+                    off_span += not u.is_zero()
+                for w in targets:
+                    want = _lp_contains(cone, w - v) and v != w
+                    assert strictly_below(cone, v, w) == want, (cone.generators, v, w)
+                    assert (cone.coordinates(v) == cone.coordinates(w)) == (v == w)
+                    outcomes[want] += 1
+    assert {(k, r) for k in (1, 2, 3, 4) for r in range(1, k + 1)} <= ranks
+    assert min(outcomes.values()) > 100 and off_span > 100
 
 
 def test_max_elements_reuse_the_cones_facets(monkeypatch):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vlpdual.exact import (
     DimensionError,
@@ -112,26 +112,47 @@ def test_identity_matmul():
     assert m @ qvec(1, 1) == qvec(3, 7)
 
 
-@given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 4), st.data())
-def test_matmul_matches_entrywise_definition(rows, inner, cols, data):
-    # Shapes include 1 x n, n x 1 and inner dimension 0 (an all-zero product).
-    def draw(r, c):
-        return QMatrix(r, c, tuple(data.draw(st.lists(small_fractions, min_size=r * c, max_size=r * c))))
+# Entries for the product kernel: zeros, plain ints, and fractions of either
+# sign whose denominators differ and run large.
+kernel_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=7),
+    st.fractions(max_denominator=10**30),
+)
 
-    a, b = draw(rows, inner), draw(inner, cols)
+
+def _naive(xs, ys):
+    return sum((a * b for a, b in zip(xs, ys)), Fraction(0))
+
+
+def _same_fraction(got, want):
+    return type(got) is Fraction and (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 4), st.data())
+def test_matmul_matches_entrywise_definition(rows, inner, cols, data):
+    # dot, matrix-vector and matrix-matrix products, summed over one integer
+    # denominator, give the term-by-term Fraction sum exactly, in lowest
+    # terms. Shapes include 1 x n, n x 1, a matrix with 0 columns (inner = 0)
+    # and a product with none (cols = 0).
+    def draw(count):
+        return tuple(data.draw(st.lists(kernel_entries, min_size=count, max_size=count)))
+
+    a, b = QMatrix(rows, inner, draw(rows * inner)), QMatrix(inner, cols, draw(inner * cols))
     product = a @ b
     assert (product.rows, product.cols) == (rows, cols)
     for i in range(rows):
+        row = a.entries[i * inner : (i + 1) * inner]
         for j in range(cols):
-            expected = sum((a.at(i, t) * b.at(t, j) for t in range(inner)), Fraction(0))
-            assert type(product.at(i, j)) is Fraction and product.at(i, j) == expected
+            assert _same_fraction(product.at(i, j), _naive(row, b.entries[j::cols]))
     if inner:
-        v = QVector(tuple(data.draw(st.lists(small_fractions, min_size=inner, max_size=inner))))
-        image = a @ v
-        assert all(type(e) is Fraction for e in image)
-        assert image.entries == tuple(
-            sum((a.at(i, t) * v[t] for t in range(inner)), Fraction(0)) for i in range(rows)
-        )
+        u, w = QVector(draw(inner)), QVector(draw(inner))
+        assert _same_fraction(u.dot(w), _naive(u.entries, w.entries))
+        image = a @ w
+        for i in range(rows):
+            assert _same_fraction(image[i], _naive(a.entries[i * inner : (i + 1) * inner], w.entries))
 
 
 def test_matmul_dim_mismatch():

@@ -7,6 +7,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vlpdual"
 # The standard-form layout and its phase-I basis stay behind lp.Region.
 LP_INTERNALS = {"phase_one", "phase_two", "Basis", "to_standard_form"}
 CACHES = {"lru_cache", "cache"}  # cached_property stays allowed
+# The harness's pair loops compare cone coordinates taken once per vector,
+# never a per-pair facet test.
+PER_PAIR_ORDER = {"strictly_below", "contains"}
 
 
 def _names(tree: ast.AST):
@@ -51,3 +54,9 @@ def test_source_has_no_assert_and_no_function_cache():
 def test_lp_internals_are_named_only_in_lp():
     seen = {name: sorted(set(_names(tree)) & LP_INTERNALS) for name, tree in _modules() if name != "lp.py"}
     assert not any(seen.values()), {name: found for name, found in seen.items() if found}
+
+
+def test_harness_compares_cone_coordinates_only():
+    (tree,) = [tree for name, tree in _modules() if name == "harness.py"]
+    found = sorted(set(_names(tree)) & PER_PAIR_ORDER)
+    assert not found, found
