@@ -151,8 +151,9 @@ def test_matmul_matches_entrywise_definition(rows, inner, cols, data):
         u, w = QVector(draw(inner)), QVector(draw(inner))
         assert _same_fraction(u.dot(w), _naive(u.entries, w.entries))
         image = a @ w
-        for i in range(rows):
-            assert _same_fraction(image[i], _naive(a.entries[i * inner : (i + 1) * inner], w.entries))
+        want = [_naive(a.entries[i * inner : (i + 1) * inner], w.entries) for i in range(rows)]
+        assert image.dim == len(want) == rows
+        assert all(_same_fraction(got, e) for got, e in zip(image.entries, want))
 
 
 def test_matmul_dim_mismatch():
