@@ -136,27 +136,26 @@ def orthant(dim: int) -> OrderingCone:
     return OrderingCone(dim, gens, ones)
 
 
-def multiplier_program(cone: OrderingCone, M: QMatrix | None = None, eq: QVector | None = None) -> GeneralProgram:
+def multiplier_program(cone: OrderingCone, M: QMatrix | None = None) -> GeneralProgram:
     """The system of `multiplier` as a program over free lam, with a zero
     objective.
 
     lam has M's row count (else the cone dimension), with the generators
-    zero-padded to it. Rows go equality, generators, columns of M: that
-    order fixes the pivot sequence and so the returned point.
+    zero-padded to it. Rows go generators, then columns of M: that order
+    fixes the pivot sequence and so the returned point.
     """
     width = M.rows if M is not None else cone.dim
     pad = (_ZERO,) * (width - cone.dim)
-    rows = [GenRow(eq, "=", _ZERO)] if eq is not None else []
-    rows += [GenRow(QVector(g.entries + pad), ">=", _ONE) for g in cone.generators]
+    rows = [GenRow(QVector(g.entries + pad), ">=", _ONE) for g in cone.generators]
     if M is not None:
         rows += [GenRow(M.col(j), ">=", _ZERO) for j in range(M.cols)]
     return GeneralProgram(QVector.zeros(width), tuple(rows), free=True)
 
 
-def multiplier(cone: OrderingCone, M: QMatrix | None = None, eq: QVector | None = None) -> QVector | None:
-    """A free lam with lam.g >= 1 on every generator, M[:, j].lam >= 0 on
-    every column of M and lam.eq = 0; None when no such lam exists."""
-    out = solve_general(multiplier_program(cone, M, eq))
+def multiplier(cone: OrderingCone, M: QMatrix | None = None) -> QVector | None:
+    """A free lam with lam.g >= 1 on every generator and M[:, j].lam >= 0
+    on every column of M; None when no such lam exists."""
+    out = solve_general(multiplier_program(cone, M))
     return out.x if isinstance(out, Optimal) else None
 
 

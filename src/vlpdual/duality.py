@@ -10,9 +10,11 @@ decided together on one polyhedron per problem,
 
 whose feasible set does not depend on the probe value d; only the linear
 functional f(lam, z) = lam.d - b.z does (geometric duality, Heyde & Lohne
-2008). `DualPolyhedron` is P as an `lp.Region`: phase I runs once per
-problem, and `DualPolyhedron.image_sets(d)` answers each probe with at most
-two `Region.minimize` calls:
+2008). `DualPolyhedron` is P as an `lp.Region`, the
+`efficiency.ScalarizationPolyhedron` that also answers scalarization
+certificates: phase I runs once per problem, and
+`DualPolyhedron.image_sets(d)` answers each probe with at most two
+`Region.minimize` calls:
 
 - d is in hL iff min f over P is <= 0;
 - d is in hB iff also max f >= 0: P is convex, so f(P) is an interval,
@@ -27,6 +29,11 @@ witness is re-checked. The normalization lam.g >= 1 on the cone generators
 is sound because every system here is positively homogeneous in (lam, z)
 jointly.
 
+A sampled U of the D^H side is one `ReducedImage`, holding M = L - UA: its
+feasibility verdict, its multiplier polyhedron
+Q_U = {lam : lam.g >= 1, M^T lam >= 0} and the domination programs over M
+are each built on first use, and the map into D is a phase II on Q_U.
+
 Two builders assemble every LP here: `cone.multiplier_program` the systems
 in lam (or in (lam, z)), and `efficiency.domination_program` the
 domination programs over the reduced map L - UA.
@@ -36,11 +43,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .cone import OrderingCone, in_quasi_interior, multiplier, multiplier_program, strictly_below
-from .efficiency import EfficiencyCertificate, domination_program, verify_scalarization_certificate
+from .cone import OrderingCone, in_quasi_interior, multiplier_program, strictly_below
+from .efficiency import (
+    EfficiencyCertificate,
+    ScalarizationPolyhedron,
+    domination_program,
+    verify_scalarization_certificate,
+)
 from .exact import DimensionError, QMatrix, QVector, outer, require
-from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_general, solve_lp
+from .lp import Infeasible, LinearProgram, LpOutcome, Optimal, Region, solve_feasibility, solve_general, solve_lp
 from .model import (
     DualCandidateD,
     DualCandidateJ,
@@ -118,19 +131,94 @@ def check_feasible_L(problem: VlpProblem, cand: DualCandidateL) -> bool:
     return ((problem.L.T @ cand.lam) - (problem.A.T @ cand.z)).is_nonneg()
 
 
+class ReducedImage:
+    """One U of the D^H side: the reduced map M = L - UA and every question
+    asked about it, each LP decided on first use and at most once.
+
+    `feasible` says U is feasible for D^H: no x >= 0 has Mx strictly below
+    zero. `multipliers` is Q_U = {lam : lam.g >= 1, M^T lam >= 0} as a
+    Region; by LP duality it is nonempty exactly when U is feasible.
+    """
+
+    def __init__(self, problem: VlpProblem, U: QMatrix):
+        self.problem = problem
+        self.U = U
+        self.M = _reduced_map(problem, U)
+
+    @cached_property
+    def feasible(self) -> bool:
+        out = solve_general(
+            domination_program(self.problem.cone, self.M, QVector.zeros(self.problem.k), normalize=True)
+        )
+        require(isinstance(out, Optimal), "normalized domination program is bounded and feasible")
+        return out.value == 0
+
+    @cached_property
+    def multipliers(self) -> Region:
+        return Region(multiplier_program(self.problem.cone, self.M))
+
+    def _dominate(self, target: QVector) -> LpOutcome:
+        return solve_general(domination_program(self.problem.cone, self.M, target))
+
+    def minimize(self, x0: QVector) -> QVector:
+        """From x0 >= 0, a point whose reduced image is minimal in the
+        image cone.
+
+        Sound only for U feasible in the H sense, where the domination
+        program is always bounded.
+        """
+        if not x0.is_nonneg():
+            raise ValueError("starting point must be nonnegative")
+        out = self._dominate(self.M @ x0)
+        require(isinstance(out, Optimal), "feasible U keeps the domination program bounded")
+        return QVector(out.x.entries[: self.problem.n])
+
+    def lift(self, xbar: QVector) -> DualCandidateD:
+        """Lift a minimal-image point into the vector dual as (gamma, U, vbar).
+
+        The minimality test also rejects every U that is not feasible for
+        D^H, so no separate check is made: if some x >= 0 has Mx = -k with
+        k in K and k != 0, then xbar + x reaches vbar - k, and the
+        domination program at vbar finds the positive cone mass of k.
+        gamma minimizes lam.vbar over Q_U; lam.vbar = xbar.(M^T lam) >= 0
+        there, so a separating gamma (lam.vbar = 0) exists iff the minimum
+        is 0.
+        """
+        problem = self.problem
+        if xbar.dim != problem.n or not xbar.is_nonneg():
+            raise ValueError("point must be nonnegative of primal dimension")
+        vbar = self.M @ xbar
+        out = self._dominate(vbar)
+        if not (isinstance(out, Optimal) and out.value == 0):
+            raise ValueError("image of the point is not minimal")
+        lowest = None if self.multipliers.empty else self.multipliers.minimize(vbar)
+        require(
+            isinstance(lowest, Optimal) and lowest.value == 0,
+            "a separating gamma exists for every minimal image value",
+        )
+        cand = DualCandidateD(lowest.x, self.U, vbar)
+        require(check_feasible_D(problem, cand), "lifted point is feasible for D")
+        require(objective_D(problem, cand) == (self.U @ problem.b) + vbar, "lifted point attains Ub + vbar")
+        return cand
+
+    def value_member(self, d: QVector) -> bool:
+        """Whether d = Ub + w for some minimal value w of the reduced image cone."""
+        if not self.feasible:
+            raise ValueError("U not feasible for D^H")
+        out = self._dominate(d - (self.U @ self.problem.b))
+        return isinstance(out, Optimal) and out.value == 0
+
+
 def check_feasible_U(problem: VlpProblem, cand: DualCandidateU) -> bool:
     """No x >= 0 may have (L - UA)x strictly below zero in the relevant order."""
     if cand.flavor == "I" and not problem.cone.is_orthant:
         raise ValueError("flavor 'I' is defined only for the orthant order")
-    M = _reduced_map(problem, cand.U)
-    out = solve_general(domination_program(problem.cone, M, QVector.zeros(problem.k), normalize=True))
-    require(isinstance(out, Optimal), "normalized domination program is bounded and feasible")
-    return out.value == 0
+    return ReducedImage(problem, cand.U).feasible
 
 
 def u_feasibility_multiplier(problem: VlpProblem, U: QMatrix) -> QVector | None:
     """lam with lam.g >= 1 on all generators and (L - UA)^T lam >= 0, if any."""
-    return multiplier(problem.cone, _reduced_map(problem, U))
+    return ReducedImage(problem, U).multipliers.point
 
 
 def construct_dual_solution(
@@ -160,23 +248,13 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
     return solve_feasibility(eq, rhs)
 
 
-class DualPolyhedron(Region):
-    """P of one problem as a Region over (lam, z). `image_sets(d)` is the
-    one membership query; its minima run on copies of the phase-I basis,
-    so every probe shares it and none changes it.
-
-    P's program is `multiplier_program(cone, [L; -A])`, row for row, so
-    `dual_point` is the point `multiplier(cone, [L; -A])` returns.
+class DualPolyhedron(ScalarizationPolyhedron):
+    """P, asked about image values as well. `image_sets(d)` is the one
+    membership query; its minima run on copies of the phase-I basis, so
+    every probe shares it and none changes it. P's program being
+    `multiplier_program(cone, [L; -A])`, `dual_point` is the point
+    `multiplier(cone, [L; -A])` returns.
     """
-
-    def __init__(self, problem: VlpProblem):
-        self.problem = problem
-        stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
-        super().__init__(multiplier_program(problem.cone, stacked))
-
-    def _split(self, point: QVector) -> tuple[QVector, QVector]:
-        k = self.problem.k
-        return QVector(point.entries[:k]), QVector(point.entries[k:])
 
     def dual_point(self) -> DualCandidateD | None:
         """A concrete feasible point of the vector dual (v = 0), or None."""
@@ -270,49 +348,18 @@ def membership_hJ(problem: VlpProblem, d: QVector) -> MembershipVerdict:
 
 
 def h_H_value_membership(problem: VlpProblem, U: QMatrix, d: QVector) -> bool:
-    """Whether d = Ub + w for some minimal value w of the reduced image cone."""
-    if not check_feasible_U(problem, DualCandidateU(U, "H")):
-        raise ValueError("U not feasible for D^H")
-    w = d - (U @ problem.b)
-    out = solve_general(domination_program(problem.cone, _reduced_map(problem, U), w))
-    return isinstance(out, Optimal) and out.value == 0
+    """`ReducedImage.value_member` on the U of one query."""
+    return ReducedImage(problem, U).value_member(d)
 
 
 def minimize_over_image(problem: VlpProblem, U: QMatrix, x0: QVector) -> QVector:
-    """From x0 >= 0, a point whose reduced image is minimal in the image cone.
-
-    Sound only for U feasible in the H sense, where the domination program
-    is always bounded.
-    """
-    if not x0.is_nonneg():
-        raise ValueError("starting point must be nonnegative")
-    M = _reduced_map(problem, U)
-    out = solve_general(domination_program(problem.cone, M, M @ x0))
-    require(isinstance(out, Optimal), "feasible U keeps the domination program bounded")
-    return QVector(out.x.entries[: problem.n])
+    """`ReducedImage.minimize` on the U of one query."""
+    return ReducedImage(problem, U).minimize(x0)
 
 
 def map_DH_to_D(problem: VlpProblem, U: QMatrix, xbar: QVector) -> DualCandidateD:
-    """Lift a feasible U and a minimal-image point into the vector dual.
-
-    The minimality test also rejects every U that is not feasible for D^H,
-    so no separate check is made: if some x >= 0 has (L - UA)x = -k with k
-    in K and k != 0, then xbar + x reaches vbar - k, and the domination
-    program at vbar finds the positive cone mass of k.
-    """
-    if xbar.dim != problem.n or not xbar.is_nonneg():
-        raise ValueError("point must be nonnegative of primal dimension")
-    M = _reduced_map(problem, U)
-    vbar = M @ xbar
-    out = solve_general(domination_program(problem.cone, M, vbar))
-    if not (isinstance(out, Optimal) and out.value == 0):
-        raise ValueError("image of the point is not minimal")
-    gamma = multiplier(problem.cone, M, vbar)
-    require(gamma is not None, "a separating gamma exists for every minimal image value")
-    cand = DualCandidateD(gamma, U, vbar)
-    require(check_feasible_D(problem, cand), "lifted point is feasible for D")
-    require(objective_D(problem, cand) == (U @ problem.b) + vbar, "lifted point attains Ub + vbar")
-    return cand
+    """`ReducedImage.lift` on the U of one query."""
+    return ReducedImage(problem, U).lift(xbar)
 
 
 def map_D_to_DL(problem: VlpProblem, cand: DualCandidateD) -> DualCandidateL:

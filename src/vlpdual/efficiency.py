@@ -9,9 +9,18 @@ than by pairwise image comparison matters: a dominating point need not
 be a vertex of the feasible set.
 
 `domination_program` is the one builder of that LP family; the duality
-module builds its image-cone programs over L - UA with it too. The
-scalarization certificate is the other LP family, a multiplier system
-built by `cone.multiplier`.
+module builds its image-cone programs over L - UA with it too.
+
+The scalarization certificate is a phase II on the polyhedron
+
+    P = {(lam, z) : lam.g >= 1 on every generator, L^T lam - A^T z >= 0}.
+
+For a feasible xbar, f(lam, z) = lam.(L xbar) - b.z = xbar.(L^T lam - A^T z)
+is >= 0 on P, so a certificate exists exactly when min f over P is 0; the
+minimizer gives it, with eta = -z (geometric duality, Heyde & Lohne 2008).
+`ScalarizationPolyhedron` is P as an `lp.Region`: one phase I serves every
+point asked of a problem, and `duality.DualPolyhedron` is the same P, asked
+about image values as well.
 """
 
 from __future__ import annotations
@@ -21,9 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import OrderingCone, generator_matrix, multiplier
+from .cone import OrderingCone, generator_matrix, multiplier_program
 from .exact import QMatrix, QVector, require, solve_linear_system
-from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
+from .lp import GeneralProgram, GenRow, Optimal, Region, Unbounded, solve_general
 from .model import VlpProblem, primal_feasible
 
 _ZERO = Fraction(0)
@@ -91,25 +100,45 @@ def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCe
     return False, EfficiencyCertificate("unbounded-domination", dominator=dominator)
 
 
-def proper_efficiency_certificate(problem: VlpProblem, xbar: QVector) -> EfficiencyCertificate | None:
-    """Scalarizing weights under which xbar solves the weighted scalar program.
+class ScalarizationPolyhedron(Region):
+    """P of one problem as a Region over (lam, z). Its program is
+    `multiplier_program(cone, [L; -A])`, row for row, and every
+    `certificate` is one phase II on the stored basis."""
 
-    Solves for (lam, eta):  lam.g >= 1 on every generator,
-    L^T lam + A^T eta >= 0, and lam.(L xbar) + b.eta = 0. By scalar LP
-    duality that system is feasible exactly when xbar minimizes
-    lam.(L x) over the feasible set for some such lam.
-    """
-    if not primal_feasible(problem, xbar):
-        raise ValueError("point is not feasible for the primal problem")
-    n, m, k = problem.n, problem.m, problem.k
-    stacked = QMatrix(k + m, n, problem.L.entries + problem.A.entries)  # [L; A]
-    eq = QVector((problem.L @ xbar).entries + problem.b.entries)
-    point = multiplier(problem.cone, stacked, eq)
-    if point is None:
-        return None
-    lam = QVector(point.entries[:k])
-    eta = QVector(point.entries[k:])
-    return EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=eta)
+    def __init__(self, problem: VlpProblem):
+        self.problem = problem
+        stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
+        super().__init__(multiplier_program(problem.cone, stacked))
+
+    def _split(self, point: QVector) -> tuple[QVector, QVector]:
+        k = self.problem.k
+        return QVector(point.entries[:k]), QVector(point.entries[k:])
+
+    def certificate(self, xbar: QVector) -> EfficiencyCertificate | None:
+        """Scalarizing weights under which xbar solves the weighted scalar
+        program, or None.
+
+        (lam, eta) has lam.g >= 1 on every generator, L^T lam + A^T eta >= 0
+        and lam.(L xbar) + b.eta = 0. By scalar LP duality such a pair
+        exists exactly when xbar minimizes lam.(L x) over the feasible set
+        for some such lam; it is a point (lam, -eta) of P where f is 0.
+        """
+        problem = self.problem
+        if not primal_feasible(problem, xbar):
+            raise ValueError("point is not feasible for the primal problem")
+        if self.empty:
+            return None
+        out = self.minimize(QVector((problem.L @ xbar).entries + (-problem.b).entries))
+        require(isinstance(out, Optimal), "f is bounded below by 0 on P at a feasible point")
+        if out.value != 0:
+            return None
+        lam, z = self._split(out.x)
+        return EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=-z)
+
+
+def proper_efficiency_certificate(problem: VlpProblem, xbar: QVector) -> EfficiencyCertificate | None:
+    """`ScalarizationPolyhedron.certificate` on a polyhedron built for one point."""
+    return ScalarizationPolyhedron(problem).certificate(xbar)
 
 
 def verify_scalarization_certificate(
@@ -161,13 +190,15 @@ def enumerate_vertices(problem: VlpProblem) -> list[QVector]:
 
 
 def efficient_vertices(problem: VlpProblem) -> list[tuple[QVector, EfficiencyCertificate]]:
-    """Efficient vertices, each with its scalarization certificate."""
+    """Efficient vertices, each with its scalarization certificate; one P
+    answers them all."""
+    efficient = [v for v in enumerate_vertices(problem) if is_efficient(problem, v)[0]]
+    if not efficient:
+        return []
+    polyhedron = ScalarizationPolyhedron(problem)
     result = []
-    for vertex in enumerate_vertices(problem):
-        efficient, _ = is_efficient(problem, vertex)
-        if not efficient:
-            continue
-        cert = proper_efficiency_certificate(problem, vertex)
+    for vertex in efficient:
+        cert = polyhedron.certificate(vertex)
         require(cert is not None, "every efficient point admits a scalarization certificate")
         result.append((vertex, cert))
     return result

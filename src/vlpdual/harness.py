@@ -22,10 +22,8 @@ from .exact import QMatrix, QVector, qmat, qvec
 from .model import (
     DualCandidateD,
     DualCandidateL,
-    DualCandidateU,
     VlpProblem,
     objective_D,
-    objective_J,
     objective_L,
     problem_to_dict,
     vector_to_list,
@@ -225,7 +223,7 @@ class _InstanceContext:
     values: list[QVector]
     us: list[QMatrix]
     constructed: list[tuple[QVector, DualCandidateD]] = field(default_factory=list)
-    feasible_us: list[QMatrix] = field(default_factory=list)
+    feasible_us: list[duality.ReducedImage] = field(default_factory=list)
     mapped_values: list[tuple[QVector, duality.ImageSets]] = field(default_factory=list)
 
     @cached_property
@@ -237,13 +235,12 @@ class _InstanceContext:
 
 
 def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig) -> _InstanceContext:
+    polyhedron = duality.DualPolyhedron(problem)
     vertices = efficiency.enumerate_vertices(problem)
     status = []
     for vertex in vertices:
         eff, _ = efficiency.is_efficient(problem, vertex)
-        cert = efficiency.proper_efficiency_certificate(problem, vertex)
-        status.append((vertex, eff, cert))
-    polyhedron = duality.DualPolyhedron(problem)
+        status.append((vertex, eff, polyhedron.certificate(vertex)))
     duals = sample_dual_points(problem, rng, cfg.dual_samples, polyhedron)
     primals = sample_primal_points(problem, vertices, rng, cfg.primal_samples)
     values = sample_probe_values(problem, duals, vertices, rng, cfg.value_samples)
@@ -336,17 +333,21 @@ def _check_u_feasibility_agreement(ctx: _InstanceContext, rng):
     count = 0
     for U in ctx.us:
         count += 1
-        via_image = duality.check_feasible_U(ctx.problem, DualCandidateU(U, "H"))
-        via_lam = duality.u_feasibility_multiplier(ctx.problem, U) is not None
+        image = duality.ReducedImage(ctx.problem, U)
+        via_image = image.feasible
+        via_lam = not image.multipliers.empty
         if via_image != via_lam:
             failures.append({"U": [vector_to_list(U.row(i)) for i in range(U.rows)],
                              "image_side": via_image, "lambda_side": via_lam})
         elif via_image:
-            ctx.feasible_us.append(U)
+            ctx.feasible_us.append(image)
     return count, failures, None
 
 
 def _check_inclusion_chain(ctx: _InstanceContext, rng):
+    """The chain hJ <= hB <= hL on every probe value. `image_sets` has
+    already required each witness it returns, and a failed requirement
+    ends the check as a failure record."""
     failures = []
     verdicts = {}  # probe values repeat; solve each distinct one once
     for d in ctx.values:
@@ -357,37 +358,28 @@ def _check_inclusion_chain(ctx: _InstanceContext, rng):
             failures.append({"d": vector_to_list(d), "reason": "hJ member escaped hB"})
         if sets.hB.member and not sets.hL.member:
             failures.append({"d": vector_to_list(d), "reason": "hB member escaped hL"})
-        for name, checker, evaluate in (
-            ("hB", duality.check_feasible_D, lambda c: objective_D(ctx.problem, c)),
-            ("hL", duality.check_feasible_L, objective_L),
-            ("hJ", duality.check_feasible_J, lambda c: objective_J(ctx.problem, c)),
-        ):
-            verdict = getattr(sets, name)
-            if verdict.member:
-                if not checker(ctx.problem, verdict.candidate) or evaluate(verdict.candidate) != d:
-                    failures.append({"d": vector_to_list(d), "reason": f"bad witness for {name}"})
     return len(ctx.values), failures, None
 
 
 def _check_hH_to_hB_map(ctx: _InstanceContext, rng):
     failures = []
     count = 0
-    for U in ctx.feasible_us:
+    for image in ctx.feasible_us:
         starts = [QVector.zeros(ctx.problem.n)]
         for _ in range(2):
             starts.append(
                 QVector(tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(ctx.problem.n)))
             )
         for start in starts:
-            xbar = duality.minimize_over_image(ctx.problem, U, start)
+            xbar = image.minimize(start)
             count += 1
-            cand = duality.map_DH_to_D(ctx.problem, U, xbar)
+            cand = image.lift(xbar)
             h = objective_D(ctx.problem, cand)
             sets = ctx.polyhedron.image_sets(h)
             if not sets.hB.member:
                 failures.append({"h": vector_to_list(h), "reason": "mapped value escaped hB"})
                 continue
-            if not duality.h_H_value_membership(ctx.problem, U, h):
+            if not image.value_member(h):
                 failures.append({"h": vector_to_list(h), "reason": "mapped value not in its own image set"})
                 continue
             ctx.mapped_values.append((h, sets))
@@ -448,7 +440,7 @@ def _check_strictness(ctx: _InstanceContext, rng):
         for cand in ctx.duals[:_STRICTNESS_PROBES]:
             d = objective_D(ctx.problem, cand)
             count += 1
-            if all(not duality.h_H_value_membership(ctx.problem, U, d) for U in ctx.feasible_us):
+            if all(not image.value_member(d) for image in ctx.feasible_us):
                 candidates_h_vs_b.append(vector_to_list(d))
     extra = {}
     if found_j_vs_h:

@@ -8,6 +8,10 @@ is used unconditionally, so pivoting terminates on every input.
 `solve_lp` is two functions composed. `phase_one(lp)` finds a feasible
 basis (or the Farkas certificate) and `phase_two(basis, c)` minimizes a
 cost from it; the stored basis is never changed by the solves made from it.
+Both phases price their cost row in one pass, c_j - sum_i c_B[i] * row_i[j]
+per column over the tableau rows' integer ratios, which a `Basis` takes
+once for all its phase II runs; every basic column is a unit vector, so
+the row is exactly the one that pivoting on each basic column would leave.
 
 The general form (<=, >=, = rows over all-free or all-nonnegative
 variables) reduces to the standard form and answers with the same three
@@ -20,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import DimensionError, QMatrix, QVector, pivot, require
+from .exact import DimensionError, QMatrix, QVector, _ratios, _sum_of_products, pivot, require
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -126,6 +131,36 @@ class Basis:
         """The basic feasible point."""
         return QVector(tuple(_basic_levels(self.rows, self.basis, self.n, -1)))
 
+    @cached_property
+    def columns(self) -> list[list[tuple[int, int]] | None]:
+        """The tableau's columns for phase II's pricing, taken once."""
+        return _ratio_columns(self.rows, self.basis, self.n + len(self.basis) + 1)
+
+
+def _ratio_columns(rows, basis, width: int) -> list[list[tuple[int, int]] | None]:
+    """Every tableau column, rhs last, as (numerator, denominator) over the
+    rows; None on a basic column, whose reduced cost is always 0."""
+    basic = set(basis)
+    ratios = [_ratios(row) for row in rows]
+    return [None if j in basic else [row[j] for row in ratios] for j in range(width)]
+
+
+def _priced(columns, weights: list[tuple[int, int]], c: tuple[Fraction, ...]) -> list[Fraction]:
+    """The reduced-cost row of cost c (0 past its end) on a tableau in
+    canonical form, rhs last: per column, c_j + sum_i weights[i] * row_i[j]
+    as one sum of products, where weights[i] is minus the cost of row i's
+    basic column. The rhs entry is then -c.x."""
+    with_cost = [(1, 1)] + weights
+    row = []
+    for j, col in enumerate(columns):
+        if col is None:
+            row.append(_ZERO)
+        elif j < len(c) and c[j]:
+            row.append(_sum_of_products(with_cost, [(c[j].numerator, c[j].denominator)] + col))
+        else:
+            row.append(_sum_of_products(weights, col))
+    return row
+
 
 def _basic_levels(rows, basis, n: int, col: int) -> list[Fraction]:
     """Column col of the tableau read onto the basic structural variables."""
@@ -154,10 +189,8 @@ def phase_one(lp: LinearProgram) -> Basis | Infeasible:
         for i in range(m)
     ]
     basis = [n + i for i in range(m)]
-    # Pivoting on the basic columns prices the cost row out.
-    tab.append([_ZERO] * n + [_ONE] * m + [_ZERO])
-    for i in range(m):
-        pivot(tab, i, basis[i])
+    # Cost 1 on every artificial, each basic in its own row.
+    tab.append(_priced(_ratio_columns(tab, basis, n + m + 1), [(-1, 1)] * m, ()))
     require(_bland_simplex(tab, basis, n + m) < 0, "phase I is bounded below by zero")
     zrow = tab.pop()
     if zrow[-1] != 0:
@@ -176,18 +209,15 @@ def phase_one(lp: LinearProgram) -> Basis | Infeasible:
 def phase_two(start: Basis, c: QVector) -> Optimal | Unbounded:
     """Minimize c.x from a phase-I basis, on a copy of its tableau.
 
-    Artificials cost 0 and never enter. Pivoting on each basic column
-    prices the cost row out; artificial t then has reduced cost -y[t], so
-    the equality multipliers are read off that row.
+    Artificials cost 0 and never enter. Artificial t's reduced cost is
+    -y[t], so the equality multipliers are read off the priced row.
     """
     n, m = start.n, len(start.basis)
     if c.dim != n:
         raise DimensionError(f"objective dim {c.dim} != column count {n}")
     tab = list(start.rows)
     basis = list(start.basis)
-    tab.append([c[j] for j in range(n)] + [_ZERO] * (m + 1))
-    for i in range(m):
-        pivot(tab, i, basis[i])
+    tab.append(_priced(start.columns, _ratios(-c[b] if b < n else _ZERO for b in start.basis), c.entries))
     entering = _bland_simplex(tab, basis, n)
     x = _basic_levels(tab, basis, n, -1)
     if entering >= 0:

@@ -3,10 +3,20 @@
 import itertools
 from fractions import Fraction
 
-from vlpdual.cone import multiplier
+from vlpdual.cone import multiplier, multiplier_program
 from vlpdual.duality import scaled_generator
-from vlpdual.exact import QMatrix, QVector, outer, solve_linear_system
-from vlpdual.lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
+from vlpdual.exact import QMatrix, QVector, outer, pivot, solve_linear_system
+from vlpdual.lp import (
+    Basis,
+    GeneralProgram,
+    GenRow,
+    Infeasible,
+    Optimal,
+    Unbounded,
+    _basic_levels,
+    _bland_simplex,
+    solve_general,
+)
 from vlpdual.model import DualCandidateD
 from vlpdual.sampling import random_rational, random_vector, sample_quasi_interior
 
@@ -51,6 +61,14 @@ def lam_z_stack(problem) -> QMatrix:
     return QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
 
 
+def _multiplier_with_equality(cone, M: QMatrix, eq: QVector) -> QVector | None:
+    """`multiplier(cone, M)` with the row lam.eq = 0 placed first; None
+    when the system is empty."""
+    gp = multiplier_program(cone, M)
+    out = solve_general(GeneralProgram(gp.objective, (GenRow(eq, "=", Fraction(0)),) + gp.rows, free=True))
+    return out.x if isinstance(out, Optimal) else None
+
+
 def _append_column(m: QMatrix, col: QVector) -> QMatrix:
     entries = tuple(v for i in range(m.rows) for v in m.row(i).entries + (col[i],))
     return QMatrix(m.rows, m.cols + 1, entries)
@@ -65,10 +83,74 @@ def reference_membership(problem, d: QVector, relaxed: bool) -> tuple[QVector, Q
     if relaxed:  # -f as one more column of [L; -A]: the row -f.(lam, z) >= 0
         point = multiplier(problem.cone, _append_column(stack, -f))
     else:
-        point = multiplier(problem.cone, stack, eq=f)
+        point = _multiplier_with_equality(problem.cone, stack, f)
     if point is None:
         return None
     return QVector(point.entries[: problem.k]), QVector(point.entries[problem.k :])
+
+
+def reference_scalarization(problem, xbar: QVector) -> tuple[QVector, QVector] | None:
+    """(lam, eta) from one LP over the multiplier system lam.g >= 1,
+    L^T lam + A^T eta >= 0, lam.(L xbar) + b.eta = 0; None when empty."""
+    stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + problem.A.entries)  # [L; A]
+    eq = QVector((problem.L @ xbar).entries + problem.b.entries)
+    point = _multiplier_with_equality(problem.cone, stacked, eq)
+    if point is None:
+        return None
+    return QVector(point.entries[: problem.k]), QVector(point.entries[problem.k :])
+
+
+def reference_gamma(problem, U: QMatrix, vbar: QVector) -> QVector | None:
+    """gamma from one LP over gamma.g >= 1, (L - UA)^T gamma >= 0,
+    gamma.vbar = 0; None when empty."""
+    return _multiplier_with_equality(problem.cone, problem.L - (U @ problem.A), vbar)
+
+
+def reference_phase_one(lp):
+    """Phase I that prices its cost row by pivoting on every artificial
+    column, then runs the same simplex loop and pivots artificials out."""
+    m, n = lp.m, lp.n
+    zero, one = Fraction(0), Fraction(1)
+    signs = tuple(1 if lp.b[i] >= 0 else -1 for i in range(m))
+    tab = [
+        [lp.a.at(i, j) * signs[i] for j in range(n)] + [one if t == i else zero for t in range(m)] + [lp.b[i] * signs[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+    tab.append([zero] * n + [one] * m + [zero])
+    for i in range(m):
+        pivot(tab, i, basis[i])
+    assert _bland_simplex(tab, basis, n + m) < 0
+    zrow = tab.pop()
+    if zrow[-1] != 0:
+        return Infeasible(QVector(tuple(signs[t] * (one - zrow[n + t]) for t in range(m))))
+    for i in range(m):
+        if basis[i] >= n:
+            j = next((j for j in range(n) if tab[i][j]), None)
+            if j is not None:
+                pivot(tab, i, j)
+                basis[i] = j
+    return Basis(n, tuple(tab), tuple(basis), signs)
+
+
+def reference_phase_two(start, c: QVector):
+    """Phase II that prices the cost row by pivoting on every basic column
+    of a copy of start's tableau, then runs the same simplex loop."""
+    n, m = start.n, len(start.basis)
+    tab = list(start.rows)
+    basis = list(start.basis)
+    tab.append([c[j] for j in range(n)] + [Fraction(0)] * (m + 1))
+    for i in range(m):
+        pivot(tab, i, basis[i])
+    entering = _bland_simplex(tab, basis, n)
+    x = QVector(tuple(_basic_levels(tab, basis, n, -1)))
+    if entering >= 0:
+        ray = [-e for e in _basic_levels(tab, basis, n, entering)]
+        ray[entering] = Fraction(1)
+        return Unbounded(x, QVector(tuple(ray)))
+    zrow = tab[m]
+    y = QVector(tuple(-start.signs[t] * zrow[n + t] for t in range(m)))
+    return Optimal(x, y, -zrow[-1])
 
 
 def reference_dual_point(problem) -> tuple[QVector, QVector] | None:

@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import vlpdual
 from vlpdual.cli import main
+from vlpdual.efficiency import EfficiencyCertificate, verify_scalarization_certificate
+from vlpdual.exact import qvec
+from vlpdual.model import load_problem
 
 R5 = {
     "n": 1,
@@ -98,10 +101,12 @@ def test_efficient_seg(seg_file, capsys):
 
 
 def test_certify(seg_file, capsys):
+    # The printed certificate is pinned by validity, not by value.
     assert main(["certify", seg_file, "--point", "[\"1\", \"0\"]", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["efficient"] is True
-    assert "lambda" in data
+    cert = EfficiencyCertificate("efficient-with-scalarization", lam=qvec(*data["lambda"]), eta=qvec(*data["eta"]))
+    assert verify_scalarization_certificate(load_problem(Path(seg_file).read_text()), qvec(1, 0), cert)
 
 
 def test_certify_infeasible_point(seg_file, capsys):

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import lam_z_stack, reference_dual_point, reference_membership
+from _oracles import lam_z_stack, reference_dual_point, reference_gamma, reference_membership, reference_scalarization
 from vlpdual import duality
 from vlpdual.cone import multiplier_program, orthant, strictly_below
 from vlpdual.duality import (
     DualPolyhedron,
+    ReducedImage,
     check_feasible_D,
     check_feasible_J,
     check_feasible_L,
@@ -35,6 +36,7 @@ from vlpdual.efficiency import (
     enumerate_vertices,
     is_efficient,
     proper_efficiency_certificate,
+    verify_scalarization_certificate,
 )
 from vlpdual.exact import QMatrix, QVector, outer, qmat, qvec
 from vlpdual.harness import FIXTURES, CampaignConfig, run_instance_suite
@@ -520,3 +522,68 @@ def test_inclusion_chain_solves_each_minimum_once(monkeypatch):
         assert len(solves) == len(set(solves)), f"{instance}: a cost was solved twice on the same basis"
         total += len(solves)
     assert total > 0
+
+
+def _phase_two_problems(no_dual_problem, seed):
+    """An empty P, a dominated vertex, and 25 random problems each with its
+    b = 0 variant."""
+    rng = random.Random(seed)
+    widened = VlpProblem(qmat([[1, 0, 1], [0, 1, 1]]), qmat([[1, 1, 1]]), qvec(1), orthant(2))
+    problems = [no_dual_problem, widened]
+    for _ in range(25):
+        drawn = random_problem(rng)
+        problems += [drawn, VlpProblem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)]
+    return problems
+
+
+def test_scalarization_certificates_on_P_agree_with_the_multiplier_system(no_dual_problem):
+    cases = dict.fromkeys(("certified", "certified with b = 0", "dominated vertex", "empty P"), 0)
+    for problem in _phase_two_problems(no_dual_problem, 1200):
+        P = DualPolyhedron(problem)
+        for vertex in enumerate_vertices(problem):
+            cert = P.certificate(vertex)
+            assert cert == proper_efficiency_certificate(problem, vertex)
+            assert (cert is None) == (reference_scalarization(problem, vertex) is None)
+            if cert is None:
+                assert not is_efficient(problem, vertex)[0]
+                cases["empty P" if P.empty else "dominated vertex"] += 1
+                continue
+            assert verify_scalarization_certificate(problem, vertex, cert)
+            cases["certified with b = 0" if problem.b.is_zero() else "certified"] += 1
+    assert all(cases.values()), cases
+
+
+def test_lifts_on_Q_U_agree_with_the_multiplier_system(no_dual_problem):
+    # lift(x) succeeds exactly when gamma.g >= 1, M^T gamma >= 0,
+    # gamma.(Mx) = 0 is feasible, and the gamma step alone, the minimum of
+    # lam.(Mx) over Q_U, is 0 exactly then.
+    cases = dict.fromkeys(("lifted", "lifted with b = 0", "not minimal", "U infeasible", "gamma minimum > 0"), 0)
+    rng = random.Random(1300)
+    for problem in _phase_two_problems(no_dual_problem, 1250):
+        for U in (QMatrix.zeros(problem.k, problem.m), random_matrix(rng, problem.k, problem.m)):
+            image = ReducedImage(problem, U)
+            assert image.feasible == (not image.multipliers.empty)
+            starts = [QVector.zeros(problem.n)] + [
+                QVector(tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(problem.n)))
+                for _ in range(2)
+            ]
+            if image.feasible:
+                starts += [image.minimize(x) for x in starts]
+            for x in starts:
+                vbar = image.M @ x
+                ref = reference_gamma(problem, U, vbar)
+                if not image.multipliers.empty:
+                    lowest = image.multipliers.minimize(vbar)
+                    assert isinstance(lowest, Optimal) and lowest.value >= 0
+                    assert (lowest.value == 0) == (ref is not None)
+                    cases["gamma minimum > 0"] += lowest.value > 0
+                try:
+                    cand = image.lift(x)
+                except ValueError as exc:
+                    assert "not minimal" in str(exc) and ref is None
+                    cases["not minimal" if image.feasible else "U infeasible"] += 1
+                    continue
+                assert ref is not None
+                assert check_feasible_D(problem, cand) and cand == map_DH_to_D(problem, U, x)
+                cases["lifted with b = 0" if problem.b.is_zero() else "lifted"] += 1
+    assert all(cases.values()), cases

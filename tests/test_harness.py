@@ -1,7 +1,10 @@
 import json
+import random
 
 import pytest
 
+from vlpdual import duality, efficiency, harness, lp
+from vlpdual.cli import main
 from vlpdual.harness import (
     CampaignConfig,
     CheckRecord,
@@ -11,8 +14,11 @@ from vlpdual.harness import (
     report_from_json,
     run_all_fixtures,
     run_fixture,
+    run_instance_suite,
     run_random_campaign,
 )
+from vlpdual.model import problem_to_dict
+from vlpdual.sampling import random_problem
 
 SMALL = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=6)
 
@@ -162,3 +168,103 @@ def test_strictness_search_finds_hJ_gap(small_campaign):
                 value = qvec(*w)
                 assert membership_hB(zb, value).member
                 assert not membership_hJ(zb, value).member
+
+
+def _suite_problems():
+    rng = random.Random(41)
+    return [fixture.problem for fixture in FIXTURES.values()] + [random_problem(rng) for _ in range(4)]
+
+
+SUITE = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=12)
+
+
+def test_suite_decides_each_sampled_U_once(monkeypatch):
+    # check_feasible_U's LP is the normalized domination program over
+    # L - UA; the suite builds it once per sampled U, whatever it asks of U.
+    built = []
+    original = duality.domination_program
+
+    def recording(*args, **kwargs):
+        if kwargs.get("normalize"):
+            built.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "domination_program", recording)
+    mapped = 0
+    for problem in _suite_problems():
+        built.clear()
+        report = run_instance_suite(problem, seed=5, config=SUITE)
+        assert report.ok
+        assert len(built) == harness._U_SAMPLES
+        mapped += report.counts()["hH_to_hB_map"]
+    assert mapped > 0
+
+
+def test_certificates_and_gamma_start_no_phase_one(monkeypatch):
+    # Certificates are phase II on the instance's one P, and the lift's
+    # gamma is phase II on the Q_U built by the U-feasibility check: each
+    # lift runs exactly one phase I, its minimality program.
+    started = []
+    built = []
+    calls = {"certificate": 0, "lift": 0}
+    phase_one = lp.phase_one
+    init = efficiency.ScalarizationPolyhedron.__init__
+    certificate = efficiency.ScalarizationPolyhedron.certificate
+    lift = duality.ReducedImage.lift
+
+    def recording_phase_one(program):
+        started.append(program)
+        return phase_one(program)
+
+    def counting_init(self, problem):
+        built.append(problem)
+        init(self, problem)
+
+    def counted_certificate(self, xbar):
+        before = len(started)
+        out = certificate(self, xbar)
+        assert len(started) == before, "a certificate started a phase I"
+        calls["certificate"] += 1
+        return out
+
+    def counted_lift(self, xbar):
+        before = len(started)
+        out = lift(self, xbar)
+        assert len(started) == before + 1, "the gamma step started a phase I"
+        calls["lift"] += 1
+        return out
+
+    monkeypatch.setattr(lp, "phase_one", recording_phase_one)
+    monkeypatch.setattr(efficiency.ScalarizationPolyhedron, "__init__", counting_init)
+    monkeypatch.setattr(efficiency.ScalarizationPolyhedron, "certificate", counted_certificate)
+    monkeypatch.setattr(duality.ReducedImage, "lift", counted_lift)
+    for problem in _suite_problems():
+        built.clear()
+        assert run_instance_suite(problem, seed=5, config=SUITE).ok
+        assert built == [problem], "the suite built P more than once"
+    assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize(("checker", "image_set"), [("check_feasible_L", "hL"), ("check_feasible_D", "hB")])
+def test_sabotaged_witness_check_fails_the_inclusion_chain(monkeypatch, tmp_path, capsys, checker, image_set):
+    # The chain's witnesses are checked once, inside image_sets; a checker
+    # that rejects them ends the check as a failure naming CertificateError.
+    # The sabotage starts after the context is built, whose sampled dual
+    # points go through check_feasible_D too.
+    build = harness._build_context
+
+    def build_then_sabotage(*args):
+        ctx = build(*args)
+        monkeypatch.setattr(duality, checker, lambda problem, cand: False)
+        return ctx
+
+    monkeypatch.setattr(harness, "_build_context", build_then_sabotage)
+    fixture = FIXTURES["FIX-SEG"]
+    (record,) = run_instance_suite(fixture.problem, seed=3, config=SMALL).select("inclusion_chain")
+    assert record.status == "fail"
+    assert any(f.get("exception", "").startswith("CertificateError") for f in record.witness["failures"])
+
+    path = tmp_path / "seg.json"
+    path.write_text(json.dumps(problem_to_dict(fixture.problem)))
+    assert main(["member", str(path), "--set", image_set, "--value", '["1", "0"]']) == 3
+    assert "internal error:" in capsys.readouterr().err

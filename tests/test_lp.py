@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import brute_vertices
+from _oracles import brute_vertices, reference_phase_one, reference_phase_two
 from vlpdual.exact import DimensionError, QMatrix, QVector, qmat, qvec
 from vlpdual.lp import (
     Basis,
@@ -351,6 +351,45 @@ def test_phase_two_reuses_a_basis_without_changing_it():
         assert phase_two(start, lp.c) == solve_lp(lp)
         solved += 1
     assert solved > 50
+
+
+def _with_dependent_row(rng, lp):
+    """lp with one more row, a random combination of its rows placed at a
+    random position: the row is redundant and its artificial stays basic."""
+    weights = [random_rational(rng) for _ in range(lp.m)]
+    extra = [sum((w * lp.a.at(i, j) for i, w in enumerate(weights)), Fraction(0)) for j in range(lp.n)]
+    rows = [list(lp.a.row(i)) for i in range(lp.m)]
+    rhs = list(lp.b)
+    at = rng.randint(0, lp.m)
+    rows.insert(at, extra)
+    rhs.insert(at, sum((w * b for w, b in zip(weights, lp.b)), Fraction(0)))
+    return LinearProgram(lp.c, qmat(rows), QVector(tuple(rhs)))
+
+
+def test_one_pass_pricing_equals_pivot_pricing():
+    # Field for field: the stored basis or Farkas certificate, and x, y and
+    # value. The priced row is the one that pivoting on the basic columns
+    # leaves, so Bland's rule makes the same choices from it.
+    rng = random.Random(23)
+    compared = {False: 0, True: 0}
+    kinds = set()
+    artificial_basic = 0
+    for lp in _criterion_8_lps(rng, 300):
+        for dependent in (False, True):
+            program = _with_dependent_row(rng, lp) if dependent else lp
+            start = phase_one(program)
+            assert start == reference_phase_one(program)
+            if isinstance(start, Infeasible):
+                kinds.add(Infeasible)
+                continue
+            artificial_basic += any(b >= start.n for b in start.basis)
+            for c in (program.c, QVector(tuple(random_rational(rng) for _ in range(program.n)))):
+                out = phase_two(start, c)
+                assert out == reference_phase_two(start, c)
+                kinds.add(type(out))
+            compared[dependent] += 1
+    assert all(count > 50 for count in compared.values()), compared
+    assert artificial_basic > 0 and kinds == {Infeasible, Optimal, Unbounded}
 
 
 def test_phase_two_rejects_a_cost_of_the_wrong_width():

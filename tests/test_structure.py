@@ -10,6 +10,16 @@ CACHES = {"lru_cache", "cache"}  # cached_property stays allowed
 # The harness's pair loops compare cone coordinates taken once per vector,
 # never a per-pair facet test.
 PER_PAIR_ORDER = {"strictly_below", "contains"}
+# The harness asks the polyhedra it holds (P, and one ReducedImage per
+# sampled U), never the one-shot oracles that build a fresh one per call.
+ONE_SHOT_ORACLES = {
+    "proper_efficiency_certificate",
+    "check_feasible_U",
+    "u_feasibility_multiplier",
+    "h_H_value_membership",
+    "minimize_over_image",
+    "map_DH_to_D",
+}
 
 
 def _names(tree: ast.AST):
@@ -59,4 +69,10 @@ def test_lp_internals_are_named_only_in_lp():
 def test_harness_compares_cone_coordinates_only():
     (tree,) = [tree for name, tree in _modules() if name == "harness.py"]
     found = sorted(set(_names(tree)) & PER_PAIR_ORDER)
+    assert not found, found
+
+
+def test_harness_names_no_one_shot_oracle():
+    (tree,) = [tree for name, tree in _modules() if name == "harness.py"]
+    found = sorted(set(_names(tree)) & ONE_SHOT_ORACLES)
     assert not found, found
