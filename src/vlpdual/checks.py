@@ -1,0 +1,54 @@
+"""Witness checks by exact vector and matrix products; no solver runs here,
+so a check never runs the code it checks (certifying algorithms;
+McConnell, Mehlhorn, Naher & Schweitzer 2011). `lp.verify_*` keep the same
+rule for LP outcomes and stay in `lp`, since `cone` imports `lp`.
+
+Every dual witness passes one test on (lam, z): lam is in the
+quasi-interior of K*, and L^T lam - A^T z >= 0. D^J takes z = U^T lam, as
+(L - UA)^T lam = L^T lam - A^T (U^T lam) exactly; D adds lam.v = 0 and D^L
+lam.v - b.z <= 0. A scalarization certificate (lam, eta) for xbar is the
+point (lam, -eta) with lam.g >= 1 on every generator and
+lam.(L xbar) + b.eta = 0.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .cone import in_quasi_interior
+from .exact import DimensionError, QVector
+
+if TYPE_CHECKING:
+    from .efficiency import EfficiencyCertificate
+    from .model import DualCandidateD, DualCandidateJ, DualCandidateL, VlpProblem
+
+
+def _dual_feasible(problem: VlpProblem, lam: QVector, z: QVector) -> bool:
+    return in_quasi_interior(problem.cone, lam) and ((problem.L.T @ lam) - (problem.A.T @ z)).is_nonneg()
+
+
+def check_feasible_J(problem: VlpProblem, cand: DualCandidateJ | DualCandidateD) -> bool:
+    if cand.lam.dim != problem.k:
+        raise DimensionError("candidate dims do not match the problem")
+    return _dual_feasible(problem, cand.lam, cand.U.T @ cand.lam)
+
+
+def check_feasible_D(problem: VlpProblem, cand: DualCandidateD) -> bool:
+    if cand.v.dim != problem.k:
+        raise DimensionError("candidate dims do not match the problem")
+    return check_feasible_J(problem, cand) and cand.lam.dot(cand.v) == 0
+
+
+def check_feasible_L(problem: VlpProblem, cand: DualCandidateL) -> bool:
+    if cand.lam.dim != problem.k or cand.z.dim != problem.m or cand.v.dim != problem.k:
+        raise DimensionError("candidate dims do not match the problem")
+    return _dual_feasible(problem, cand.lam, cand.z) and cand.lam.dot(cand.v) - cand.z.dot(problem.b) <= 0
+
+
+def verify_scalarization_certificate(problem: VlpProblem, xbar: QVector, cert: EfficiencyCertificate) -> bool:
+    if cert.kind != "efficient-with-scalarization" or cert.lam is None or cert.eta is None:
+        return False
+    lam, eta = cert.lam, cert.eta
+    if any(lam.dot(g) < 1 for g in problem.cone.generators) or not _dual_feasible(problem, lam, -eta):
+        return False
+    return lam.dot(problem.L @ xbar) + problem.b.dot(eta) == 0

@@ -1,6 +1,8 @@
-"""Feasibility checks for the five dual problems, one exact membership
-query for the chain of their image sets, and the constructive maps
-between them.
+"""One exact membership query for the chain of the dual image sets, the
+constructive maps between the five dual problems, and the U-feasibility
+LP. The feasibility checks of D, D^J and D^L live in `checks`, which
+calls no solver; they are bound here by name, and every witness built
+below is `require`d through them once.
 
 The bilinear coupling between lam and U in the dual systems disappears
 under the substitution z = U^T lam. The image sets hJ, hB and hL are then
@@ -24,10 +26,9 @@ certificates: phase I runs once per problem, and
   same objective, so hJ = hB; for b = 0 only v = 0 maps, and hJ is {0}
   intersected with hB.
 
-A concrete U is rebuilt rank-one from the witness (lam, z) and every
-witness is re-checked. The normalization lam.g >= 1 on the cone generators
-is sound because every system here is positively homogeneous in (lam, z)
-jointly.
+A concrete U is rebuilt rank-one from the witness (lam, z). The
+normalization lam.g >= 1 on the cone generators is sound because every
+system here is positively homogeneous in (lam, z) jointly.
 
 A sampled U of the D^H side is one `ReducedImage`, holding M = L - UA: its
 feasibility verdict, its multiplier polyhedron
@@ -45,13 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cone import OrderingCone, in_quasi_interior, multiplier_program, strictly_below
-from .efficiency import (
-    EfficiencyCertificate,
-    ScalarizationPolyhedron,
-    domination_program,
-    verify_scalarization_certificate,
-)
+from .checks import check_feasible_D, check_feasible_J, check_feasible_L, verify_scalarization_certificate
+from .cone import OrderingCone, multiplier_program, strictly_below
+from .efficiency import EfficiencyCertificate, ScalarizationPolyhedron, domination_program
 from .exact import DimensionError, QMatrix, QVector, outer, require
 from .lp import Infeasible, LinearProgram, LpOutcome, Optimal, Region, solve_feasibility, solve_general, solve_lp
 from .model import (
@@ -62,7 +59,6 @@ from .model import (
     VlpProblem,
     objective_D,
     objective_J,
-    objective_L,
 )
 
 _ZERO = Fraction(0)
@@ -99,38 +95,6 @@ def scaled_generator(cone: OrderingCone, lam: QVector) -> QVector:
     raise ValueError("no generator has positive product with lam")
 
 
-def _reduced_map(problem: VlpProblem, U: QMatrix) -> QMatrix:
-    return problem.L - (U @ problem.A)
-
-
-def check_feasible_D(problem: VlpProblem, cand: DualCandidateD) -> bool:
-    if cand.lam.dim != problem.k or cand.v.dim != problem.k:
-        raise DimensionError("candidate dims do not match the problem")
-    if not in_quasi_interior(problem.cone, cand.lam):
-        return False
-    if cand.lam.dot(cand.v) != 0:
-        return False
-    return (_reduced_map(problem, cand.U).T @ cand.lam).is_nonneg()
-
-
-def check_feasible_J(problem: VlpProblem, cand: DualCandidateJ) -> bool:
-    if cand.lam.dim != problem.k:
-        raise DimensionError("candidate dims do not match the problem")
-    if not in_quasi_interior(problem.cone, cand.lam):
-        return False
-    return (_reduced_map(problem, cand.U).T @ cand.lam).is_nonneg()
-
-
-def check_feasible_L(problem: VlpProblem, cand: DualCandidateL) -> bool:
-    if cand.lam.dim != problem.k or cand.z.dim != problem.m or cand.v.dim != problem.k:
-        raise DimensionError("candidate dims do not match the problem")
-    if not in_quasi_interior(problem.cone, cand.lam):
-        return False
-    if cand.lam.dot(cand.v) - cand.z.dot(problem.b) > 0:
-        return False
-    return ((problem.L.T @ cand.lam) - (problem.A.T @ cand.z)).is_nonneg()
-
-
 class ReducedImage:
     """One U of the D^H side: the reduced map M = L - UA and every question
     asked about it, each LP decided on first use and at most once.
@@ -143,7 +107,7 @@ class ReducedImage:
     def __init__(self, problem: VlpProblem, U: QMatrix):
         self.problem = problem
         self.U = U
-        self.M = _reduced_map(problem, U)
+        self.M = problem.L - (U @ problem.A)
 
     @cached_property
     def feasible(self) -> bool:
@@ -198,7 +162,6 @@ class ReducedImage:
         )
         cand = DualCandidateD(lowest.x, self.U, vbar)
         require(check_feasible_D(problem, cand), "lifted point is feasible for D")
-        require(objective_D(problem, cand) == (self.U @ problem.b) + vbar, "lifted point attains Ub + vbar")
         return cand
 
     def value_member(self, d: QVector) -> bool:
@@ -235,7 +198,7 @@ def construct_dual_solution(
     cand = DualCandidateD(lam, U, v)
     require(check_feasible_D(problem, cand), "constructed dual point is feasible for D")
     require(objective_D(problem, cand) == problem.L @ xbar, "dual objective equals L xbar")
-    require(xbar.dot(_reduced_map(problem, U).T @ lam) == 0, "complementary slackness holds at xbar")
+    require(xbar.dot((problem.L - (U @ problem.A)).T @ lam) == 0, "complementary slackness holds at xbar")
     return cand
 
 
@@ -302,7 +265,6 @@ class DualPolyhedron(ScalarizationPolyhedron):
         lam, z = self._split(low_point)
         in_l = DualCandidateL(lam, z, d)
         require(check_feasible_L(self.problem, in_l), "hL witness is feasible for D^L")
-        require(objective_L(in_l) == d, "hL witness attains d")
         hL = MembershipVerdict(True, in_l)
 
         point = low_point
@@ -370,7 +332,6 @@ def map_D_to_DL(problem: VlpProblem, cand: DualCandidateD) -> DualCandidateL:
     value = objective_D(problem, cand)
     out = DualCandidateL(cand.lam, z, value)
     require(check_feasible_L(problem, out), "substituted point is feasible for D^L")
-    require(objective_L(out) == value, "substitution preserves the objective")
     return out
 
 

@@ -20,7 +20,9 @@ is >= 0 on P, so a certificate exists exactly when min f over P is 0; the
 minimizer gives it, with eta = -z (geometric duality, Heyde & Lohne 2008).
 `ScalarizationPolyhedron` is P as an `lp.Region`: one phase I serves every
 point asked of a problem, and `duality.DualPolyhedron` is the same P, asked
-about image values as well.
+about image values as well. The certificate's check,
+`verify_scalarization_certificate`, is arithmetic alone and lives in
+`checks`; it is bound here by name.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .checks import verify_scalarization_certificate  # noqa: F401
 from .cone import OrderingCone, generator_matrix, multiplier_program
 from .exact import QMatrix, QVector, require, solve_linear_system
 from .lp import GeneralProgram, GenRow, Optimal, Region, Unbounded, solve_general
@@ -139,20 +142,6 @@ class ScalarizationPolyhedron(Region):
 def proper_efficiency_certificate(problem: VlpProblem, xbar: QVector) -> EfficiencyCertificate | None:
     """`ScalarizationPolyhedron.certificate` on a polyhedron built for one point."""
     return ScalarizationPolyhedron(problem).certificate(xbar)
-
-
-def verify_scalarization_certificate(
-    problem: VlpProblem, xbar: QVector, cert: EfficiencyCertificate
-) -> bool:
-    if cert.kind != "efficient-with-scalarization" or cert.lam is None or cert.eta is None:
-        return False
-    lam, eta = cert.lam, cert.eta
-    if any(lam.dot(g) < 1 for g in problem.cone.generators):
-        return False
-    reduced = (problem.L.T @ lam) + (problem.A.T @ eta)
-    if not reduced.is_nonneg():
-        return False
-    return lam.dot(problem.L @ xbar) + problem.b.dot(eta) == 0
 
 
 def enumerate_vertices(problem: VlpProblem) -> list[QVector]:

@@ -3,9 +3,9 @@
 import itertools
 from fractions import Fraction
 
-from vlpdual.cone import multiplier, multiplier_program
+from vlpdual.cone import in_quasi_interior, multiplier, multiplier_program
 from vlpdual.duality import scaled_generator
-from vlpdual.exact import QMatrix, QVector, outer, pivot, solve_linear_system
+from vlpdual.exact import DimensionError, QMatrix, QVector, outer, pivot, solve_linear_system
 from vlpdual.lp import (
     Basis,
     GeneralProgram,
@@ -199,3 +199,34 @@ def reference_sample_dual_points(problem, rng, count: int, polyhedron) -> list:
             v = v + vec.scale(random_rational(rng, -4, 4))
         out.append(DualCandidateD(lam, U, v))
     return out
+
+
+# The dual feasibility checks as first written, over the reduced map L - UA
+# for D and D^J; `vlpdual.checks` tests (lam, z = U^T lam) instead.
+
+def reduced_map_feasible_D(problem, cand) -> bool:
+    if cand.lam.dim != problem.k or cand.v.dim != problem.k:
+        raise DimensionError("candidate dims do not match the problem")
+    if not in_quasi_interior(problem.cone, cand.lam):
+        return False
+    if cand.lam.dot(cand.v) != 0:
+        return False
+    return ((problem.L - (cand.U @ problem.A)).T @ cand.lam).is_nonneg()
+
+
+def reduced_map_feasible_J(problem, cand) -> bool:
+    if cand.lam.dim != problem.k:
+        raise DimensionError("candidate dims do not match the problem")
+    if not in_quasi_interior(problem.cone, cand.lam):
+        return False
+    return ((problem.L - (cand.U @ problem.A)).T @ cand.lam).is_nonneg()
+
+
+def reduced_map_feasible_L(problem, cand) -> bool:
+    if cand.lam.dim != problem.k or cand.z.dim != problem.m or cand.v.dim != problem.k:
+        raise DimensionError("candidate dims do not match the problem")
+    if not in_quasi_interior(problem.cone, cand.lam):
+        return False
+    if cand.lam.dot(cand.v) - cand.z.dot(problem.b) > 0:
+        return False
+    return ((problem.L.T @ cand.lam) - (problem.A.T @ cand.z)).is_nonneg()

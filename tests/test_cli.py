@@ -220,6 +220,18 @@ def test_member_witness_hJ_feeds_check_dual(r5_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"feasible": True}
 
 
+def test_member_witness_hL_feeds_check_dual(r5_file, tmp_path, capsys):
+    assert main(
+        ["member", r5_file, "--set", "hL", "--value", "[\"-1\", \"-1\"]", "--witness", "--format", "json"]
+    ) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["member"] is True
+    dual_path = tmp_path / "wl.json"
+    dual_path.write_text(json.dumps(data["witness_candidate"]))
+    assert main(["check-dual", r5_file, "--dual", str(dual_path), "--kind", "L", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"feasible": True}
+
+
 def test_examples_pass(capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out

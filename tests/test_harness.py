@@ -5,6 +5,8 @@ import pytest
 
 from vlpdual import duality, efficiency, harness, lp
 from vlpdual.cli import main
+from vlpdual.cone import orthant
+from vlpdual.exact import QMatrix, qvec
 from vlpdual.harness import (
     CampaignConfig,
     CheckRecord,
@@ -17,7 +19,7 @@ from vlpdual.harness import (
     run_instance_suite,
     run_random_campaign,
 )
-from vlpdual.model import problem_to_dict
+from vlpdual.model import VlpProblem, problem_to_dict
 from vlpdual.sampling import random_problem
 
 SMALL = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=6)
@@ -268,3 +270,48 @@ def test_sabotaged_witness_check_fails_the_inclusion_chain(monkeypatch, tmp_path
     path.write_text(json.dumps(problem_to_dict(fixture.problem)))
     assert main(["member", str(path), "--set", image_set, "--value", '["1", "0"]']) == 3
     assert "internal error:" in capsys.readouterr().err
+
+
+# Primal empty (0x = 1 has no solution), dual nonempty: only this quadrant
+# reaches improvement_on_empty_primal.
+_EMPTY_PRIMAL = VlpProblem(QMatrix.identity(2), QMatrix.zeros(1, 2), qvec(1), orthant(2))
+
+
+@pytest.mark.parametrize(
+    ("name", "check", "problem"),
+    [
+        ("check_feasible_D", "strong_duality", FIXTURES["FIX-SEG"].problem),
+        ("check_feasible_L", "converse_duality", FIXTURES["FIX-SEG"].problem),
+        ("strictly_below", "improvement_on_empty_primal", _EMPTY_PRIMAL),
+    ],
+)
+def test_sabotaged_library_check_fails_its_campaign_check(monkeypatch, name, check, problem):
+    # The harness no longer repeats these checks: construct_dual_solution,
+    # map_D_to_DL and improve_dual_infeasible_primal require them, and a
+    # failed requirement ends the campaign check as a failure record.
+    build = harness._build_context
+
+    def build_then_sabotage(*args):
+        ctx = build(*args)
+        monkeypatch.setattr(duality, name, lambda *args: False)
+        return ctx
+
+    monkeypatch.setattr(harness, "_build_context", build_then_sabotage)
+    (record,) = run_instance_suite(problem, seed=3, config=SMALL).select(check)
+    assert record.status == "fail"
+    assert any(f.get("exception", "").startswith("CertificateError") for f in record.witness["failures"])
+
+
+def test_strong_converse_fixture_builds_one_P_per_problem(monkeypatch):
+    # FIX-SEG builds P for efficient_vertices and for the round trip; FIX-ZB
+    # also for each of its two membership checks.
+    built = []
+    init = efficiency.ScalarizationPolyhedron.__init__
+
+    def counting_init(self, problem):
+        built.append(problem)
+        init(self, problem)
+
+    monkeypatch.setattr(efficiency.ScalarizationPolyhedron, "__init__", counting_init)
+    assert run_fixture("FIX-SEG").ok and run_fixture("FIX-ZB").ok
+    assert len(built) == 6

@@ -22,6 +22,25 @@ ONE_SHOT_ORACLES = {
 }
 
 
+# A witness check confirms by products alone: it runs no LP, builds no
+# polyhedron and eliminates nothing, so it never runs the code it checks.
+SOLVING = {
+    "solve_lp",
+    "solve_general",
+    "solve_feasibility",
+    "Region",
+    "DualPolyhedron",
+    "ScalarizationPolyhedron",
+    "ReducedImage",
+    "phase_one",
+    "phase_two",
+    "multiplier",
+    "pivot",
+    "row_reduce",
+    "solve_linear_system",
+}
+
+
 def _names(tree: ast.AST):
     """Every identifier the module binds, reads or imports."""
     for node in ast.walk(tree):
@@ -76,3 +95,14 @@ def test_harness_names_no_one_shot_oracle():
     (tree,) = [tree for name, tree in _modules() if name == "harness.py"]
     found = sorted(set(_names(tree)) & ONE_SHOT_ORACLES)
     assert not found, found
+
+
+def test_witness_checks_never_solve():
+    trees = dict(_modules())
+    verifiers = [
+        node for node in trees["lp.py"].body if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+    ]
+    assert len(verifiers) >= 4, [node.name for node in verifiers]
+    for name, tree in [("checks.py", trees["checks.py"])] + [(f"lp.{node.name}", node) for node in verifiers]:
+        found = sorted(set(_names(tree)) & SOLVING)
+        assert not found, f"{name} names {found}"
