@@ -19,8 +19,7 @@ from .cone import in_quasi_interior
 from .exact import DimensionError, QVector
 
 if TYPE_CHECKING:
-    from .efficiency import EfficiencyCertificate
-    from .model import DualCandidateD, DualCandidateJ, DualCandidateL, VlpProblem
+    from .model import DualCandidateD, DualCandidateJ, DualCandidateL, EfficiencyCertificate, VlpProblem
 
 
 def _dual_feasible(problem: VlpProblem, lam: QVector, z: QVector) -> bool:

@@ -16,6 +16,13 @@ v lies in K iff each is >= 0, and v is below w iff each of v's is <= w's,
 since h.(w - v) = h.w - h.v. On a pointed cone equal coordinates mean
 equal vectors, so `precedes` needs no w - v and no vector equality. A
 caller that compares many pairs takes each vector's coordinates once.
+
+Two builders assemble every LP over the generators: `multiplier_program`
+the systems in lam (lam.g >= 1 on every generator, M^T lam >= 0), and
+`domination_program` the programs that push cone mass below a target
+through a map M. For one M they are LP duals of each other: the
+domination program at target t has the optimum of min t.lam over the
+multiplier system.
 """
 
 from __future__ import annotations
@@ -157,6 +164,32 @@ def multiplier(cone: OrderingCone, M: QMatrix | None = None) -> QVector | None:
     on every column of M; None when no such lam exists."""
     out = solve_general(multiplier_program(cone, M))
     return out.x if isinstance(out, Optimal) else None
+
+
+def domination_program(
+    cone: OrderingCone,
+    M: QMatrix,
+    target: QVector,
+    fixed: tuple[QMatrix, QVector] | None = None,
+    normalize: bool = False,
+) -> GeneralProgram:
+    """max sum(mu) over {x, mu >= 0 : Mx + G mu = target}, as a min program.
+
+    G holds the cone generators as columns. fixed = (A, b) adds the rows
+    Ax = b on x alone, ahead of the domination rows; normalize adds
+    sum(x) + sum(mu) <= 1 last, which keeps a homogeneous program bounded.
+    """
+    G = generator_matrix(cone)
+    n, g = M.cols, G.cols
+    rows: list[GenRow] = []
+    if fixed is not None:
+        A, b = fixed
+        rows += [GenRow(QVector(A.row(i).entries + (_ZERO,) * g), "=", b[i]) for i in range(A.rows)]
+    rows += [GenRow(QVector(M.row(i).entries + G.row(i).entries), "=", target[i]) for i in range(M.rows)]
+    if normalize:
+        rows.append(GenRow(QVector((_ONE,) * (n + g)), "<=", _ONE))
+    objective = QVector((_ZERO,) * n + (-_ONE,) * g)
+    return GeneralProgram(objective, tuple(rows))
 
 
 def _column_matrix(dim: int, cols) -> QMatrix:

@@ -5,22 +5,22 @@ calls no solver; they are bound here by name, and every witness built
 below is `require`d through them once.
 
 The bilinear coupling between lam and U in the dual systems disappears
-under the substitution z = U^T lam. The image sets hJ, hB and hL are then
-decided together on one polyhedron per problem,
+under the substitution z = U^T lam. Every dual question is then asked of
+one polyhedron per problem,
 
     P = {(lam, z) : lam.g >= 1 on every generator, L^T lam - A^T z >= 0},
 
 whose feasible set does not depend on the probe value d; only the linear
 functional f(lam, z) = lam.d - b.z does (geometric duality, Heyde & Lohne
-2008). `DualPolyhedron` is P as an `lp.Region`, the
-`efficiency.ScalarizationPolyhedron` that also answers scalarization
-certificates: phase I runs once per problem, and
-`DualPolyhedron.image_sets(d)` answers each probe with at most two
-`Region.minimize` calls:
+2008). `DualPolyhedron` is P as an `lp.Region`: phase I runs once per
+problem, and every question below is one or two `Region.minimize` calls.
 
-- d is in hL iff min f over P is <= 0;
+- A scalarization certificate for a feasible xbar: with d = L xbar,
+  f = xbar.(L^T lam - A^T z) is >= 0 on P, so a certificate exists
+  exactly when min f is 0; the minimizer gives it, with eta = -z.
+- d is in hL iff min f over P is <= 0.
 - d is in hB iff also max f >= 0: P is convex, so f(P) is an interval,
-  and it contains 0 exactly then;
+  and it contains 0 exactly then.
 - d is in hJ iff the hB point maps into the abstract dual. For b != 0 the
   D point (lam, U, v) becomes the J point (lam, U + v b^T/(b.b)) with the
   same objective, so hJ = hB; for b = 0 only v = 0 maps, and hJ is {0}
@@ -30,14 +30,16 @@ A concrete U is rebuilt rank-one from the witness (lam, z). The
 normalization lam.g >= 1 on the cone generators is sound because every
 system here is positively homogeneous in (lam, z) jointly.
 
-A sampled U of the D^H side is one `ReducedImage`, holding M = L - UA: its
-feasibility verdict, its multiplier polyhedron
-Q_U = {lam : lam.g >= 1, M^T lam >= 0} and the domination programs over M
-are each built on first use, and the map into D is a phase II on Q_U.
+A sampled U of the D^H side is one `ReducedImage`, holding M = L - UA and
+its polyhedron Q_U = {lam : lam.g >= 1, M^T lam >= 0}. The domination
+program over M at a target t is the LP dual of min t.lam over Q_U, so Q_U
+answers whether a point's image is minimal (the lift into D) and whether
+a value lies in U's image set. The feasibility verdict of U stays a
+domination program, the independent side of Q_U's emptiness, and so does
+`minimize`, whose point the report shows.
 
-Two builders assemble every LP here: `cone.multiplier_program` the systems
-in lam (or in (lam, z)), and `efficiency.domination_program` the
-domination programs over the reduced map L - UA.
+The LP builders, `cone.multiplier_program` (P and Q_U) and
+`cone.domination_program`, live with the generators they range over.
 """
 
 from __future__ import annotations
@@ -47,18 +49,18 @@ from fractions import Fraction
 from functools import cached_property
 
 from .checks import check_feasible_D, check_feasible_J, check_feasible_L, verify_scalarization_certificate
-from .cone import OrderingCone, multiplier_program, strictly_below
-from .efficiency import EfficiencyCertificate, ScalarizationPolyhedron, domination_program
+from .cone import OrderingCone, domination_program, multiplier_program, strictly_below
 from .exact import DimensionError, QMatrix, QVector, outer, require
-from .lp import Infeasible, LinearProgram, LpOutcome, Optimal, Region, solve_feasibility, solve_general, solve_lp
+from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_general, solve_lp
 from .model import (
     DualCandidateD,
     DualCandidateJ,
     DualCandidateL,
     DualCandidateU,
+    EfficiencyCertificate,
     VlpProblem,
     objective_D,
-    objective_J,
+    primal_feasible,
 )
 
 _ZERO = Fraction(0)
@@ -101,7 +103,10 @@ class ReducedImage:
 
     `feasible` says U is feasible for D^H: no x >= 0 has Mx strictly below
     zero. `multipliers` is Q_U = {lam : lam.g >= 1, M^T lam >= 0} as a
-    Region; by LP duality it is nonempty exactly when U is feasible.
+    Region; by LP duality it is nonempty exactly when U is feasible. By
+    the same duality, min t.lam over Q_U is the optimum of the domination
+    program at target t: it is 0 exactly when t is Mx for some x >= 0 and
+    no Mx lies strictly below t, and `lift` and `value_member` ask that.
     """
 
     def __init__(self, problem: VlpProblem, U: QMatrix):
@@ -121,8 +126,13 @@ class ReducedImage:
     def multipliers(self) -> Region:
         return Region(multiplier_program(self.problem.cone, self.M))
 
-    def _dominate(self, target: QVector) -> LpOutcome:
-        return solve_general(domination_program(self.problem.cone, self.M, target))
+    def _lowest_at_zero(self, t: QVector) -> Optimal | None:
+        """The minimum of t.lam over Q_U when Q_U is nonempty and the
+        minimum is 0, else None."""
+        if self.multipliers.empty:
+            return None
+        out = self.multipliers.minimize(t)
+        return out if isinstance(out, Optimal) and out.value == 0 else None
 
     def minimize(self, x0: QVector) -> QVector:
         """From x0 >= 0, a point whose reduced image is minimal in the
@@ -133,43 +143,37 @@ class ReducedImage:
         """
         if not x0.is_nonneg():
             raise ValueError("starting point must be nonnegative")
-        out = self._dominate(self.M @ x0)
+        out = solve_general(domination_program(self.problem.cone, self.M, self.M @ x0))
         require(isinstance(out, Optimal), "feasible U keeps the domination program bounded")
         return QVector(out.x.entries[: self.problem.n])
 
     def lift(self, xbar: QVector) -> DualCandidateD:
         """Lift a minimal-image point into the vector dual as (gamma, U, vbar).
 
-        The minimality test also rejects every U that is not feasible for
-        D^H, so no separate check is made: if some x >= 0 has Mx = -k with
-        k in K and k != 0, then xbar + x reaches vbar - k, and the
-        domination program at vbar finds the positive cone mass of k.
-        gamma minimizes lam.vbar over Q_U; lam.vbar = xbar.(M^T lam) >= 0
-        there, so a separating gamma (lam.vbar = 0) exists iff the minimum
-        is 0.
+        gamma minimizes lam.vbar over Q_U, where lam.vbar = xbar.(M^T lam)
+        >= 0, so a separating gamma (lam.vbar = 0) exists iff the minimum
+        is 0, which is iff vbar is minimal. An infeasible U has an empty
+        Q_U and is rejected too. The lifted point's check certifies
+        minimality on its own: gamma is in the quasi-interior with
+        M^T gamma >= 0 and gamma.vbar = 0, so no Mx lies strictly below vbar.
         """
         problem = self.problem
         if xbar.dim != problem.n or not xbar.is_nonneg():
             raise ValueError("point must be nonnegative of primal dimension")
         vbar = self.M @ xbar
-        out = self._dominate(vbar)
-        if not (isinstance(out, Optimal) and out.value == 0):
+        lowest = self._lowest_at_zero(vbar)
+        if lowest is None:
             raise ValueError("image of the point is not minimal")
-        lowest = None if self.multipliers.empty else self.multipliers.minimize(vbar)
-        require(
-            isinstance(lowest, Optimal) and lowest.value == 0,
-            "a separating gamma exists for every minimal image value",
-        )
         cand = DualCandidateD(lowest.x, self.U, vbar)
         require(check_feasible_D(problem, cand), "lifted point is feasible for D")
         return cand
 
     def value_member(self, d: QVector) -> bool:
-        """Whether d = Ub + w for some minimal value w of the reduced image cone."""
+        """Whether d = Ub + w for some minimal value w of the reduced image
+        cone: the minimum of (d - Ub).lam over Q_U is 0."""
         if not self.feasible:
             raise ValueError("U not feasible for D^H")
-        out = self._dominate(d - (self.U @ self.problem.b))
-        return isinstance(out, Optimal) and out.value == 0
+        return self._lowest_at_zero(d - (self.U @ self.problem.b)) is not None
 
 
 def check_feasible_U(problem: VlpProblem, cand: DualCandidateU) -> bool:
@@ -197,7 +201,6 @@ def construct_dual_solution(
     v = (problem.L @ xbar) - (U @ problem.b)
     cand = DualCandidateD(lam, U, v)
     require(check_feasible_D(problem, cand), "constructed dual point is feasible for D")
-    require(objective_D(problem, cand) == problem.L @ xbar, "dual objective equals L xbar")
     require(xbar.dot((problem.L - (U @ problem.A)).T @ lam) == 0, "complementary slackness holds at xbar")
     return cand
 
@@ -211,13 +214,21 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
     return solve_feasibility(eq, rhs)
 
 
-class DualPolyhedron(ScalarizationPolyhedron):
-    """P, asked about image values as well. `image_sets(d)` is the one
-    membership query; its minima run on copies of the phase-I basis, so
-    every probe shares it and none changes it. P's program being
-    `multiplier_program(cone, [L; -A])`, `dual_point` is the point
-    `multiplier(cone, [L; -A])` returns.
+class DualPolyhedron(Region):
+    """P of one problem as a Region over (lam, z). Its program is
+    `multiplier_program(cone, [L; -A])`, row for row, so `dual_point` is
+    the point `multiplier(cone, [L; -A])` returns. Every other question is
+    phase II on copies of the one phase-I basis, so none changes it.
     """
+
+    def __init__(self, problem: VlpProblem):
+        self.problem = problem
+        stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
+        super().__init__(multiplier_program(problem.cone, stacked))
+
+    def _split(self, point: QVector) -> tuple[QVector, QVector]:
+        k = self.problem.k
+        return QVector(point.entries[:k]), QVector(point.entries[k:])
 
     def dual_point(self) -> DualCandidateD | None:
         """A concrete feasible point of the vector dual (v = 0), or None."""
@@ -244,6 +255,27 @@ class DualPolyhedron(ScalarizationPolyhedron):
         if d.dim != self.problem.k:
             raise DimensionError(f"value dim {d.dim} != image dim {self.problem.k}")
         return QVector(d.entries + (-self.problem.b).entries)  # f = lam.d - b.z
+
+    def certificate(self, xbar: QVector) -> EfficiencyCertificate | None:
+        """Scalarizing weights under which xbar solves the weighted scalar
+        program, or None.
+
+        (lam, eta) has lam.g >= 1 on every generator, L^T lam + A^T eta >= 0
+        and lam.(L xbar) + b.eta = 0. By scalar LP duality such a pair
+        exists exactly when xbar minimizes lam.(L x) over the feasible set
+        for some such lam; it is a point (lam, -eta) of P where f, at
+        d = L xbar, is 0.
+        """
+        if not primal_feasible(self.problem, xbar):
+            raise ValueError("point is not feasible for the primal problem")
+        if self.empty:
+            return None
+        out = self.minimize(self._functional(self.problem.L @ xbar))
+        require(isinstance(out, Optimal), "f is bounded below by 0 on P at a feasible point")
+        if out.value != 0:
+            return None
+        lam, z = self._split(out.x)
+        return EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=-z)
 
     def image_sets(self, d: QVector) -> ImageSets:
         """Is d in hL, hB and hJ? One minimum of f = lam.d - b.z over P and
@@ -279,7 +311,6 @@ class DualPolyhedron(ScalarizationPolyhedron):
         U = outer(scaled_generator(self.problem.cone, lam), z)
         in_b = DualCandidateD(lam, U, d - (U @ self.problem.b))
         require(check_feasible_D(self.problem, in_b), "hB witness is feasible for D")
-        require(objective_D(self.problem, in_b) == d, "hB witness attains d")
         hB = MembershipVerdict(True, in_b)
 
         b = self.problem.b
@@ -290,7 +321,6 @@ class DualPolyhedron(ScalarizationPolyhedron):
             U = U + outer(in_b.v, b.scale(_ONE / b.dot(b)))
         in_j = DualCandidateJ(lam, U)
         require(check_feasible_J(self.problem, in_j), "hJ witness is feasible for D^J")
-        require(objective_J(self.problem, in_j) == d, "hJ witness attains d")
         return ImageSets(MembershipVerdict(True, in_j), hB, hL)
 
 

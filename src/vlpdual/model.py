@@ -1,9 +1,10 @@
 """The vector minimization problem and the candidate shapes of its duals.
 
 A problem instance is (L, A, b, K): minimize Lx over {x >= 0 : Ax = b}
-with the image space ordered by the cone K. Dual candidates are plain
-data; whether a candidate is feasible for its dual problem is decided in
-the duality module, so deliberately infeasible candidates can be probed.
+with the image space ordered by the cone K. Dual candidates and
+efficiency certificates are plain data; whether one is valid is decided
+by `checks` (and, for U alone, by `duality.check_feasible_U`), so
+deliberately invalid ones can be probed.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ class DualCandidateU:
     def __post_init__(self):
         if self.flavor not in ("I", "H"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
+
+
+@dataclass(frozen=True)
+class EfficiencyCertificate:
+    kind: str  # "efficient-with-scalarization" | "dominated" | "unbounded-domination"
+    lam: QVector | None = None        # scalarizing weights, products >= 1 on generators
+    eta: QVector | None = None        # equality multipliers of the scalar program
+    dominator: QVector | None = None  # feasible point strictly below the target
 
 
 def objective_D(problem: VlpProblem, cand: DualCandidateD) -> QVector:

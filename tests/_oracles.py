@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from vlpdual.cone import in_quasi_interior, multiplier, multiplier_program
+from vlpdual.cone import domination_program, in_quasi_interior, multiplier, multiplier_program
 from vlpdual.duality import scaled_generator
 from vlpdual.exact import DimensionError, QMatrix, QVector, outer, pivot, solve_linear_system
 from vlpdual.lp import (
@@ -104,6 +104,18 @@ def reference_gamma(problem, U: QMatrix, vbar: QVector) -> QVector | None:
     """gamma from one LP over gamma.g >= 1, (L - UA)^T gamma >= 0,
     gamma.vbar = 0; None when empty."""
     return _multiplier_with_equality(problem.cone, problem.L - (U @ problem.A), vbar)
+
+
+def reference_value_member(problem, U: QMatrix, d: QVector) -> str:
+    """Whether d = Ub + w for a minimal value w of the reduced image cone,
+    from the domination program over L - UA at target d - Ub: "member",
+    "not a member: positive optimum" or "not a member: empty program".
+    Sound only for U feasible in the H sense, which keeps it bounded."""
+    out = solve_general(domination_program(problem.cone, problem.L - (U @ problem.A), d - (U @ problem.b)))
+    if isinstance(out, Infeasible):
+        return "not a member: empty program"
+    assert isinstance(out, Optimal), "a feasible U keeps the domination program bounded"
+    return "member" if out.value == 0 else "not a member: positive optimum"
 
 
 def reference_phase_one(lp):

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import lam_z_stack, reference_dual_point, reference_gamma, reference_membership, reference_scalarization
+from _oracles import (
+    lam_z_stack,
+    reference_dual_point,
+    reference_gamma,
+    reference_membership,
+    reference_scalarization,
+    reference_value_member,
+)
 from vlpdual import duality
 from vlpdual.cone import multiplier_program, orthant, strictly_below
 from vlpdual.duality import (
@@ -556,9 +563,13 @@ def test_scalarization_certificates_on_P_agree_with_the_multiplier_system(no_dua
 def test_lifts_on_Q_U_agree_with_the_multiplier_system(no_dual_problem):
     # lift(x) succeeds exactly when gamma.g >= 1, M^T gamma >= 0,
     # gamma.(Mx) = 0 is feasible, and the gamma step alone, the minimum of
-    # lam.(Mx) over Q_U, is 0 exactly then.
+    # lam.(Mx) over Q_U, is 0 exactly then. For a feasible U, value_member
+    # agrees with the domination program on the mapped values and on
+    # random values.
     cases = dict.fromkeys(("lifted", "lifted with b = 0", "not minimal", "U infeasible", "gamma minimum > 0"), 0)
+    values = dict.fromkeys(("member", "not a member: positive optimum", "not a member: empty program"), 0)
     rng = random.Random(1300)
+    value_rng = random.Random(1301)
     for problem in _phase_two_problems(no_dual_problem, 1250):
         for U in (QMatrix.zeros(problem.k, problem.m), random_matrix(rng, problem.k, problem.m)):
             image = ReducedImage(problem, U)
@@ -586,4 +597,9 @@ def test_lifts_on_Q_U_agree_with_the_multiplier_system(no_dual_problem):
                 assert ref is not None
                 assert check_feasible_D(problem, cand) and cand == map_DH_to_D(problem, U, x)
                 cases["lifted with b = 0" if problem.b.is_zero() else "lifted"] += 1
+                for d in (objective_D(problem, cand), random_vector(value_rng, problem.k)):
+                    verdict = reference_value_member(problem, U, d)
+                    assert image.value_member(d) == (verdict == "member"), (d, verdict)
+                    values[verdict] += 1
     assert all(cases.values()), cases
+    assert all(values.values()), values

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vlpdual import duality, efficiency, harness, lp
+from vlpdual import duality, harness, lp
 from vlpdual.cli import main
 from vlpdual.cone import orthant
 from vlpdual.exact import QMatrix, qvec
@@ -203,16 +203,17 @@ def test_suite_decides_each_sampled_U_once(monkeypatch):
 
 
 def test_certificates_and_gamma_start_no_phase_one(monkeypatch):
-    # Certificates are phase II on the instance's one P, and the lift's
-    # gamma is phase II on the Q_U built by the U-feasibility check: each
-    # lift runs exactly one phase I, its minimality program.
+    # Certificates are phase II on the instance's one P, and a lift or a
+    # value query is phase II on the Q_U built by the U-feasibility check:
+    # none of them starts a phase I.
     started = []
     built = []
-    calls = {"certificate": 0, "lift": 0}
+    calls = {"certificate": 0, "lift": 0, "value_member": 0}
     phase_one = lp.phase_one
-    init = efficiency.ScalarizationPolyhedron.__init__
-    certificate = efficiency.ScalarizationPolyhedron.certificate
+    init = duality.DualPolyhedron.__init__
+    certificate = duality.DualPolyhedron.certificate
     lift = duality.ReducedImage.lift
+    value_member = duality.ReducedImage.value_member
 
     def recording_phase_one(program):
         started.append(program)
@@ -232,14 +233,22 @@ def test_certificates_and_gamma_start_no_phase_one(monkeypatch):
     def counted_lift(self, xbar):
         before = len(started)
         out = lift(self, xbar)
-        assert len(started) == before + 1, "the gamma step started a phase I"
+        assert len(started) == before, "a lift started a phase I"
         calls["lift"] += 1
         return out
 
+    def counted_value_member(self, d):
+        before = len(started)
+        out = value_member(self, d)
+        assert len(started) == before, "a value query started a phase I"
+        calls["value_member"] += 1
+        return out
+
     monkeypatch.setattr(lp, "phase_one", recording_phase_one)
-    monkeypatch.setattr(efficiency.ScalarizationPolyhedron, "__init__", counting_init)
-    monkeypatch.setattr(efficiency.ScalarizationPolyhedron, "certificate", counted_certificate)
+    monkeypatch.setattr(duality.DualPolyhedron, "__init__", counting_init)
+    monkeypatch.setattr(duality.DualPolyhedron, "certificate", counted_certificate)
     monkeypatch.setattr(duality.ReducedImage, "lift", counted_lift)
+    monkeypatch.setattr(duality.ReducedImage, "value_member", counted_value_member)
     for problem in _suite_problems():
         built.clear()
         assert run_instance_suite(problem, seed=5, config=SUITE).ok
@@ -306,12 +315,12 @@ def test_strong_converse_fixture_builds_one_P_per_problem(monkeypatch):
     # FIX-SEG builds P for efficient_vertices and for the round trip; FIX-ZB
     # also for each of its two membership checks.
     built = []
-    init = efficiency.ScalarizationPolyhedron.__init__
+    init = duality.DualPolyhedron.__init__
 
     def counting_init(self, problem):
         built.append(problem)
         init(self, problem)
 
-    monkeypatch.setattr(efficiency.ScalarizationPolyhedron, "__init__", counting_init)
+    monkeypatch.setattr(duality.DualPolyhedron, "__init__", counting_init)
     assert run_fixture("FIX-SEG").ok and run_fixture("FIX-ZB").ok
     assert len(built) == 6

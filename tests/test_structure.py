@@ -106,3 +106,27 @@ def test_witness_checks_never_solve():
     for name, tree in [("checks.py", trees["checks.py"])] + [(f"lp.{node.name}", node) for node in verifiers]:
         found = sorted(set(_names(tree)) & SOLVING)
         assert not found, f"{name} names {found}"
+
+
+def test_efficiency_builds_on_duality_never_the_reverse():
+    # P is one class, duality.DualPolyhedron; efficiency imports it, so
+    # duality names nothing from efficiency.
+    (tree,) = [tree for name, tree in _modules() if name == "duality.py"]
+    sources = {(node.module or "").rpartition(".")[2] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "efficiency" not in sources and "efficiency" not in set(_names(tree))
+
+
+def test_only_duality_subclasses_region():
+    # One class per polyhedron: P is DualPolyhedron; Q_U and the sampler's
+    # sets are plain Regions.
+    for name, tree in _modules():
+        subclasses = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base).rpartition(".")[2] == "Region" for base in node.bases)
+        ]
+        if name == "duality.py":
+            assert subclasses == ["DualPolyhedron"], subclasses
+        else:
+            assert not subclasses, f"{name} subclasses Region: {subclasses}"
