@@ -18,11 +18,12 @@ equal vectors, so `precedes` needs no w - v and no vector equality. A
 caller that compares many pairs takes each vector's coordinates once.
 
 Two builders assemble every LP over the generators: `multiplier_program`
-the systems in lam (lam.g >= 1 on every generator, M^T lam >= 0), and
-`domination_program` the programs that push cone mass below a target
-through a map M. For one M they are LP duals of each other: the
-domination program at target t has the optimum of min t.lam over the
-multiplier system.
+the systems in lam (lam.g >= 1 on every generator, M^T lam >= 0), which
+`multiplier` answers with a lam or None, and `domination_program` those
+pushing cone mass below a target through a map M, which `dominator`
+answers with an x whose image lies strictly below, or None. For one M
+they are LP duals: the domination program at target t has the optimum
+of min t.lam over the multiplier system.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import DimensionError, QMatrix, QVector, require, solve_linear_system
-from .lp import GeneralProgram, GenRow, Optimal, solve_general
+from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -167,17 +168,12 @@ def multiplier(cone: OrderingCone, M: QMatrix | None = None) -> QVector | None:
 
 
 def domination_program(
-    cone: OrderingCone,
-    M: QMatrix,
-    target: QVector,
-    fixed: tuple[QMatrix, QVector] | None = None,
-    normalize: bool = False,
+    cone: OrderingCone, M: QMatrix, target: QVector, fixed: tuple[QMatrix, QVector] | None = None
 ) -> GeneralProgram:
     """max sum(mu) over {x, mu >= 0 : Mx + G mu = target}, as a min program.
 
     G holds the cone generators as columns. fixed = (A, b) adds the rows
-    Ax = b on x alone, ahead of the domination rows; normalize adds
-    sum(x) + sum(mu) <= 1 last, which keeps a homogeneous program bounded.
+    Ax = b on x alone, ahead of the domination rows.
     """
     G = generator_matrix(cone)
     n, g = M.cols, G.cols
@@ -186,10 +182,28 @@ def domination_program(
         A, b = fixed
         rows += [GenRow(QVector(A.row(i).entries + (_ZERO,) * g), "=", b[i]) for i in range(A.rows)]
     rows += [GenRow(QVector(M.row(i).entries + G.row(i).entries), "=", target[i]) for i in range(M.rows)]
-    if normalize:
-        rows.append(GenRow(QVector((_ONE,) * (n + g)), "<=", _ONE))
     objective = QVector((_ZERO,) * n + (-_ONE,) * g)
     return GeneralProgram(objective, tuple(rows))
+
+
+def dominator(
+    cone: OrderingCone, M: QMatrix, target: QVector, fixed: tuple[QMatrix, QVector] | None = None
+) -> QVector | None:
+    """An x >= 0, with Ax = b when fixed = (A, b), whose image Mx lies
+    strictly below target, or None. Every caller asks at a target that
+    some feasible x reaches with mu = 0, so the domination program is
+    feasible, and at a zero target its outcome type alone answers. The
+    point (x, mu) is checked by products."""
+    out = solve_general(domination_program(cone, M, target, fixed))
+    if isinstance(out, Optimal) and out.value == 0:
+        return None
+    require(isinstance(out, (Optimal, Unbounded)), "the domination program is feasible at the target")
+    point = out.x if isinstance(out, Optimal) else out.x0 + out.ray
+    x, mu = QVector(point.entries[: M.cols]), QVector(point.entries[M.cols :])
+    require(point.is_nonneg() and sum(mu.entries) > 0, "x, mu >= 0 with sum(mu) > 0")
+    require(fixed is None or fixed[0] @ x == fixed[1], "the dominator satisfies Ax = b")
+    require(M @ x + generator_matrix(cone) @ mu == target, "Mx + G mu = target")
+    return x
 
 
 def _column_matrix(dim: int, cols) -> QMatrix:

@@ -35,8 +35,8 @@ its polyhedron Q_U = {lam : lam.g >= 1, M^T lam >= 0}. The domination
 program over M at a target t is the LP dual of min t.lam over Q_U, so Q_U
 answers whether a point's image is minimal (the lift into D) and whether
 a value lies in U's image set. The feasibility verdict of U stays a
-domination program, the independent side of Q_U's emptiness, and so does
-`minimize`, whose point the report shows.
+domination program, the independent side of Q_U's emptiness, answered
+by `cone.dominator`; `minimize` solves its own, for the optimal point.
 
 The LP builders, `cone.multiplier_program` (P and Q_U) and
 `cone.domination_program`, live with the generators they range over.
@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .checks import check_feasible_D, check_feasible_J, check_feasible_L, verify_scalarization_certificate
-from .cone import OrderingCone, domination_program, multiplier_program, strictly_below
+from .cone import OrderingCone, domination_program, dominator, multiplier_program, strictly_below
 from .exact import DimensionError, QMatrix, QVector, outer, require
 from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_general, solve_lp
 from .model import (
@@ -116,11 +116,7 @@ class ReducedImage:
 
     @cached_property
     def feasible(self) -> bool:
-        out = solve_general(
-            domination_program(self.problem.cone, self.M, QVector.zeros(self.problem.k), normalize=True)
-        )
-        require(isinstance(out, Optimal), "normalized domination program is bounded and feasible")
-        return out.value == 0
+        return dominator(self.problem.cone, self.M, QVector.zeros(self.problem.k)) is None
 
     @cached_property
     def multipliers(self) -> Region:

@@ -8,11 +8,11 @@ efficiency without ever enumerating the image set. Deciding by LP rather
 than by pairwise image comparison matters: a dominating point need not
 be a vertex of the feasible set.
 
-`cone.domination_program` builds that LP. Scalarization certificates are
-asked of `duality.DualPolyhedron`, the problem's dual polyhedron P, one
-phase I per problem. `model.EfficiencyCertificate` and the certificate's
-arithmetic check, `checks.verify_scalarization_certificate`, are bound
-here by name.
+`cone.dominator` answers it, and the homogeneous recession question,
+with a checked point below the target or None. Scalarization
+certificates are asked of `duality.DualPolyhedron`, the problem's dual
+polyhedron P, one phase I per problem. `model.EfficiencyCertificate` and
+`checks.verify_scalarization_certificate` are bound here by name.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import math
 from fractions import Fraction
 
 from .checks import verify_scalarization_certificate  # noqa: F401
-from .cone import domination_program
+from .cone import dominator
 from .duality import DualPolyhedron
 from .exact import QMatrix, QVector, require, solve_linear_system
-from .lp import Optimal, Unbounded, solve_general
 from .model import EfficiencyCertificate, VlpProblem, primal_feasible
 
 _ZERO = Fraction(0)
@@ -45,17 +44,8 @@ def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCe
     """
     if not primal_feasible(problem, xbar):
         raise ValueError("point is not feasible for the primal problem")
-    program = domination_program(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
-    out = solve_general(program)
-    n = problem.n
-    if isinstance(out, Optimal):
-        if out.value == 0:
-            return True, None
-        dominator = QVector(out.x.entries[:n])
-        return False, EfficiencyCertificate("dominated", dominator=dominator)
-    require(isinstance(out, Unbounded), "domination program is feasible at (xbar, 0)")
-    dominator = QVector((out.x0 + out.ray).entries[:n])
-    return False, EfficiencyCertificate("unbounded-domination", dominator=dominator)
+    dom = dominator(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
+    return (True, None) if dom is None else (False, EfficiencyCertificate("dominated", dominator=dom))
 
 
 def proper_efficiency_certificate(problem: VlpProblem, xbar: QVector) -> EfficiencyCertificate | None:
@@ -114,10 +104,5 @@ def efficient_vertices(problem: VlpProblem) -> list[tuple[QVector, EfficiencyCer
 
 def recession_image_pointed(problem: VlpProblem) -> bool:
     """Whether the image of the primal recession cone meets -K only at the origin."""
-    program = domination_program(
-        problem.cone, problem.L, QVector.zeros(problem.k),
-        fixed=(problem.A, QVector.zeros(problem.m)), normalize=True,
-    )
-    out = solve_general(program)
-    require(isinstance(out, Optimal), "normalized domination program is bounded and feasible")
-    return out.value == 0
+    recession = (problem.A, QVector.zeros(problem.m))
+    return dominator(problem.cone, problem.L, QVector.zeros(problem.k), fixed=recession) is None

@@ -18,6 +18,7 @@ exactly those of the term-by-term sum.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,10 @@ def require(condition: bool, what: str) -> None:
         raise CertificateError(what)
 
 
+# ASCII digits and no underscores: int() alone also takes "1_000" and "１".
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([+-]?[0-9]+)\s*)?")
+
+
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse "p", "-p" or "p/q" into lowest terms with the sign on the
     numerator. Plain ints pass through; floats and q = 0 are rejected."""
@@ -46,15 +51,11 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        num, sep, den = text.partition("/")
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
         try:
-            if sep:
-                return Fraction(int(num), int(den))
-            return Fraction(int(num))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a rational: {value!r}") from None
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):  # q = 0, or more digits than int() converts
+            pass
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -88,7 +88,7 @@ class DualCandidateU:
 
 @dataclass(frozen=True)
 class EfficiencyCertificate:
-    kind: str  # "efficient-with-scalarization" | "dominated" | "unbounded-domination"
+    kind: str  # "efficient-with-scalarization" | "dominated"
     lam: QVector | None = None        # scalarizing weights, products >= 1 on generators
     eta: QVector | None = None        # equality multipliers of the scalar program
     dominator: QVector | None = None  # feasible point strictly below the target

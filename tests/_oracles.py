@@ -118,6 +118,20 @@ def reference_value_member(problem, U: QMatrix, d: QVector) -> str:
     return "member" if out.value == 0 else "not a member: positive optimum"
 
 
+def reference_max_domination(cone, M: QMatrix, start: QVector, fixed=None) -> Fraction:
+    """max sum(mu) of the domination program at target M start, with the
+    row sum(x) + sum(mu) <= 1 + sum(start) appended to keep it bounded; at
+    start = 0 this is the normalized homogeneous program. (start, 0) is
+    feasible, and the segment from it to any point with sum(mu) > 0 enters
+    the bounded set, so the maximum is 0 exactly when no feasible x has Mx
+    strictly below M start."""
+    gp = domination_program(cone, M, M @ start, fixed)
+    bound = GenRow(QVector((Fraction(1),) * gp.n), "<=", 1 + sum(start.entries))
+    out = solve_general(GeneralProgram(gp.objective, gp.rows + (bound,)))
+    assert isinstance(out, Optimal), "the normalized program is bounded and feasible at (start, 0)"
+    return -out.value
+
+
 def reference_phase_one(lp):
     """Phase I that prices its cost row by pivoting on every artificial
     column, then runs the same simplex loop and pivots artificials out."""

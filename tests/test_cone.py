@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import reference_max_domination
 from vlpdual import cone as cone_module
 from vlpdual import lp as lp_module
 from vlpdual.cone import (
@@ -12,6 +14,8 @@ from vlpdual.cone import (
     OrderingCone,
     cmp,
     contains,
+    domination_program,
+    dominator,
     in_dual,
     in_quasi_interior,
     make_cone,
@@ -23,9 +27,11 @@ from vlpdual.cone import (
     separate_from_cone,
     strictly_below,
 )
-from vlpdual.exact import QVector, qvec
-from vlpdual.lp import solve_feasibility
-from vlpdual.sampling import random_rational
+from vlpdual.efficiency import enumerate_vertices
+from vlpdual.exact import QMatrix, QVector, qvec
+from vlpdual.harness import FIXTURES
+from vlpdual.lp import Unbounded, solve_feasibility, solve_general
+from vlpdual.sampling import random_matrix, random_problem, random_rational, random_vector
 
 
 def wedge():
@@ -393,3 +399,35 @@ def test_max_elements_reuse_the_cones_facets(monkeypatch):
     assert max_elements_finite(cone, points) == expected
     assert min_elements_finite(cone, points) == brute_min(cone, points)
     assert solves == []
+
+
+def _domination_questions():
+    """(cone, M, start, fixed), asked at target M start, over the fixtures
+    and random problems: the recession question, U-feasibility and a
+    reduced target for U = 0 and a random U, and efficiency of vertices."""
+    rng = random.Random(3)
+    for problem in [f.problem for f in FIXTURES.values()] + [random_problem(rng) for _ in range(30)]:
+        origin = QVector.zeros(problem.n)
+        yield problem.cone, problem.L, origin, (problem.A, QVector.zeros(problem.m))
+        for U in (QMatrix.zeros(problem.k, problem.m), random_matrix(rng, problem.k, problem.m)):
+            M = problem.L - (U @ problem.A)
+            yield problem.cone, M, origin, None
+            yield problem.cone, M, random_vector(rng, problem.n, 0, 3), None
+        for vertex in enumerate_vertices(problem)[:3]:
+            yield problem.cone, problem.L, vertex, (problem.A, problem.b)
+
+
+def test_dominator_matches_the_normalized_program():
+    # dominator is None exactly when the bounded reference program has a
+    # zero optimum; each outcome dominator decodes occurs.
+    outcomes = Counter()
+    for cone, M, start, fixed in _domination_questions():
+        target = M @ start
+        x = dominator(cone, M, target, fixed)
+        assert (x is None) == (reference_max_domination(cone, M, start, fixed) == 0)
+        if x is not None:
+            assert x.is_nonneg() and strictly_below(cone, M @ x, target)
+            assert fixed is None or fixed[0] @ x == fixed[1]
+        out = solve_general(domination_program(cone, M, target, fixed))
+        outcomes["ray" if isinstance(out, Unbounded) else "positive" if x is not None else "none"] += 1
+    assert all(outcomes[kind] > 0 for kind in ("none", "positive", "ray")), outcomes

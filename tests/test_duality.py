@@ -13,7 +13,7 @@ from _oracles import (
     reference_value_member,
 )
 from vlpdual import duality
-from vlpdual.cone import multiplier_program, orthant, strictly_below
+from vlpdual.cone import domination_program, multiplier_program, orthant, strictly_below
 from vlpdual.duality import (
     DualPolyhedron,
     ReducedImage,
@@ -38,7 +38,6 @@ from vlpdual.duality import (
 )
 from vlpdual.efficiency import (
     EfficiencyCertificate,
-    domination_program,
     efficient_vertices,
     enumerate_vertices,
     is_efficient,

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from vlpdual.cone import cmp, Comparison, generator_matrix, orthant
+from vlpdual import cone as cone_module
+from vlpdual.cone import cmp, Comparison, domination_program, generator_matrix, orthant
 from vlpdual.efficiency import (
     VERTEX_LIMIT,
     VertexLimitError,
-    domination_program,
     efficient_vertices,
     enumerate_vertices,
     is_efficient,
@@ -17,7 +17,7 @@ from vlpdual.efficiency import (
     recession_image_pointed,
     verify_scalarization_certificate,
 )
-from vlpdual.exact import QMatrix, QVector, qmat, qvec, solve_linear_system
+from vlpdual.exact import CertificateError, QMatrix, QVector, qmat, qvec, solve_linear_system
 from vlpdual.lp import Optimal, Unbounded, solve_lp, to_standard_form, verify_unbounded
 from vlpdual.model import VlpProblem
 from vlpdual.sampling import random_problem
@@ -61,6 +61,30 @@ def test_widened_dominated_vertex(widened_problem):
     image = widened_problem.L @ dom
     target = widened_problem.L @ qvec(0, 0, 1)
     assert cmp(widened_problem.cone, image, target) is Comparison.LESS
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p + QVector.unit(p.dim, 0),  # breaks Ax = b
+        lambda p: p + QVector.unit(p.dim, p.dim - 1),  # breaks Lx + G mu = L xbar
+        lambda p: QVector(p.entries[:3] + (Fraction(0),) * (p.dim - 3)),  # mu = 0
+        lambda p: -p,  # negative
+    ],
+)
+def test_is_efficient_rejects_a_wrong_dominator(monkeypatch, widened_problem, corrupt):
+    # cone.dominator checks the solver's point by products before
+    # is_efficient returns it as the dominator.
+    solve_general = cone_module.solve_general
+
+    def sabotaged(program):
+        out = solve_general(program)
+        assert isinstance(out, Optimal) and out.value != 0
+        return Optimal(corrupt(out.x), out.y, out.value)
+
+    monkeypatch.setattr(cone_module, "solve_general", sabotaged)
+    with pytest.raises(CertificateError):
+        is_efficient(widened_problem, qvec(0, 0, 1))
 
 
 def test_zero_rhs_origin_efficient(zb_problem):

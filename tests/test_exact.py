@@ -63,7 +63,7 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1.5/2", "x", 0.5, None, True])
+@pytest.mark.parametrize("bad", ["0.5", "1.5/2", "x", 0.5, None, True, "1_000", "\uff11"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -181,17 +181,17 @@ SUITE = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=12)
 
 
 def test_suite_decides_each_sampled_U_once(monkeypatch):
-    # check_feasible_U's LP is the normalized domination program over
-    # L - UA; the suite builds it once per sampled U, whatever it asks of U.
+    # check_feasible_U asks dominator over L - UA at the zero target; the
+    # suite asks it once per sampled U, whatever it asks of U.
     built = []
-    original = duality.domination_program
+    original = duality.dominator
 
     def recording(*args, **kwargs):
-        if kwargs.get("normalize"):
+        if args[2].is_zero():
             built.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(duality, "domination_program", recording)
+    monkeypatch.setattr(duality, "dominator", recording)
     mapped = 0
     for problem in _suite_problems():
         built.clear()

@@ -108,6 +108,13 @@ def test_witness_checks_never_solve():
         assert not found, f"{name} names {found}"
 
 
+def test_efficiency_asks_domination_through_cone_dominator():
+    # cone.dominator decodes every domination outcome in one place.
+    (tree,) = [tree for name, tree in _modules() if name == "efficiency.py"]
+    found = sorted(set(_names(tree)) & {"solve_general", "domination_program"})
+    assert not found, found
+
+
 def test_efficiency_builds_on_duality_never_the_reverse():
     # P is one class, duality.DualPolyhedron; efficiency imports it, so
     # duality names nothing from efficiency.
