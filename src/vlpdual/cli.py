@@ -14,15 +14,11 @@ import argparse
 import json
 import sys
 
-from . import duality, efficiency
+# A subcommand imports `efficiency` or `harness` only when it calls them, so
+# a single query loads no more of the package than it runs.
+from . import duality
 from .cone import ConeError
 from .exact import CertificateError, DimensionError, QVector, qvec
-from .harness import (
-    emit_report,
-    run_all_fixtures,
-    run_instance_suite,
-    run_random_campaign,
-)
 from .model import (
     ProblemFormatError,
     candidate_from_dict,
@@ -34,7 +30,7 @@ from .model import (
     vector_to_list,
 )
 
-_INPUT_ERRORS = (ProblemFormatError, ConeError, DimensionError, ValueError, OSError, efficiency.VertexLimitError)
+_INPUT_ERRORS = (ProblemFormatError, ConeError, DimensionError, ValueError, OSError)
 
 
 def _load(path: str):
@@ -65,6 +61,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
+    from . import efficiency
+
     problem = _load(args.file)
     vertices = efficiency.enumerate_vertices(problem)
     payload = {"vertices": [vector_to_list(v) for v in vertices]}
@@ -73,6 +71,8 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_efficient(args) -> int:
+    from . import efficiency
+
     problem = _load(args.file)
     pairs = efficiency.efficient_vertices(problem)
     payload = {
@@ -87,6 +87,8 @@ def _cmd_efficient(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import efficiency
+
     problem = _load(args.file)
     point = _parse_cli_vector(args.point)
     efficient, dom = efficiency.is_efficient(problem, point)
@@ -105,6 +107,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_dual_construct(args) -> int:
+    from . import efficiency
+
     problem = _load(args.file)
     point = _parse_cli_vector(args.point)
     cert = efficiency.proper_efficiency_certificate(problem, point)
@@ -160,6 +164,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import emit_report, run_instance_suite
+
     problem = _load(args.file)
     report = run_instance_suite(problem, seed=args.seed, instance_id=args.file)
     print(emit_report(report, args.format))
@@ -167,12 +173,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    from .harness import emit_report, run_random_campaign
+
     report = run_random_campaign(args.seed, args.count)
     print(emit_report(report, args.format))
     return 0 if report.ok else 1
 
 
 def _cmd_examples(args) -> int:
+    from .harness import emit_report, run_all_fixtures
+
     report = run_all_fixtures()
     print(emit_report(report, args.format))
     return 0 if report.ok else 1

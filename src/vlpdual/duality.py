@@ -134,11 +134,13 @@ class ReducedImage:
         """From x0 >= 0, a point whose reduced image is minimal in the
         image cone.
 
-        Sound only for U feasible in the H sense, where the domination
+        Defined only for U feasible in the H sense, where the domination
         program is always bounded.
         """
         if not x0.is_nonneg():
             raise ValueError("starting point must be nonnegative")
+        if not self.feasible:
+            raise ValueError("U not feasible for D^H")
         out = solve_general(domination_program(self.problem.cone, self.M, self.M @ x0))
         require(isinstance(out, Optimal), "feasible U keeps the domination program bounded")
         return QVector(out.x.entries[: self.problem.n])

@@ -31,7 +31,7 @@ _ZERO = Fraction(0)
 VERTEX_LIMIT = 100_000  # most column subsets enumerate_vertices will try
 
 
-class VertexLimitError(RuntimeError):
+class VertexLimitError(ValueError):
     """Raised when basis enumeration would try more than VERTEX_LIMIT subsets."""
 
 

@@ -260,6 +260,33 @@ def _run_optimized(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-O", *args], cwd=REPO, env=env, capture_output=True, text=True)
 
 
+_LOADED = "sorted(m.rpartition('.')[2] for m in sys.modules if m.startswith('vlpdual.'))"
+_CORE = ["checks", "cli", "cone", "duality", "exact", "lp", "model"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["member", "problems/r5.json", "--set", "hB", "--value", '["-1", "-1"]'], _CORE),
+        (["vertices", "problems/r5.json"], sorted(_CORE + ["efficiency"])),
+        (["verify", "problems/segment.json"], sorted(_CORE + ["efficiency", "harness", "sampling"])),
+    ],
+)
+def test_subcommand_loads_only_the_modules_it_calls(argv, loaded):
+    # `import vlpdual` loads no submodule; a query loads what it runs.
+    code = f"""
+import json, sys
+import vlpdual
+before = {_LOADED}
+from vlpdual import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([before, {_LOADED}, code]))
+"""
+    proc = _run_optimized("-c", code, json.dumps(argv))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], loaded, 0]
+
+
 def test_verify_under_optimize_flag():
     proc = _run_optimized("-m", "vlpdual.cli", "verify", "problems/segment.json")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -307,6 +307,16 @@ def test_minimize_over_image(seg_problem):
     assert h_H_value_membership(seg_problem, U, seg_problem.L @ xstar)
 
 
+def test_minimize_rejects_infeasible_U(seg_problem):
+    # U = (2, 2)^T admits a ray below zero: a broken precondition, not a failed certificate.
+    U = qmat([[2], [2]])
+    assert not ReducedImage(seg_problem, U).feasible
+    with pytest.raises(ValueError, match="U not feasible for D\\^H"):
+        ReducedImage(seg_problem, U).minimize(qvec(1, 0))
+    with pytest.raises(ValueError, match="U not feasible for D\\^H"):
+        minimize_over_image(seg_problem, U, qvec(1, 0))
+
+
 def test_map_D_to_DL_r5(r5_problem):
     cand = DualCandidateD(qvec(1, 1), QMatrix.zeros(2, 2), qvec(1, -1))
     mapped = map_D_to_DL(r5_problem, cand)

@@ -137,3 +137,19 @@ def test_only_duality_subclasses_region():
             assert subclasses == ["DualPolyhedron"], subclasses
         else:
             assert not subclasses, f"{name} subclasses Region: {subclasses}"
+
+
+def test_imports_follow_the_command():
+    # `import vlpdual` resolves its names on first use, and the CLI loads
+    # harness, sampling and efficiency only inside the subcommands that call them.
+    trees = dict(_modules())
+    eager = [node.lineno for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom) and node.level]
+    assert not eager, f"__init__.py: module-level relative imports at lines {eager}"
+    named = set()
+    for node in trees["cli.py"].body:
+        if isinstance(node, ast.ImportFrom):
+            named |= {(node.module or "").rpartition(".")[2]} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            named |= {alias.name.rpartition(".")[2] for alias in node.names}
+    found = sorted(named & {"harness", "sampling", "efficiency"})
+    assert not found, f"cli.py imports {found} at module level"
