@@ -8,9 +8,7 @@ compiles and runs only the modules it touches.
 import importlib
 
 _EXPORTS = {
-    "cone": """Comparison ConeError OrderingCone SeparationCertificate cmp contains in_dual
-        in_quasi_interior make_cone max_elements_finite min_elements_finite orthant
-        separate_from_cone strictly_below""",
+    "cone": "ConeError OrderingCone contains in_quasi_interior make_cone orthant strictly_below",
     "duality": """MembershipVerdict check_feasible_D check_feasible_J check_feasible_L
         check_feasible_U construct_dual_solution dual_B_nonempty feasible_dual_point
         h_H_value_membership improve_dual_infeasible_primal u_feasibility_multiplier
@@ -20,7 +18,7 @@ _EXPORTS = {
     "exact": """CertificateError DimensionError LinearSolution QMatrix QVector format_rational
         outer parse_rational qmat qvec solve_linear_system""",
     "harness": """CampaignConfig CheckRecord FIXTURES VerificationReport emit_report
-        report_from_json run_all_fixtures run_fixture run_instance_suite run_random_campaign""",
+        run_all_fixtures run_fixture run_instance_suite run_random_campaign""",
     "lp": """GeneralProgram GenRow Infeasible LinearProgram LpOutcome Optimal Region Unbounded
         solve_feasibility solve_general solve_lp verify_outcome""",
     "model": """DualCandidateD DualCandidateJ DualCandidateL DualCandidateU ProblemFormatError

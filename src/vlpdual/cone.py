@@ -11,11 +11,12 @@ The cone order needs no LP: `facets` holds the cone's inequality
 description (its facet normals, plus both signs of a basis of the
 generators' orthogonal complement when the cone is lower-dimensional),
 computed once per cone by exact elimination. `coordinates(v)` is the
-tuple of h.v over those normals, and the order compares coordinates:
-v lies in K iff each is >= 0, and v is below w iff each of v's is <= w's,
-since h.(w - v) = h.w - h.v. On a pointed cone equal coordinates mean
-equal vectors, so `precedes` needs no w - v and no vector equality. A
-caller that compares many pairs takes each vector's coordinates once.
+tuple of h.v over those normals, and the order asks two questions of
+them: `contains(v)` holds iff each is >= 0, and `strictly_below(v, w)`
+iff v's differ from w's and each is <= w's, since h.(w - v) = h.w - h.v.
+On a pointed cone equal coordinates mean equal vectors, so `precedes`
+needs no w - v and no vector equality. A caller that compares many pairs
+takes each vector's coordinates once.
 
 Two builders assemble every LP over the generators: `multiplier_program`
 the systems in lam (lam.g >= 1 on every generator, M^T lam >= 0), which
@@ -28,7 +29,6 @@ of min t.lam over the multiplier system.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,13 +126,6 @@ def _nullspace(rows: tuple[QVector, ...], dim: int) -> tuple[QVector, ...]:
     return solve_linear_system(matrix, QVector.zeros(len(rows))).nullspace
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """gamma with gamma.g <= -1 on the cone generators and gamma.m >= 0 on M."""
-
-    gamma: QVector
-
-
 def make_cone(dim: int, generators) -> OrderingCone:
     """Build a cone from any iterable of generators."""
     return OrderingCone(dim, tuple(generators))
@@ -206,17 +199,9 @@ def dominator(
     return x
 
 
-def _column_matrix(dim: int, cols) -> QMatrix:
-    return QMatrix(dim, len(cols), tuple(v[i] for i in range(dim) for v in cols))
-
-
 def generator_matrix(cone: OrderingCone) -> QMatrix:
     """k x g matrix whose columns are the generators."""
-    return _column_matrix(cone.dim, cone.generators)
-
-
-def negate(cone: OrderingCone) -> OrderingCone:
-    return OrderingCone(cone.dim, tuple(-g for g in cone.generators), -cone.qi_witness)
+    return QMatrix(cone.dim, len(cone.generators), tuple(g[i] for i in range(cone.dim) for g in cone.generators))
 
 
 def contains(cone: OrderingCone, v: QVector) -> bool:
@@ -224,23 +209,10 @@ def contains(cone: OrderingCone, v: QVector) -> bool:
     return all(x >= 0 for x in cone.coordinates(v))
 
 
-def in_dual(cone: OrderingCone, lam: QVector) -> bool:
-    if lam.dim != cone.dim:
-        raise DimensionError(f"vector dim {lam.dim} != cone dim {cone.dim}")
-    return all(lam.dot(g) >= 0 for g in cone.generators)
-
-
 def in_quasi_interior(cone: OrderingCone, lam: QVector) -> bool:
     if lam.dim != cone.dim:
         raise DimensionError(f"vector dim {lam.dim} != cone dim {cone.dim}")
     return all(lam.dot(g) > 0 for g in cone.generators)
-
-
-class Comparison(enum.Enum):
-    EQUAL = "equal"
-    LESS = "less"            # v below w in the strict cone order
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 def precedes(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
@@ -250,54 +222,5 @@ def precedes(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
     return a != b and all(x <= y for x, y in zip(a, b))
 
 
-def cmp(cone: OrderingCone, v: QVector, w: QVector) -> Comparison:
-    a, b = cone.coordinates(v), cone.coordinates(w)
-    if a == b:
-        return Comparison.EQUAL
-    if all(x <= y for x, y in zip(a, b)):
-        return Comparison.LESS
-    if all(x >= y for x, y in zip(a, b)):
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
-
-
 def strictly_below(cone: OrderingCone, v: QVector, w: QVector) -> bool:
     return precedes(cone.coordinates(v), cone.coordinates(w))
-
-
-def min_elements_finite(cone: OrderingCone, points) -> list[QVector]:
-    """Points not strictly dominated by any other value in the list.
-
-    Equal vectors at different positions count as one value, so duplicates
-    of a retained value are all retained. Each value's coordinates are
-    taken once.
-    """
-    points = list(points)
-    coords: dict[QVector, tuple[Fraction, ...]] = {}
-    for p in points:
-        if p not in coords:
-            coords[p] = cone.coordinates(p)
-    surviving = {p for p, a in coords.items() if not any(precedes(b, a) for b in coords.values())}
-    return [p for p in points if p in surviving]
-
-
-def max_elements_finite(cone: OrderingCone, points) -> list[QVector]:
-    """Minima of the negated points under the same cone, negated back."""
-    return [-p for p in min_elements_finite(cone, [-p for p in points])]
-
-
-def separate_from_cone(cone: OrderingCone, m_points, m_rays) -> SeparationCertificate | None:
-    """Strictly separate the cone from a polyhedral set M given in V-form.
-
-    Returns gamma with gamma.g <= -1 on every generator and gamma.p >= 0,
-    gamma.r >= 0 on the points and rays of M, or None when no such gamma
-    exists (in particular when M meets the cone outside the origin).
-    """
-    cols: list[QVector] = []
-    for label, vectors in (("point", m_points), ("ray", m_rays)):
-        for v in vectors:
-            if v.dim != cone.dim:
-                raise DimensionError(f"separation {label} dim mismatch")
-            cols.append(v)
-    gamma = multiplier(negate(cone), _column_matrix(cone.dim, cols))  # gamma.(-g) >= 1
-    return None if gamma is None else SeparationCertificate(gamma)

@@ -36,7 +36,7 @@ program over M at a target t is the LP dual of min t.lam over Q_U, so Q_U
 answers whether a point's image is minimal (the lift into D) and whether
 a value lies in U's image set. The feasibility verdict of U stays a
 domination program, the independent side of Q_U's emptiness, answered
-by `cone.dominator`; `minimize` solves its own, for the optimal point.
+by `cone.dominator`, as is `minimize`'s search for a point below.
 
 The LP builders, `cone.multiplier_program` (P and Q_U) and
 `cone.domination_program`, live with the generators they range over.
@@ -49,9 +49,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .checks import check_feasible_D, check_feasible_J, check_feasible_L, verify_scalarization_certificate
-from .cone import OrderingCone, domination_program, dominator, multiplier_program, strictly_below
+from .cone import OrderingCone, dominator, multiplier_program, strictly_below
 from .exact import DimensionError, QMatrix, QVector, outer, require
-from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_general, solve_lp
+from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_lp
 from .model import (
     DualCandidateD,
     DualCandidateJ,
@@ -90,11 +90,9 @@ _IN_NONE = ImageSets(_NOT_A_MEMBER, _NOT_A_MEMBER, _NOT_A_MEMBER)
 
 def scaled_generator(cone: OrderingCone, lam: QVector) -> QVector:
     """First generator with positive product against lam, scaled to product one."""
-    for g in cone.generators:
-        p = lam.dot(g)
-        if p > 0:
-            return g.scale(_ONE / p)
-    raise ValueError("no generator has positive product with lam")
+    g = next((g for g in cone.generators if lam.dot(g) > 0), None)
+    require(g is not None, "some generator has positive product with lam")
+    return g.scale(_ONE / lam.dot(g))
 
 
 class ReducedImage:
@@ -132,18 +130,17 @@ class ReducedImage:
 
     def minimize(self, x0: QVector) -> QVector:
         """From x0 >= 0, a point whose reduced image is minimal in the
-        image cone.
+        image cone: x0 itself when no image lies strictly below M x0.
 
         Defined only for U feasible in the H sense, where the domination
-        program is always bounded.
+        program is always bounded, so `dominator` returns its optimum.
         """
         if not x0.is_nonneg():
             raise ValueError("starting point must be nonnegative")
         if not self.feasible:
             raise ValueError("U not feasible for D^H")
-        out = solve_general(domination_program(self.problem.cone, self.M, self.M @ x0))
-        require(isinstance(out, Optimal), "feasible U keeps the domination program bounded")
-        return QVector(out.x.entries[: self.problem.n])
+        x = dominator(self.problem.cone, self.M, self.M @ x0)
+        return x0 if x is None else x
 
     def lift(self, xbar: QVector) -> DualCandidateD:
         """Lift a minimal-image point into the vector dual as (gamma, U, vbar).

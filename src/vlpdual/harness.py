@@ -18,7 +18,7 @@ from functools import cached_property
 
 from . import duality, efficiency
 from .cone import orthant, precedes
-from .exact import QMatrix, QVector, qmat, qvec
+from .exact import QMatrix, QVector, qmat, qvec, require
 from .model import (
     DualCandidateD,
     DualCandidateL,
@@ -167,18 +167,17 @@ def _run_fixture_check(problem: VlpProblem, name: str, params: dict):
         return [vector_to_list(v) for v, _ in efficiency.efficient_vertices(problem)]
     if name == "dual_B_nonempty":
         return duality.dual_B_nonempty(problem)
-    if name == "strong_converse_roundtrip":
-        # The campaign's strong and converse checks over every efficient
-        # vertex, on one P; no sampled duals, so none is filtered out.
-        polyhedron = duality.DualPolyhedron(problem)
-        vertices = efficiency.enumerate_vertices(problem)
-        status = _vertex_status(problem, polyhedron, vertices)
-        ctx = _InstanceContext(problem, polyhedron, vertices, status, [], [], [], [])
-        strong, strong_failures, _ = _check_strong_duality(ctx, None)
-        _, converse_failures, _ = _check_converse_duality(ctx, None)
-        efficient = sum(eff for _, eff, _ in status)
-        return 0 < strong == efficient and not strong_failures and not converse_failures
-    raise ValueError(f"unknown fixture check {name!r}")
+    require(name == "strong_converse_roundtrip", f"fixture check {name!r} is known")
+    # The campaign's strong and converse checks over every efficient
+    # vertex, on one P; no sampled duals, so none is filtered out.
+    polyhedron = duality.DualPolyhedron(problem)
+    vertices = efficiency.enumerate_vertices(problem)
+    status = _vertex_status(problem, polyhedron, vertices)
+    ctx = _InstanceContext(problem, polyhedron, vertices, status, [], [], [], [])
+    strong, strong_failures, _ = _check_strong_duality(ctx, None)
+    _, converse_failures, _ = _check_converse_duality(ctx, None)
+    efficient = sum(eff for _, eff, _ in status)
+    return 0 < strong == efficient and not strong_failures and not converse_failures
 
 
 def run_fixture(name: str) -> VerificationReport:
@@ -535,11 +534,3 @@ def emit_report(report: VerificationReport, format: str = "human") -> str:
         return "\n".join(lines)
     raise ValueError(f"unknown report format {format!r}")
 
-
-def report_from_json(text: str) -> VerificationReport:
-    data = json.loads(text)
-    records = tuple(
-        CheckRecord(r["check"], r["instance"], r["status"], r["witness"], r["elapsed_ms"])
-        for r in data
-    )
-    return VerificationReport(records)

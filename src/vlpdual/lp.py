@@ -287,8 +287,7 @@ class GenRow:
     rhs: Fraction
 
     def __post_init__(self):
-        if self.rel not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.rel!r}")
+        require(self.rel in _RELATIONS, "a row's relation is <=, >= or =")
 
 
 @dataclass(frozen=True)
@@ -391,8 +390,7 @@ class Region:
 
     def minimize(self, w: QVector) -> Optimal | Unbounded:
         """min w.x over the set, w and the answer in gp's variables."""
-        if self._basis is None:
-            raise ValueError("the region is empty")
+        require(self._basis is not None, "a minimized region is nonempty")
         return _in_variables(self._gp, phase_two(self._basis, self._gp.cost(w)))
 
 

@@ -4,15 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vlpdual
+from vlpdual import harness
 from vlpdual.cli import main
+from vlpdual.cone import orthant
+from vlpdual.duality import scaled_generator
 from vlpdual.efficiency import EfficiencyCertificate, verify_scalarization_certificate
-from vlpdual.exact import qvec
+from vlpdual.exact import CertificateError, qvec
+from vlpdual.lp import GenRow
 from vlpdual.model import load_problem
 
 R5 = {
@@ -324,6 +329,20 @@ sys.exit(cli.main(["member", "problems/segment.json", "--set", "hB", "--value", 
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert "internal error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_internal_defects_exit_3(monkeypatch, capsys):
+    # Only a defect in the package reaches these checks, so each raises
+    # CertificateError, which the CLI reports as exit 3, never as an input error.
+    with pytest.raises(CertificateError):
+        scaled_generator(orthant(2), qvec(-1, 0))
+    with pytest.raises(CertificateError):
+        GenRow(qvec(1), "<", Fraction(0))
+    fixture = harness.FIXTURES["FIX-R5"]
+    unknown = harness.Fixture(fixture.name, fixture.problem, fixture.expected + (("nope", {}, None),))
+    monkeypatch.setitem(harness.FIXTURES, "FIX-R5", unknown)
+    assert main(["examples"]) == 3
+    assert "internal error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["vertices", "efficient", "verify"])

@@ -9,22 +9,15 @@ from _oracles import reference_max_domination
 from vlpdual import cone as cone_module
 from vlpdual import lp as lp_module
 from vlpdual.cone import (
-    Comparison,
     ConeError,
     OrderingCone,
-    cmp,
     contains,
     domination_program,
     dominator,
-    in_dual,
     in_quasi_interior,
     make_cone,
-    max_elements_finite,
-    min_elements_finite,
-    negate,
     orthant,
     generator_matrix,
-    separate_from_cone,
     strictly_below,
 )
 from vlpdual.efficiency import enumerate_vertices
@@ -76,7 +69,7 @@ def test_supplied_witness_runs_no_lp(monkeypatch):
 
     monkeypatch.setattr(cone_module, "multiplier", no_lp)
     assert orthant(3).qi_witness == qvec(1, 1, 1)
-    flipped = negate(wedge_cone)
+    flipped = OrderingCone(2, tuple(-g for g in wedge_cone.generators), -wedge_cone.qi_witness)
     assert flipped.qi_witness == -wedge_cone.qi_witness
     with pytest.raises(AssertionError, match="multiplier LP ran"):
         OrderingCone(2, (qvec(1, 0), qvec(1, 1)))
@@ -112,80 +105,11 @@ def test_contains_wedge():
     assert not contains(wedge(), qvec(0, 1))
 
 
-def test_in_dual_and_quasi_interior():
+def test_quasi_interior():
     K = orthant(2)
-    assert in_dual(K, qvec(1, 1)) and in_quasi_interior(K, qvec(1, 1))
-    assert in_dual(K, qvec(1, 0)) and not in_quasi_interior(K, qvec(1, 0))
-    W = wedge()
-    assert in_dual(W, qvec(1, -1)) and not in_quasi_interior(W, qvec(1, -1))
-
-
-def test_cmp_tags():
-    K = orthant(2)
-    assert cmp(K, qvec(0, 0), qvec(1, 0)) is Comparison.LESS
-    assert cmp(K, qvec(1, 0), qvec(0, 1)) is Comparison.INCOMPARABLE
-    assert cmp(K, qvec(1, 1), qvec(1, 1)) is Comparison.EQUAL
-    assert cmp(K, qvec(1, 0), qvec(0, 0)) is Comparison.GREATER
-    assert cmp(wedge(), qvec(0, 0), qvec(0, 1)) is Comparison.INCOMPARABLE
-
-
-def brute_min(cone, points):
-    # independent double loop over values
-    values = []
-    for p in points:
-        if p not in values:
-            values.append(p)
-    keep = []
-    for p in values:
-        if not any(q != p and contains(cone, p - q) for q in values):
-            keep.append(p)
-    return [p for p in points if p in keep]
-
-
-def test_min_elements_orthant():
-    K = orthant(2)
-    pts = [qvec(1, 0), qvec(0, 1), qvec(1, 1)]
-    assert min_elements_finite(K, pts) == [qvec(1, 0), qvec(0, 1)]
-
-
-def test_min_elements_singleton():
-    assert min_elements_finite(orthant(2), [qvec(0, 0)]) == [qvec(0, 0)]
-
-
-def test_min_elements_wedge():
-    # (1,1) - (0,1) = (1,0) lies in the wedge, so (0,1) dominates (1,1)
-    assert min_elements_finite(wedge(), [qvec(0, 1), qvec(1, 1)]) == [qvec(0, 1)]
-
-
-def test_min_elements_empty():
-    assert min_elements_finite(orthant(2), []) == []
-
-
-def test_min_elements_duplicates_retained():
-    K = orthant(2)
-    pts = [qvec(0, 0), qvec(0, 0), qvec(1, 1)]
-    assert min_elements_finite(K, pts) == [qvec(0, 0), qvec(0, 0)]
-
-
-def test_separate_from_ray():
-    K = orthant(2)
-    cert = separate_from_cone(K, [], [qvec(-1, 0)])
-    assert cert is not None
-    g = cert.gamma
-    assert g.dot(qvec(1, 0)) <= -1 and g.dot(qvec(0, 1)) <= -1
-    assert g.dot(qvec(-1, 0)) >= 0
-
-
-def test_separate_overlapping_returns_none():
-    assert separate_from_cone(orthant(2), [], [qvec(1, 1)]) is None
-
-
-def test_separate_two_rays():
-    cert = separate_from_cone(orthant(2), [qvec(0, 0)], [qvec(1, -2), qvec(-2, 1)])
-    assert cert is not None
-    g = cert.gamma
-    assert all(g.dot(r) >= 0 for r in (qvec(1, -2), qvec(-2, 1), qvec(0, 0)))
-    assert all(g.dot(gen) <= -1 for gen in orthant(2).generators)
+    assert in_quasi_interior(K, qvec(1, 1))
+    assert not in_quasi_interior(K, qvec(1, 0))
+    assert not in_quasi_interior(wedge(), qvec(1, -1))
 
 
 def test_find_quasi_interior_point():
@@ -210,7 +134,6 @@ def test_order_consistency_random(seed):
     cone = orthant(k) if rng.random() < 0.5 else random_pointed_cone(rng, k)
     v = qvec(*[random_rational(rng) for _ in range(k)])
     w = qvec(*[random_rational(rng) for _ in range(k)])
-    assert (cmp(cone, v, w) is Comparison.LESS) == (contains(cone, w - v) and v != w)
     assert strictly_below(cone, v, w) == (contains(cone, w - v) and v != w)
 
 
@@ -231,18 +154,6 @@ def test_quasi_interior_soundness(seed):
             member = member + g.scale(c)
         if not member.is_zero():
             assert lam.dot(member) > 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_min_max_duality_and_reference(seed):
-    rng = random.Random(seed)
-    k = rng.choice((2, 3))
-    cone = orthant(k) if rng.random() < 0.5 else random_pointed_cone(rng, k)
-    pts = [qvec(*[random_rational(rng, -3, 3) for _ in range(k)]) for _ in range(rng.randint(1, 8))]
-    mins = min_elements_finite(cone, pts)
-    assert mins == max_elements_finite(negate(cone), pts)
-    assert mins == brute_min(cone, pts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -348,13 +259,7 @@ def test_cone_order_runs_no_lp(monkeypatch):
         for (i, j), less in below.items():
             p, q = points[i], points[j]
             assert contains(cone, q - p) == (less or p == q)
-            expected = Comparison.EQUAL if p == q else Comparison.LESS if less else None
-            if expected is None:
-                expected = Comparison.GREATER if below[j, i] else Comparison.INCOMPARABLE
-            assert cmp(cone, p, q) is expected
             assert strictly_below(cone, p, q) == (less and p != q)
-        dominated = {i for (j, i), less in below.items() if less and points[i] != points[j]}
-        assert min_elements_finite(cone, points) == [p for i, p in enumerate(points) if i not in dominated]
 
 
 def test_strictly_below_by_coordinates_matches_feasibility_lp():
@@ -382,12 +287,11 @@ def test_strictly_below_by_coordinates_matches_feasibility_lp():
     assert min(outcomes.values()) > 100 and off_span > 100
 
 
-def test_max_elements_reuse_the_cones_facets(monkeypatch):
-    # a warm cone enumerates no facets again, for minima and maxima alike
+def test_warm_cone_enumerates_no_facets_again(monkeypatch):
     rng = random.Random(7)
     cone = random_cone_any_rank(rng, 3)
     points = _queries(rng, cone)[:6]
-    expected = max_elements_finite(cone, points)
+    expected = [strictly_below(cone, p, q) for p in points for q in points]
     solves = []
 
     def counted(*args):
@@ -396,8 +300,7 @@ def test_max_elements_reuse_the_cones_facets(monkeypatch):
 
     nullspace = cone_module._nullspace
     monkeypatch.setattr(cone_module, "_nullspace", counted)
-    assert max_elements_finite(cone, points) == expected
-    assert min_elements_finite(cone, points) == brute_min(cone, points)
+    assert [strictly_below(cone, p, q) for p in points for q in points] == expected
     assert solves == []
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vlpdual import cone as cone_module
-from vlpdual.cone import cmp, Comparison, domination_program, generator_matrix, orthant
+from vlpdual.cone import domination_program, generator_matrix, orthant, strictly_below
 from vlpdual.efficiency import (
     VERTEX_LIMIT,
     VertexLimitError,
@@ -47,7 +47,8 @@ def test_vertex_limit():
 
 def test_segment_vertices_efficient(seg_problem):
     # oracle: the two vertex images (1,0), (0,1) are incomparable
-    assert cmp(seg_problem.cone, qvec(1, 0), qvec(0, 1)) is Comparison.INCOMPARABLE
+    assert not strictly_below(seg_problem.cone, qvec(1, 0), qvec(0, 1))
+    assert not strictly_below(seg_problem.cone, qvec(0, 1), qvec(1, 0))
     for vertex in enumerate_vertices(seg_problem):
         eff, cert = is_efficient(seg_problem, vertex)
         assert eff and cert is None
@@ -60,7 +61,8 @@ def test_widened_dominated_vertex(widened_problem):
     dom = cert.dominator
     image = widened_problem.L @ dom
     target = widened_problem.L @ qvec(0, 0, 1)
-    assert cmp(widened_problem.cone, image, target) is Comparison.LESS
+    assert strictly_below(widened_problem.cone, image, target)
+    assert not strictly_below(widened_problem.cone, target, image)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +94,8 @@ def test_zero_rhs_origin_efficient(zb_problem):
     assert eff
     # sampled line points (t, -t) stay pairwise incomparable
     for t in (Fraction(1), Fraction(-2), Fraction(1, 2)):
-        assert cmp(zb_problem.cone, qvec(t, -t), qvec(0, 0)) is Comparison.INCOMPARABLE
+        assert not strictly_below(zb_problem.cone, qvec(t, -t), qvec(0, 0))
+        assert not strictly_below(zb_problem.cone, qvec(0, 0), qvec(t, -t))
 
 
 def test_is_efficient_requires_feasible(seg_problem):

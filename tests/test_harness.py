@@ -1,5 +1,7 @@
 import json
 import random
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,12 @@ from vlpdual.harness import (
     FIXTURES,
     VerificationReport,
     emit_report,
-    report_from_json,
     run_all_fixtures,
     run_fixture,
     run_instance_suite,
     run_random_campaign,
 )
-from vlpdual.model import VlpProblem, problem_to_dict
+from vlpdual.model import VlpProblem, load_problem, problem_to_dict
 from vlpdual.sampling import random_problem
 
 SMALL = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=6)
@@ -111,12 +112,6 @@ def test_emit_unknown_format():
         emit_report(VerificationReport(()), "xml")
 
 
-def test_json_roundtrip(small_campaign):
-    text = emit_report(small_campaign, "json")
-    again = report_from_json(text)
-    assert again == small_campaign
-
-
 def test_json_schema(small_campaign):
     data = json.loads(emit_report(small_campaign, "json"))
     assert isinstance(data, list)
@@ -181,23 +176,24 @@ SUITE = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=12)
 
 
 def test_suite_decides_each_sampled_U_once(monkeypatch):
-    # check_feasible_U asks dominator over L - UA at the zero target; the
-    # suite asks it once per sampled U, whatever it asks of U.
-    built = []
-    original = duality.dominator
+    # Each sampled U gets one ReducedImage, whose feasibility verdict is
+    # decided once, however often the suite asks it.
+    decided = []
+    feasible = duality.ReducedImage.feasible.func
 
-    def recording(*args, **kwargs):
-        if args[2].is_zero():
-            built.append(args[1])
-        return original(*args, **kwargs)
+    def recording(self):
+        decided.append(self)
+        return feasible(self)
 
-    monkeypatch.setattr(duality, "dominator", recording)
+    recorded = cached_property(recording)
+    recorded.__set_name__(duality.ReducedImage, "feasible")
+    monkeypatch.setattr(duality.ReducedImage, "feasible", recorded)
     mapped = 0
     for problem in _suite_problems():
-        built.clear()
+        decided.clear()
         report = run_instance_suite(problem, seed=5, config=SUITE)
         assert report.ok
-        assert len(built) == harness._U_SAMPLES
+        assert len(decided) == harness._U_SAMPLES
         mapped += report.counts()["hH_to_hB_map"]
     assert mapped > 0
 
@@ -324,3 +320,12 @@ def test_strong_converse_fixture_builds_one_P_per_problem(monkeypatch):
     monkeypatch.setattr(duality.DualPolyhedron, "__init__", counting_init)
     assert run_fixture("FIX-SEG").ok and run_fixture("FIX-ZB").ok
     assert len(built) == 6
+
+
+@pytest.mark.parametrize(
+    ("fixture", "file"), [("FIX-R5", "r5.json"), ("FIX-SEG", "segment.json"), ("FIX-ZB", "zero_rhs.json")]
+)
+def test_fixture_problem_matches_its_file(fixture, file):
+    # README's quick start and CI read the files; the campaign builds the same problems in code.
+    text = (Path(__file__).resolve().parent.parent / "problems" / file).read_text(encoding="utf-8")
+    assert load_problem(text) == FIXTURES[fixture].problem

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import brute_vertices, reference_phase_one, reference_phase_two
-from vlpdual.exact import DimensionError, QMatrix, QVector, qmat, qvec
+from vlpdual.exact import CertificateError, DimensionError, QMatrix, QVector, qmat, qvec
 from vlpdual.lp import (
     Basis,
     GeneralProgram,
@@ -294,7 +294,7 @@ def test_region_minimize_is_solve_general_per_cost():
         assert region.empty == isinstance(solve_general(gp), Infeasible)
         if region.empty:
             assert region.point is None
-            with pytest.raises(ValueError):
+            with pytest.raises(CertificateError):
                 region.minimize(gp.objective)
             continue
         assert _satisfies(gp, region.point)

@@ -1,9 +1,12 @@
 """Rules on the package source that no behavioural test can see."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vlpdual"
+PERFBENCH = SRC.parent.parent / "perfbench"
 # The standard-form layout and its phase-I basis stay behind lp.Region.
 LP_INTERNALS = {"phase_one", "phase_two", "Basis", "to_standard_form"}
 CACHES = {"lru_cache", "cache"}  # cached_property stays allowed
@@ -19,6 +22,21 @@ ONE_SHOT_ORACLES = {
     "h_H_value_membership",
     "minimize_over_image",
     "map_DH_to_D",
+}
+
+# Top-level names that nothing in `src/` calls but the benchmark looks up
+# by name; each leaves this set once nothing in perfbench/ names it.
+_CALLED_ONLY_BY_PERFBENCH = {
+    "contains",
+    "u_feasibility_multiplier",
+    "h_H_value_membership",
+    "minimize_over_image",
+    "map_DH_to_D",
+    "feasible_dual_point",
+    "verify_outcome",
+    "objective_J",
+    "objective_L",
+    "serialize_problem",
 }
 
 
@@ -153,3 +171,25 @@ def test_imports_follow_the_command():
             named |= {alias.name.rpartition(".")[2] for alias in node.names}
     found = sorted(named & {"harness", "sampling", "efficiency"})
     assert not found, f"cli.py imports {found} at module level"
+
+
+def test_every_top_level_name_has_a_caller():
+    # A function or class is named outside its own definition somewhere in
+    # src/, or the benchmark alone calls it; the export table's strings do
+    # not count.
+    nodes = [(node, set(_names(node))) for _, tree in _modules() for node in tree.body]
+    spread = Counter(name for _, names in nodes for name in names)
+    uncalled = {
+        node.name
+        for node, names in nodes
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
+        and spread[node.name] == (node.name in names)
+    }
+    assert uncalled == _CALLED_ONLY_BY_PERFBENCH, {
+        "uncalled": sorted(uncalled - _CALLED_ONLY_BY_PERFBENCH),
+        "called, or gone": sorted(_CALLED_ONLY_BY_PERFBENCH - uncalled),
+    }
+    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    missing = sorted(name for name in _CALLED_ONLY_BY_PERFBENCH if not re.search(rf"\b{name}\b", bench))
+    assert not missing, f"not named in perfbench/: {missing}"
