@@ -20,11 +20,16 @@ def main() -> int:
     parser.add_argument("--value-samples", type=int, default=50)
     parser.add_argument("--format", choices=("human", "json"), default="human")
     args = parser.parse_args()
-    config = CampaignConfig(
-        dual_samples=args.dual_samples,
-        primal_samples=args.primal_samples,
-        value_samples=args.value_samples,
-    )
+    try:
+        config = CampaignConfig(
+            dual_samples=args.dual_samples,
+            primal_samples=args.primal_samples,
+            value_samples=args.value_samples,
+        )
+        if args.count < 1:
+            raise ValueError(f"count must be >= 1, got {args.count}")
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_random_campaign(args.seed, args.count, config)
     print(emit_report(report, args.format))
     return 0 if report.ok else 1

@@ -18,13 +18,15 @@ On a pointed cone equal coordinates mean equal vectors, so `precedes`
 needs no w - v and no vector equality. A caller that compares many pairs
 takes each vector's coordinates once.
 
-Two builders assemble every LP over the generators: `multiplier_program`
-the systems in lam (lam.g >= 1 on every generator, M^T lam >= 0), which
-`multiplier` answers with a lam or None, and `domination_program` those
-pushing cone mass below a target through a map M, which `dominator`
-answers with an x whose image lies strictly below, or None. For one M
-they are LP duals: the domination program at target t has the optimum
-of min t.lam over the multiplier system.
+Two builders assemble every LP over the generators. `multiplier_program`
+gives the systems in lam (lam.g >= 1 on every generator, M^T lam >= 0) as
+a `GeneralProgram` over free lam, which `multiplier` answers with a lam or
+None. `domination_program` gives those pushing cone mass below a target
+through a map M; over x, mu >= 0 with equality rows, each is already a
+standard-form `LinearProgram`, which `dominator` answers with an x whose
+image lies strictly below, or None. For one M they are LP duals: the
+domination program at target t has the optimum of min t.lam over the
+multiplier system.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import DimensionError, QMatrix, QVector, require, solve_linear_system
-from .lp import GeneralProgram, GenRow, Optimal, Unbounded, solve_general
+from .lp import GeneralProgram, LinearProgram, Optimal, Unbounded, solve_general, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -145,12 +147,12 @@ def multiplier_program(cone: OrderingCone, M: QMatrix | None = None) -> GeneralP
     zero-padded to it. Rows go generators, then columns of M: that order
     fixes the pivot sequence and so the returned point.
     """
-    width = M.rows if M is not None else cone.dim
-    pad = (_ZERO,) * (width - cone.dim)
-    rows = [GenRow(QVector(g.entries + pad), ">=", _ONE) for g in cone.generators]
-    if M is not None:
-        rows += [GenRow(M.col(j), ">=", _ZERO) for j in range(M.cols)]
-    return GeneralProgram(QVector.zeros(width), tuple(rows), free=True)
+    if M is None:
+        M = QMatrix.zeros(cone.dim, 0)
+    pad = (_ZERO,) * (M.rows - cone.dim)
+    g = len(cone.generators)
+    rows = QMatrix(g + M.cols, M.rows, tuple(e for gen in cone.generators for e in gen.entries + pad) + M.T.entries)
+    return GeneralProgram(QVector.zeros(M.rows), rows, QVector((_ONE,) * g + (_ZERO,) * M.cols))
 
 
 def multiplier(cone: OrderingCone, M: QMatrix | None = None) -> QVector | None:
@@ -162,7 +164,7 @@ def multiplier(cone: OrderingCone, M: QMatrix | None = None) -> QVector | None:
 
 def domination_program(
     cone: OrderingCone, M: QMatrix, target: QVector, fixed: tuple[QMatrix, QVector] | None = None
-) -> GeneralProgram:
+) -> LinearProgram:
     """max sum(mu) over {x, mu >= 0 : Mx + G mu = target}, as a min program.
 
     G holds the cone generators as columns. fixed = (A, b) adds the rows
@@ -170,13 +172,14 @@ def domination_program(
     """
     G = generator_matrix(cone)
     n, g = M.cols, G.cols
-    rows: list[GenRow] = []
+    a: tuple[Fraction, ...] = ()
+    rhs = target.entries
     if fixed is not None:
         A, b = fixed
-        rows += [GenRow(QVector(A.row(i).entries + (_ZERO,) * g), "=", b[i]) for i in range(A.rows)]
-    rows += [GenRow(QVector(M.row(i).entries + G.row(i).entries), "=", target[i]) for i in range(M.rows)]
+        a, rhs = tuple(e for i in range(A.rows) for e in A.row(i).entries + (_ZERO,) * g), b.entries + rhs
+    a += tuple(e for i in range(M.rows) for e in M.row(i).entries + G.row(i).entries)
     objective = QVector((_ZERO,) * n + (-_ONE,) * g)
-    return GeneralProgram(objective, tuple(rows))
+    return LinearProgram(objective, QMatrix(len(rhs), n + g, a), QVector(rhs))
 
 
 def dominator(
@@ -187,7 +190,7 @@ def dominator(
     some feasible x reaches with mu = 0, so the domination program is
     feasible, and at a zero target its outcome type alone answers. The
     point (x, mu) is checked by products."""
-    out = solve_general(domination_program(cone, M, target, fixed))
+    out = solve_lp(domination_program(cone, M, target, fixed))
     if isinstance(out, Optimal) and out.value == 0:
         return None
     require(isinstance(out, (Optimal, Unbounded)), "the domination program is feasible at the target")

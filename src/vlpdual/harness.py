@@ -73,6 +73,11 @@ class CampaignConfig:
     primal_samples: int = 50
     value_samples: int = 50
 
+    def __post_init__(self):
+        for name, size in vars(self).items():
+            if size < 0:
+                raise ValueError(f"{name} must be >= 0, got {size}")
+
 
 # How many mapped values and sampled duals the strictness search probes.
 _STRICTNESS_PROBES = 5

@@ -13,11 +13,11 @@ per column over the tableau rows' integer ratios, which a `Basis` takes
 once for all its phase II runs; every basic column is a unit vector, so
 the row is exactly the one that pivoting on each basic column would leave.
 
-The general form (<=, >=, = rows over all-free or all-nonnegative
-variables) reduces to the standard form and answers with the same three
-outcomes. A general feasible set searched with many costs is a `Region`:
-phase I once, then phase II per cost, answered in the program's own
-variables. `solve_feasibility` asks for a nonnegative solution of Mx = b.
+The general form (>= rows over free variables) reduces to the standard
+form and answers with the same three outcomes. A general feasible set
+searched with many costs is a `Region`: phase I once, then phase II per
+cost, answered in the program's own variables. `solve_feasibility` asks
+for a nonnegative solution of Mx = b.
 """
 
 from __future__ import annotations
@@ -272,85 +272,51 @@ def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
     raise TypeError(f"not an LP outcome: {out!r}")
 
 
-# General form: <=, >=, = rows over variables that are all free or all
-# nonnegative, reduced to the equality standard form above. The standard
-# rows are the general rows one for one, so multipliers and Farkas
-# certificates need no back-map; points and rays map back by column.
-
-_RELATIONS = ("<=", ">=", "=")
-
-
-@dataclass(frozen=True)
-class GenRow:
-    coeffs: QVector
-    rel: str
-    rhs: Fraction
-
-    def __post_init__(self):
-        require(self.rel in _RELATIONS, "a row's relation is <=, >= or =")
+# General form: min objective.y over free y with rows @ y >= rhs, reduced
+# to the equality standard form above. The standard rows are the general
+# rows one for one, so multipliers and Farkas certificates need no
+# back-map; points and rays map back by column.
 
 
 @dataclass(frozen=True)
 class GeneralProgram:
-    """min objective.x over rows, with x free if `free` is set, else x >= 0."""
+    """min objective.y over free y subject to rows @ y >= rhs."""
 
     objective: QVector
-    rows: tuple[GenRow, ...]
-    free: bool = False
+    rows: QMatrix
+    rhs: QVector
 
     def __post_init__(self):
-        if not self.rows:
-            raise DimensionError("a program needs at least one row")
-        for row in self.rows:
-            if row.coeffs.dim != self.objective.dim:
-                raise DimensionError("row width differs from variable count")
+        # A QVector has at least one entry, so the rhs check also rules out
+        # a program with no rows.
+        if self.rows.cols != self.objective.dim or self.rows.rows != self.rhs.dim:
+            raise DimensionError("row width differs from variable count, or rhs dim from row count")
 
     @property
     def n(self) -> int:
         return self.objective.dim
 
-    def spread(self, coeffs: QVector) -> list[Fraction]:
-        """Coefficients on the standard variable columns: a free x_j is
-        x_j+ - x_j-, two adjacent columns."""
-        if not self.free:
-            return list(coeffs.entries)
-        return [v for e in coeffs.entries for v in (e, -e)]
-
-    @property
-    def slacks(self) -> int:
-        """Slack columns of the standard form: one per inequality row."""
-        return sum(row.rel != "=" for row in self.rows)
-
     def cost(self, w: QVector) -> QVector:
         """w over gp's variables as a cost on the standard-form columns:
-        spread over the variable columns, 0 on every slack."""
-        return QVector(tuple(self.spread(w)) + (_ZERO,) * self.slacks)
+        w_j on y_j+, -w_j on y_j-, 0 on every slack."""
+        return QVector(tuple(v for e in w.entries for v in (e, -e)) + (_ZERO,) * self.rows.rows)
 
     def back(self, v: QVector) -> QVector:
-        """A standard-form point or ray as gp's variables; slacks drop."""
-        if not self.free:
-            return QVector(v.entries[: self.n])
+        """A standard-form point or ray as gp's variables, y_j = y_j+ - y_j-;
+        slacks drop."""
         return QVector(tuple(v[2 * j] - v[2 * j + 1] for j in range(self.n)))
 
 
 def to_standard_form(gp: GeneralProgram) -> LinearProgram:
-    """Each inequality row gets a slack column after the variable columns,
-    in row order: +1 on a <= row, -1 on a >= row."""
-    c = gp.cost(gp.objective)
-    pad = [_ZERO] * gp.slacks
+    """Each free y_j is y_j+ - y_j-, two adjacent columns; row i then gets
+    slack column i after them, with coefficient -1."""
+    m = gp.rows.rows
     a: list[Fraction] = []
-    slack = c.dim - len(pad)
-    for row in gp.rows:
-        line = gp.spread(row.coeffs) + pad
-        if row.rel != "=":
-            line[slack] = _ONE if row.rel == "<=" else -_ONE
-            slack += 1
-        a += line
-    return LinearProgram(
-        c,
-        QMatrix(len(gp.rows), c.dim, tuple(a)),
-        QVector(tuple(row.rhs for row in gp.rows)),
-    )
+    for i in range(m):
+        a += [v for e in gp.rows.row(i).entries for v in (e, -e)]
+        a += [-_ONE if t == i else _ZERO for t in range(m)]
+    c = gp.cost(gp.objective)
+    return LinearProgram(c, QMatrix(m, c.dim, tuple(a)), gp.rhs)
 
 
 def _in_variables(gp: GeneralProgram, out: LpOutcome) -> LpOutcome:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .cone import ConeError, OrderingCone, in_quasi_interior, make_cone, orthant
 from .duality import DualPolyhedron, check_feasible_D, scaled_generator
 from .exact import QMatrix, QVector, outer, require, solve_linear_system
-from .lp import GeneralProgram, GenRow, Optimal, Region
+from .lp import GeneralProgram, Optimal, Region
 from .model import DualCandidateD, VlpProblem, objective_D
 
 def random_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
@@ -106,10 +106,9 @@ def sample_dual_points(
         attempts += 1
         lam = lams[rng.randrange(len(lams))]
         if lam not in per_lam:  # {z : L^T lam - A^T z >= 0} over free z, and {v : lam.v = 0}
-            bounds = problem.L.T @ lam
-            rows = tuple(GenRow(-problem.A.col(j), ">=", -bounds[j]) for j in range(problem.n))
+            z_set = Region(GeneralProgram(QVector.zeros(problem.m), (-problem.A).T, -(problem.L.T @ lam)))
             ortho = solve_linear_system(QMatrix(1, problem.k, lam.entries), QVector.zeros(1)).nullspace
-            per_lam[lam] = (Region(GeneralProgram(QVector.zeros(problem.m), rows, free=True)), ortho)
+            per_lam[lam] = (z_set, ortho)
         z_set, ortho = per_lam[lam]
         # drawn also for an empty z-set, so the rng sequence does not depend on it
         objective = random_vector(rng, problem.m, -3, 3)

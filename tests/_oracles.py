@@ -9,13 +9,14 @@ from vlpdual.exact import DimensionError, QMatrix, QVector, outer, pivot, solve_
 from vlpdual.lp import (
     Basis,
     GeneralProgram,
-    GenRow,
     Infeasible,
+    LinearProgram,
     Optimal,
     Unbounded,
     _basic_levels,
     _bland_simplex,
     solve_general,
+    solve_lp,
 )
 from vlpdual.model import DualCandidateD
 from vlpdual.sampling import random_rational, random_vector, sample_quasi_interior
@@ -62,10 +63,11 @@ def lam_z_stack(problem) -> QMatrix:
 
 
 def _multiplier_with_equality(cone, M: QMatrix, eq: QVector) -> QVector | None:
-    """`multiplier(cone, M)` with the row lam.eq = 0 placed first; None
-    when the system is empty."""
+    """`multiplier(cone, M)` with lam.eq = 0, as the rows lam.eq >= 0 and
+    -lam.eq >= 0, placed first; None when the system is empty."""
     gp = multiplier_program(cone, M)
-    out = solve_general(GeneralProgram(gp.objective, (GenRow(eq, "=", Fraction(0)),) + gp.rows, free=True))
+    rows = QMatrix(gp.rows.rows + 2, gp.n, eq.entries + (-eq).entries + gp.rows.entries)
+    out = solve_general(GeneralProgram(gp.objective, rows, QVector((Fraction(0),) * 2 + gp.rhs.entries)))
     return out.x if isinstance(out, Optimal) else None
 
 
@@ -111,7 +113,7 @@ def reference_value_member(problem, U: QMatrix, d: QVector) -> str:
     from the domination program over L - UA at target d - Ub: "member",
     "not a member: positive optimum" or "not a member: empty program".
     Sound only for U feasible in the H sense, which keeps it bounded."""
-    out = solve_general(domination_program(problem.cone, problem.L - (U @ problem.A), d - (U @ problem.b)))
+    out = solve_lp(domination_program(problem.cone, problem.L - (U @ problem.A), d - (U @ problem.b)))
     if isinstance(out, Infeasible):
         return "not a member: empty program"
     assert isinstance(out, Optimal), "a feasible U keeps the domination program bounded"
@@ -125,9 +127,12 @@ def reference_max_domination(cone, M: QMatrix, start: QVector, fixed=None) -> Fr
     feasible, and the segment from it to any point with sum(mu) > 0 enters
     the bounded set, so the maximum is 0 exactly when no feasible x has Mx
     strictly below M start."""
-    gp = domination_program(cone, M, M @ start, fixed)
-    bound = GenRow(QVector((Fraction(1),) * gp.n), "<=", 1 + sum(start.entries))
-    out = solve_general(GeneralProgram(gp.objective, gp.rows + (bound,)))
+    lp = domination_program(cone, M, M @ start, fixed)
+    # the bound row, with its own slack column: sum(x) + sum(mu) + s = 1 + sum(start)
+    widened = _append_column(lp.a, QVector.zeros(lp.m))
+    a = QMatrix(lp.m + 1, lp.n + 1, widened.entries + (Fraction(1),) * (lp.n + 1))
+    c, b = QVector(lp.c.entries + (Fraction(0),)), QVector(lp.b.entries + (1 + sum(start.entries),))
+    out = solve_lp(LinearProgram(c, a, b))
     assert isinstance(out, Optimal), "the normalized program is bounded and feasible at (start, 0)"
     return -out.value
 
@@ -199,15 +204,11 @@ def reference_sample_dual_points(problem, rng, count: int, polyhedron) -> list:
     while len(out) < count and attempts < 4 * count:
         attempts += 1
         lam = lams[rng.randrange(len(lams))]
-        rows = tuple(
-            GenRow(
-                QVector(tuple(-problem.A.at(i, j) for i in range(problem.m))),
-                ">=",
-                -sum((problem.L.at(i, j) * lam[i] for i in range(problem.k)), Fraction(0)),
-            )
-            for j in range(problem.n)
-        )
-        solved = solve_general(GeneralProgram(random_vector(rng, problem.m, -3, 3), rows, free=True))
+        columns = range(problem.n)
+        rows = QMatrix(problem.n, problem.m, tuple(-problem.A.at(i, j) for j in columns for i in range(problem.m)))
+        bounds = (sum((problem.L.at(i, j) * lam[i] for i in range(problem.k)), Fraction(0)) for j in columns)
+        rhs = QVector(tuple(-v for v in bounds))
+        solved = solve_general(GeneralProgram(random_vector(rng, problem.m, -3, 3), rows, rhs))
         if isinstance(solved, Optimal):
             z = solved.x
         elif isinstance(solved, Unbounded):

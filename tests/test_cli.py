@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,6 @@ from vlpdual.cone import orthant
 from vlpdual.duality import scaled_generator
 from vlpdual.efficiency import EfficiencyCertificate, verify_scalarization_certificate
 from vlpdual.exact import CertificateError, qvec
-from vlpdual.lp import GenRow
 from vlpdual.model import load_problem
 
 R5 = {
@@ -336,8 +334,6 @@ def test_internal_defects_exit_3(monkeypatch, capsys):
     # CertificateError, which the CLI reports as exit 3, never as an input error.
     with pytest.raises(CertificateError):
         scaled_generator(orthant(2), qvec(-1, 0))
-    with pytest.raises(CertificateError):
-        GenRow(qvec(1), "<", Fraction(0))
     fixture = harness.FIXTURES["FIX-R5"]
     unknown = harness.Fixture(fixture.name, fixture.problem, fixture.expected + (("nope", {}, None),))
     monkeypatch.setitem(harness.FIXTURES, "FIX-R5", unknown)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,14 +17,15 @@ from vlpdual.cone import (
     dominator,
     in_quasi_interior,
     make_cone,
+    multiplier_program,
     orthant,
     generator_matrix,
     strictly_below,
 )
 from vlpdual.efficiency import enumerate_vertices
-from vlpdual.exact import QMatrix, QVector, qvec
+from vlpdual.exact import QMatrix, QVector, qmat, qvec
 from vlpdual.harness import FIXTURES
-from vlpdual.lp import Unbounded, solve_feasibility, solve_general
+from vlpdual.lp import LinearProgram, Unbounded, solve_feasibility, solve_lp, to_standard_form
 from vlpdual.sampling import random_matrix, random_problem, random_rational, random_vector
 
 
@@ -252,9 +254,11 @@ def test_cone_order_runs_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP ran")
 
-    monkeypatch.setattr(lp_module, "solve_lp", no_lp)
-    monkeypatch.setattr(lp_module, "solve_feasibility", no_lp)
-    monkeypatch.setattr(cone_module, "solve_general", no_lp)
+    # every lp function, in lp itself and wherever cone binds one by name
+    for module in (lp_module, cone_module):
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value.__module__ == lp_module.__name__:
+                monkeypatch.setattr(module, name, no_lp)
     for cone, points, below in cases:
         for (i, j), less in below.items():
             p, q = points[i], points[j]
@@ -320,6 +324,23 @@ def _domination_questions():
             yield problem.cone, problem.L, vertex, (problem.A, problem.b)
 
 
+def test_builders_lay_out_their_programs():
+    # The domination program is the standard-form LP itself: rows [[A, 0]; [M, G]]
+    # over (x, mu) >= 0, cost -1 on every mu.
+    M, target, A, b = qmat([[1, 2], [3, 4]]), qvec(5, 6), qmat([[7, 8]]), qvec(9)
+    expected = LinearProgram(qvec(0, 0, -1, -1), qmat([[7, 8, 0, 0], [1, 2, 1, 0], [3, 4, 0, 1]]), qvec(9, 5, 6))
+    assert domination_program(orthant(2), M, target, fixed=(A, b)) == expected
+    # The multiplier program's rows are the generators, zero-padded to M's
+    # row count, then M's columns. Standardized, each free lam_j is two
+    # adjacent columns, and row i has slack column i after them, at -1.
+    program = multiplier_program(make_cone(2, [qvec(1, 0), qvec(1, 1)]), qmat([[1], [2], [3]]))
+    assert to_standard_form(program) == LinearProgram(
+        QVector.zeros(9),
+        qmat([[1, -1, 0, 0, 0, 0, -1, 0, 0], [1, -1, 1, -1, 0, 0, 0, -1, 0], [1, -1, 2, -2, 3, -3, 0, 0, -1]]),
+        qvec(1, 1, 0),
+    )
+
+
 def test_dominator_matches_the_normalized_program():
     # dominator is None exactly when the bounded reference program has a
     # zero optimum; each outcome dominator decodes occurs.
@@ -331,6 +352,6 @@ def test_dominator_matches_the_normalized_program():
         if x is not None:
             assert x.is_nonneg() and strictly_below(cone, M @ x, target)
             assert fixed is None or fixed[0] @ x == fixed[1]
-        out = solve_general(domination_program(cone, M, target, fixed))
+        out = solve_lp(domination_program(cone, M, target, fixed))
         outcomes["ray" if isinstance(out, Unbounded) else "positive" if x is not None else "none"] += 1
     assert all(outcomes[kind] > 0 for kind in ("none", "positive", "ray")), outcomes

@@ -46,7 +46,7 @@ from vlpdual.efficiency import (
 )
 from vlpdual.exact import QMatrix, QVector, outer, qmat, qvec
 from vlpdual.harness import FIXTURES, CampaignConfig, run_instance_suite
-from vlpdual.lp import GeneralProgram, GenRow, Infeasible, Optimal, Unbounded, solve_general, solve_lp, to_standard_form
+from vlpdual.lp import GeneralProgram, Infeasible, Optimal, Unbounded, solve_general, solve_lp, to_standard_form
 from vlpdual.model import (
     DualCandidateD,
     DualCandidateJ,
@@ -217,12 +217,13 @@ def test_membership_system_standard_form_roundtrip(r5_problem):
     # the single-LP hB system of the reference oracle, standardized and mapped back
     d = qvec(1, -1)
     p = r5_problem
-    rows = [GenRow(QVector(tuple(g.entries) + (Fraction(0),) * p.m), ">=", Fraction(1)) for g in p.cone.generators]
+    rows = [tuple(g.entries) + (Fraction(0),) * p.m for g in p.cone.generators]
     for j in range(p.n):
-        coeffs = tuple(p.L.at(i, j) for i in range(p.k)) + tuple(-p.A.at(i, j) for i in range(p.m))
-        rows.append(GenRow(QVector(coeffs), ">=", Fraction(0)))
-    rows.append(GenRow(QVector(tuple(d.entries) + tuple((-p.b).entries)), "=", Fraction(0)))
-    gp = GeneralProgram(QVector.zeros(p.k + p.m), tuple(rows), free=True)
+        rows.append(tuple(p.L.at(i, j) for i in range(p.k)) + tuple(-p.A.at(i, j) for i in range(p.m)))
+    f = QVector(tuple(d.entries) + tuple((-p.b).entries))
+    rows += [f.entries, (-f).entries]  # f = 0 as f >= 0 and -f >= 0
+    rhs = QVector((Fraction(1),) * len(p.cone.generators) + (Fraction(0),) * (p.n + 2))
+    gp = GeneralProgram(QVector.zeros(p.k + p.m), QMatrix.from_rows(rows), rhs)
     out = solve_lp(to_standard_form(gp))
     assert isinstance(out, Optimal)
     point = gp.back(out.x)
@@ -246,7 +247,7 @@ def test_h_H_value_membership_infeasible_program():
     # w = (-1, -1) needs mu = w in the orthant: the domination program is empty
     problem = FIXTURES["FIX-R5"].problem
     program = domination_program(problem.cone, problem.L, qvec(-1, -1))
-    assert isinstance(solve_general(program), Infeasible)
+    assert isinstance(solve_lp(program), Infeasible)
     assert h_H_value_membership(problem, QMatrix.zeros(2, 2), qvec(-1, -1)) is False
 
 

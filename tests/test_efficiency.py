@@ -18,7 +18,7 @@ from vlpdual.efficiency import (
     verify_scalarization_certificate,
 )
 from vlpdual.exact import CertificateError, QMatrix, QVector, qmat, qvec, solve_linear_system
-from vlpdual.lp import Optimal, Unbounded, solve_lp, to_standard_form, verify_unbounded
+from vlpdual.lp import Optimal, Unbounded, solve_lp, verify_unbounded
 from vlpdual.model import VlpProblem
 from vlpdual.sampling import random_problem
 
@@ -77,14 +77,14 @@ def test_widened_dominated_vertex(widened_problem):
 def test_is_efficient_rejects_a_wrong_dominator(monkeypatch, widened_problem, corrupt):
     # cone.dominator checks the solver's point by products before
     # is_efficient returns it as the dominator.
-    solve_general = cone_module.solve_general
+    solve_lp = cone_module.solve_lp
 
     def sabotaged(program):
-        out = solve_general(program)
+        out = solve_lp(program)
         assert isinstance(out, Optimal) and out.value != 0
         return Optimal(corrupt(out.x), out.y, out.value)
 
-    monkeypatch.setattr(cone_module, "solve_general", sabotaged)
+    monkeypatch.setattr(cone_module, "solve_lp", sabotaged)
     with pytest.raises(CertificateError):
         is_efficient(widened_problem, qvec(0, 0, 1))
 
@@ -186,8 +186,7 @@ def test_is_efficient_matches_augmented_enumeration(seed):
     vertices = enumerate_vertices(problem)
     for xbar in vertices[:3]:
         program = domination_program(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
-        lp = to_standard_form(program)
-        out = solve_lp(lp)
+        out = solve_lp(program)
         eff, _ = is_efficient(problem, xbar)
         if isinstance(out, Optimal):
             best = max(
@@ -198,7 +197,7 @@ def test_is_efficient_matches_augmented_enumeration(seed):
             assert eff == (best == 0)
         else:
             assert isinstance(out, Unbounded)
-            assert verify_unbounded(lp, out)
+            assert verify_unbounded(program, out)
             assert not eff
 
 

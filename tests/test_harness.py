@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from vlpdual.harness import (
 from vlpdual.model import VlpProblem, load_problem, problem_to_dict
 from vlpdual.sampling import random_problem
 
+REPO = Path(__file__).resolve().parent.parent
 SMALL = CampaignConfig(dual_samples=6, primal_samples=6, value_samples=6)
 
 
@@ -65,6 +69,25 @@ def test_unknown_fixture():
 def test_campaign_rejects_zero_count():
     with pytest.raises(ValueError):
         run_random_campaign(seed=1, count=0)
+
+
+@pytest.mark.parametrize("field", ["dual_samples", "primal_samples", "value_samples"])
+def test_campaign_config_rejects_a_negative_size(field):
+    # a negative size once sliced the samples away, out[:-2], and the checks ran on nothing
+    with pytest.raises(ValueError, match=field):
+        CampaignConfig(**{field: -2})
+    assert getattr(CampaignConfig(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("args", [["--count", "0"], ["--count", "1", "--value-samples", "-2"]])
+def test_campaign_script_reports_bad_sizes_as_usage_errors(args):
+    # exit 1 means a verification failed; a bad size is a usage error, exit 2
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = [sys.executable, str(REPO / "scripts" / "run_campaign.py"), "--seed", "1", *args]
+    proc = subprocess.run(script, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "must be >=" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_campaign_passes(small_campaign):
@@ -327,5 +350,5 @@ def test_strong_converse_fixture_builds_one_P_per_problem(monkeypatch):
 )
 def test_fixture_problem_matches_its_file(fixture, file):
     # README's quick start and CI read the files; the campaign builds the same problems in code.
-    text = (Path(__file__).resolve().parent.parent / "problems" / file).read_text(encoding="utf-8")
+    text = (REPO / "problems" / file).read_text(encoding="utf-8")
     assert load_problem(text) == FIXTURES[fixture].problem

@@ -9,7 +9,6 @@ from vlpdual.exact import CertificateError, DimensionError, QMatrix, QVector, qm
 from vlpdual.lp import (
     Basis,
     GeneralProgram,
-    GenRow,
     Infeasible,
     LinearProgram,
     Optimal,
@@ -188,29 +187,28 @@ def test_random_lp_outcomes_verified_and_match_enumeration(seed):
 
 
 def test_standard_form_free_split():
-    gp = GeneralProgram(qvec(2), (GenRow(qvec(1), "=", Fraction(3)),), free=True)
+    gp = GeneralProgram(qvec(2), qmat([[1]]), qvec(3))
     lp = to_standard_form(gp)
-    assert lp == LinearProgram(qvec(2, -2), qmat([[1, -1]]), qvec(3))
-    assert gp.back(qvec(5, 2)) == qvec(3)
+    assert lp == LinearProgram(qvec(2, -2, 0), qmat([[1, -1, -1]]), qvec(3))
+    assert gp.back(qvec(5, 2, 7)) == qvec(3)
 
 
 def test_standard_form_slack_row():
-    # one standard row per general row; a slack for each inequality, in row order
-    rows = (GenRow(qvec(1, 2), ">=", Fraction(1)), GenRow(qvec(3, 4), "=", Fraction(2)),
-            GenRow(qvec(5, 6), "<=", Fraction(3)))
-    lp = to_standard_form(GeneralProgram(qvec(1, 1), rows))
-    assert lp.a == qmat([[1, 2, -1, 0], [3, 4, 0, 0], [5, 6, 0, 1]])
+    # one standard row per general row: each variable split into two
+    # adjacent columns, then one -1 slack per row, in row order
+    lp = to_standard_form(GeneralProgram(qvec(1, 1), qmat([[1, 2], [3, 4], [5, 6]]), qvec(1, 2, 3)))
+    assert lp.a == qmat([[1, -1, 2, -2, -1, 0, 0], [3, -3, 4, -4, 0, -1, 0], [5, -5, 6, -6, 0, 0, -1]])
     assert lp.b == qvec(1, 2, 3)
-    assert lp.c == qvec(1, 1, 0, 0)
+    assert lp.c == qvec(1, -1, 1, -1, 0, 0, 0)
 
 
 def test_general_program_needs_a_row():
     with pytest.raises(DimensionError):
-        GeneralProgram(qvec(0), ())
+        GeneralProgram(qvec(0), QMatrix.zeros(0, 1), qvec(0))
 
 
 def test_general_unbounded_direction_maps_back():
-    gp = GeneralProgram(qvec(1), (GenRow(qvec(1), "<=", Fraction(0)),), free=True)
+    gp = GeneralProgram(qvec(1), qmat([[-1]]), qvec(0))  # -y >= 0
     out = solve_general(gp)
     assert isinstance(out, Unbounded)
     assert out.ray == qvec(-1)
@@ -236,34 +234,23 @@ def test_solve_feasibility_infeasible_certificate():
 def test_solve_general_free_r5_system():
     # (lam1, lam2, z1, z2) free with L^T lam - A^T z >= 0 and lam >= (1,1):
     # satisfied e.g. by lam = (1,1), z = (0,0)
-    rows = (
-        GenRow(qvec(0, 0, -1, -1), ">=", Fraction(0)),
-        GenRow(qvec(1, 0, 0, 0), ">=", Fraction(1)),
-        GenRow(qvec(0, 1, 0, 0), ">=", Fraction(1)),
-    )
-    out = solve_general(GeneralProgram(QVector.zeros(4), rows, free=True))
+    rows = qmat([[0, 0, -1, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    out = solve_general(GeneralProgram(QVector.zeros(4), rows, qvec(0, 1, 1)))
     assert isinstance(out, Optimal)
     lam1, lam2, z1, z2 = out.x
     assert lam1 >= 1 and lam2 >= 1 and -z1 - z2 >= 0
 
 
 def _random_general_program(rng) -> GeneralProgram:
-    n = rng.randint(1, 4)
-    rows = []
-    for _ in range(rng.randint(1, 4)):
-        coeffs = QVector(tuple(random_rational(rng) for _ in range(n)))
-        rel = rng.choice(("<=", ">=", "="))
-        rows.append(GenRow(coeffs, rel, random_rational(rng)))
-    free = rng.choice((True, False))
-    return GeneralProgram(QVector(tuple(random_rational(rng) for _ in range(n))), tuple(rows), free)
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    rows = QMatrix(m, n, tuple(random_rational(rng) for _ in range(m * n)))
+    rhs = QVector(tuple(random_rational(rng) for _ in range(m)))
+    return GeneralProgram(QVector(tuple(random_rational(rng) for _ in range(n))), rows, rhs)
 
 
 def _satisfies(gp: GeneralProgram, x: QVector, homogeneous=False) -> bool:
-    for row in gp.rows:
-        lhs, rhs = row.coeffs.dot(x), (0 if homogeneous else row.rhs)
-        if not ((lhs <= rhs) if row.rel == "<=" else (lhs >= rhs) if row.rel == ">=" else (lhs == rhs)):
-            return False
-    return gp.free or x.is_nonneg()
+    floor = QVector.zeros(gp.rhs.dim) if homogeneous else gp.rhs
+    return (gp.rows @ x - floor).is_nonneg()
 
 
 @settings(max_examples=40, deadline=None)
@@ -274,7 +261,7 @@ def test_general_solutions_satisfy_rows(seed):
     if isinstance(out, Optimal):
         assert _satisfies(gp, out.x)
         assert out.value == gp.objective.dot(out.x)
-        assert out.value == QVector(tuple(row.rhs for row in gp.rows)).dot(out.y)  # y is indexed by gp's rows
+        assert out.value == gp.rhs.dot(out.y)  # y is indexed by gp's rows
     elif isinstance(out, Infeasible):
         assert verify_farkas(to_standard_form(gp), out.farkas)
     else:
@@ -300,7 +287,7 @@ def test_region_minimize_is_solve_general_per_cost():
         assert _satisfies(gp, region.point)
         for w in [gp.objective] + [QVector(tuple(random_rational(rng) for _ in range(gp.n))) for _ in range(2)]:
             out = region.minimize(w)
-            assert out == solve_general(GeneralProgram(w, gp.rows, gp.free))
+            assert out == solve_general(GeneralProgram(w, gp.rows, gp.rhs))
             kinds.add(type(out))
     assert kinds == {Optimal, Unbounded}
 

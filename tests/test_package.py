@@ -24,7 +24,7 @@ PUBLIC = {
         outer parse_rational qmat qvec solve_linear_system""",
     "harness": """CampaignConfig CheckRecord FIXTURES VerificationReport emit_report
         run_all_fixtures run_fixture run_instance_suite run_random_campaign""",
-    "lp": """GeneralProgram GenRow Infeasible LinearProgram LpOutcome Optimal Region Unbounded
+    "lp": """GeneralProgram Infeasible LinearProgram LpOutcome Optimal Region Unbounded
         solve_feasibility solve_general solve_lp verify_outcome""",
     "model": """DualCandidateD DualCandidateJ DualCandidateL DualCandidateU ProblemFormatError
         VlpProblem load_problem objective_D objective_J objective_L primal_feasible
