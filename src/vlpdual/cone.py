@@ -10,7 +10,10 @@ supplied one by dot products, and raises `ConeError` when there is none.
 The cone order needs no LP: `facets` holds the cone's inequality
 description (its facet normals, plus both signs of a basis of the
 generators' orthogonal complement when the cone is lower-dimensional),
-computed once per cone by exact elimination. `coordinates(v)` is the
+computed once per cone from `extreme_rays`. That double-description
+kernel also gives `efficiency.enumerate_vertices` the primal vertices,
+and each of its cuts compares at most `VERTEX_LIMIT` ray pairs, else it
+raises `VertexLimitError`. `coordinates(v)` is the
 tuple of h.v over those normals, and the order asks two questions of
 them: `contains(v)` holds iff each is >= 0, and `strictly_below(v, w)`
 iff v's differ from w's and each is <= w's, since h.(w - v) = h.w - h.v.
@@ -31,20 +34,25 @@ multiplier system.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import DimensionError, QMatrix, QVector, require, solve_linear_system
+from .exact import DimensionError, QMatrix, QVector, require, row_reduce, solve_linear_system
 from .lp import GeneralProgram, LinearProgram, Optimal, Unbounded, solve_general, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+VERTEX_LIMIT = 100_000  # most ray pairs one cut of extreme_rays compares
 
 
 class ConeError(ValueError):
     pass
+
+
+class VertexLimitError(ValueError):
+    """Raised when one cut of `extreme_rays` would compare more than VERTEX_LIMIT ray pairs."""
 
 
 @dataclass(frozen=True)
@@ -92,25 +100,21 @@ class OrderingCone:
         in the cone iff h.v >= 0 for every h.
 
         Both signs of a basis of the generators' orthogonal complement hold
-        v to their span, of dimension d. Within the span, every facet is
-        spanned by d - 1 generators, so each (d - 1)-subset whose
-        complement in the span is a line gives one candidate normal, kept
-        when no two generators lie on opposite sides of it.
+        v to their span. Within it, each extreme ray s of {s >= 0 : Ns = 0},
+        with the rows of N a basis of {mu : G mu = 0}, is G^T h for one
+        facet normal h: h.g = s_g on independent generators, 0 off the span.
         """
-        off_span = _nullspace(self.generators, self.dim)
+        G = generator_matrix(self)
+        off_span = solve_linear_system(G.T, QVector.zeros(G.cols)).nullspace
         normals = [h for u in off_span for h in (u, -u)]
-        for subset in itertools.combinations(self.generators, self.dim - len(off_span) - 1):
-            line = _nullspace(subset + off_span, self.dim)
-            if len(line) != 1:
-                continue
-            h = line[0]
-            if any(h.dot(g) < 0 for g in self.generators):
-                h = -h
-            if any(h.dot(g) < 0 for g in self.generators) or h in normals:
-                continue
-            normals.append(h)
-        for h in normals:
-            require(all(h.dot(g) >= 0 for g in self.generators), "facet normal is >= 0 on every generator")
+        independent = row_reduce(G.to_lists(), G.cols)  # pivot columns: generators spanning the span
+        rows = [self.generators[j] for j in independent] + list(off_span)
+        square = [list(r) + [_ONE if c == i else _ZERO for c in range(self.dim)] for i, r in enumerate(rows)]
+        row_reduce(square, self.dim)  # [B | I] -> [I | B^-1]
+        inverse = QMatrix(self.dim, self.dim, tuple(e for row in square for e in row[self.dim :]))
+        for s in extreme_rays(solve_linear_system(G, QVector.zeros(self.dim)).nullspace, G.cols):
+            normals.append(inverse @ QVector(tuple(Fraction(s[j]) for j in independent) + (_ZERO,) * len(off_span)))
+        require(all(h.dot(g) >= 0 for h in normals for g in self.generators), "normals are >= 0 on every generator")
         return tuple(normals)
 
     def coordinates(self, v: QVector) -> tuple[Fraction, ...]:
@@ -120,12 +124,37 @@ class OrderingCone:
         return tuple(h.dot(v) for h in self.facets)
 
 
-def _nullspace(rows: tuple[QVector, ...], dim: int) -> tuple[QVector, ...]:
-    """A basis of the vectors orthogonal to every row."""
-    if not rows:
-        return tuple(QVector.unit(dim, i) for i in range(dim))
-    matrix = QMatrix(len(rows), dim, tuple(e for r in rows for e in r))
-    return solve_linear_system(matrix, QVector.zeros(len(rows))).nullspace
+def extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
+    """The extreme rays of {y >= 0 in R^n : r.y = 0 for every row r}, each
+    a primitive integer vector, by double description.
+
+    Start from the unit rays and cut by one row at a time: a ray on the row
+    stays, and each adjacent pair on opposite sides adds the ray where
+    their segment meets the row. Two rays are adjacent when no third ray
+    is zero wherever both are (Motzkin's combinatorial test).
+    """
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for row in rows:
+        scale = math.lcm(*(e.denominator for e in row))
+        terms = [(j, int(e * scale)) for j, e in enumerate(row) if e]
+        values = [sum(a * y[j] for j, a in terms) for y in rays]
+        above = [i for i, v in enumerate(values) if v > 0]
+        below = [i for i, v in enumerate(values) if v < 0]
+        pairs = len(above) * len(below)
+        if pairs > VERTEX_LIMIT:
+            raise VertexLimitError(f"one enumeration step compares {pairs} ray pairs (limit {VERTEX_LIMIT})")
+        zeros = [sum(1 << j for j, e in enumerate(y) if not e) for y in rays]
+        cut = [y for y, v in zip(rays, values) if not v]
+        for p in above:
+            for q in below:
+                common = zeros[p] & zeros[q]
+                if any(z & common == common for t, z in enumerate(zeros) if t != p and t != q):
+                    continue
+                y = [values[p] * b - values[q] * a for a, b in zip(rays[p], rays[q])]
+                g = math.gcd(*y)
+                cut.append(tuple(e // g for e in y))
+        rays = cut
+    return rays
 
 
 def make_cone(dim: int, generators) -> OrderingCone:

@@ -11,28 +11,20 @@ be a vertex of the feasible set.
 `cone.dominator` answers it, and the homogeneous recession question,
 with a checked point below the target or None. Scalarization
 certificates are asked of `duality.DualPolyhedron`, the problem's dual
-polyhedron P, one phase I per problem. `model.EfficiencyCertificate` and
+polyhedron P, one phase I per problem. `cone.VERTEX_LIMIT`,
+`cone.VertexLimitError`, `model.EfficiencyCertificate` and
 `checks.verify_scalarization_certificate` are bound here by name.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 
 from .checks import verify_scalarization_certificate  # noqa: F401
-from .cone import dominator
+from .cone import VERTEX_LIMIT, VertexLimitError, dominator, extreme_rays  # noqa: F401
 from .duality import DualPolyhedron
-from .exact import QMatrix, QVector, require, solve_linear_system
+from .exact import QVector, require
 from .model import EfficiencyCertificate, VlpProblem, primal_feasible
-
-_ZERO = Fraction(0)
-VERTEX_LIMIT = 100_000  # most column subsets enumerate_vertices will try
-
-
-class VertexLimitError(ValueError):
-    """Raised when basis enumeration would try more than VERTEX_LIMIT subsets."""
 
 
 def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCertificate | None]:
@@ -54,37 +46,15 @@ def proper_efficiency_certificate(problem: VlpProblem, xbar: QVector) -> Efficie
 
 
 def enumerate_vertices(problem: VlpProblem) -> list[QVector]:
-    """All basic feasible solutions of {x >= 0 : Ax = b}, deduplicated and sorted.
+    """All vertices of {x >= 0 : Ax = b}, sorted: the extreme rays (x, t) of
+    {(x, t) >= 0 : Ax - bt = 0} with t > 0, scaled to t = 1.
 
     The feasible set contains no lines, so it is empty exactly when this
     list is empty.
     """
-    A, b, n = problem.A, problem.b, problem.n
-    r = A.rank()
-    if math.comb(n, r) > VERTEX_LIMIT:
-        raise VertexLimitError(
-            f"basis enumeration needs {math.comb(n, r)} subsets (limit {VERTEX_LIMIT}); shrink the instance"
-        )
-    if r == 0:
-        return [QVector.zeros(n)] if b.is_zero() else []
-    seen: set[tuple] = set()
-    out: list[QVector] = []
-    for cols in itertools.combinations(range(n), r):
-        sub = QMatrix(A.rows, r, tuple(A.at(i, j) for i in range(A.rows) for j in cols))
-        sol = solve_linear_system(sub, b)
-        if sol is None or sol.nullspace:
-            continue
-        if not sol.particular.is_nonneg():
-            continue
-        full = [_ZERO] * n
-        for pos, j in enumerate(cols):
-            full[j] = sol.particular[pos]
-        vec = QVector(tuple(full))
-        if vec.entries not in seen:
-            seen.add(vec.entries)
-            out.append(vec)
-    out.sort(key=lambda v: v.entries)
-    return out
+    n = problem.n
+    rays = extreme_rays([problem.A.row(i).entries + (-problem.b[i],) for i in range(problem.m)], n + 1)
+    return sorted((QVector(tuple(Fraction(e, y[n]) for e in y[:n])) for y in rays if y[n]), key=lambda v: v.entries)
 
 
 def efficient_vertices(problem: VlpProblem) -> list[tuple[QVector, EfficiencyCertificate]]:

@@ -223,7 +223,7 @@ class _InstanceContext:
     polyhedron: duality.DualPolyhedron  # the membership oracles' P: phase I once per instance
     vertices: list[QVector]
     vertex_status: list[tuple[QVector, bool, object]]  # (vertex, efficient, cert or None)
-    duals: list[DualCandidateD]  # starts at polyhedron.dual_point(): empty exactly when D is
+    duals: list[DualCandidateD]  # starts at polyhedron.dual_point(); empty when D is
     primals: list[QVector]
     values: list[QVector]
     us: list[QMatrix]
@@ -247,8 +247,8 @@ def _vertex_status(
 
 
 def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig) -> _InstanceContext:
+    vertices = efficiency.enumerate_vertices(problem)  # an over-limit instance stops here, before any LP
     polyhedron = duality.DualPolyhedron(problem)
-    vertices = efficiency.enumerate_vertices(problem)
     status = _vertex_status(problem, polyhedron, vertices)
     duals = sample_dual_points(problem, rng, cfg.dual_samples, polyhedron)
     primals = sample_primal_points(problem, vertices, rng, cfg.primal_samples)
@@ -259,7 +259,7 @@ def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig)
 
 
 def _check_quadrant(ctx: _InstanceContext, rng):
-    return 1, [], {"A_empty": not ctx.vertices, "B_empty": not ctx.duals}
+    return 1, [], {"A_empty": not ctx.vertices, "B_empty": ctx.polyhedron.empty}
 
 
 def _check_efficient_iff_scalarizable(ctx: _InstanceContext, rng):
@@ -383,7 +383,7 @@ def _check_emptiness_biconditional(ctx: _InstanceContext, rng):
         return 0, [], None
     no_efficient = all(not eff for _, eff, _ in ctx.vertex_status)
     pointed = efficiency.recession_image_pointed(ctx.problem)
-    b_empty = not ctx.duals
+    b_empty = ctx.polyhedron.empty
     failures = []
     if (no_efficient and not pointed) != b_empty:
         failures.append({"no_efficient_vertex": no_efficient, "recession_pointed": pointed, "B_empty": b_empty})

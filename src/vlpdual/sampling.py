@@ -129,7 +129,7 @@ def sample_dual_points(
         cand = DualCandidateD(lam, U, v)
         require(check_feasible_D(problem, cand), "sampled dual point is feasible for D")
         out.append(cand)
-    return out
+    return out[:count]
 
 
 def sample_primal_points(

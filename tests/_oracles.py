@@ -43,6 +43,34 @@ def brute_vertices(a: QMatrix, b: QVector) -> list[QVector]:
     return out
 
 
+def orthogonal_complement(rows: tuple[QVector, ...], dim: int) -> tuple[QVector, ...]:
+    """A basis of the vectors orthogonal to every row."""
+    if not rows:
+        return tuple(QVector.unit(dim, i) for i in range(dim))
+    matrix = QMatrix(len(rows), dim, tuple(e for r in rows for e in r))
+    return solve_linear_system(matrix, QVector.zeros(len(rows))).nullspace
+
+
+def brute_facets(cone) -> tuple[QVector, ...]:
+    """The cone's normals by subset enumeration: both signs of a basis of
+    the generators' orthogonal complement, of dimension dim - d, then one
+    normal per (d - 1)-subset of generators whose complement in the span
+    is a line, kept when no two generators lie on opposite sides of it."""
+    off_span = orthogonal_complement(cone.generators, cone.dim)
+    normals = [h for u in off_span for h in (u, -u)]
+    for subset in itertools.combinations(cone.generators, cone.dim - len(off_span) - 1):
+        line = orthogonal_complement(subset + off_span, cone.dim)
+        if len(line) != 1:
+            continue
+        h = line[0]
+        if any(h.dot(g) < 0 for g in cone.generators):
+            h = -h
+        if any(h.dot(g) < 0 for g in cone.generators) or h in normals:
+            continue
+        normals.append(h)
+    return tuple(normals)
+
+
 def orthogonal_basis(lam: QVector) -> list[QVector]:
     """Basis of the hyperplane lam.v = 0 by the explicit formula: e_j with
     -lam[j]/lam[p] at the first nonzero index p, for every j != p."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vlpdual
-from vlpdual import harness
+from vlpdual import harness, lp
 from vlpdual.cli import main
 from vlpdual.cone import orthant
 from vlpdual.duality import scaled_generator
@@ -342,20 +342,25 @@ def test_internal_defects_exit_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["vertices", "efficient", "verify"])
-def test_oversized_problem_is_input_error(tmp_path, capsys, command):
-    # A = [I I] has rank 10 over 20 columns: C(20, 10) = 184,756 bases, over the 100,000 limit.
-    eye = [["1" if i == j else "0" for j in range(10)] for i in range(10)]
+def test_oversized_problem_is_input_error(tmp_path, capsys, monkeypatch, command):
+    # One row of 320 entries +1 and 320 entries -1, with b = 0: the first vertex
+    # cut compares 320 * 320 = 102,400 ray pairs, over the 100,000 limit.
     big = {
-        "n": 20,
-        "m": 10,
+        "n": 640,
+        "m": 1,
         "k": 2,
-        "L": [["0"] * 20, ["0"] * 20],
-        "A": [row + row for row in eye],
-        "b": ["1"] * 10,
+        "L": [["0"] * 640, ["0"] * 640],
+        "A": [["1"] * 320 + ["-1"] * 320],
+        "b": ["0"],
         "cone": {"orthant": 2},
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(big))
+
+    def no_lp(*args):
+        raise AssertionError("an LP ran before the vertices")
+
+    monkeypatch.setattr(lp, "phase_one", no_lp)  # every solve and every Region starts here
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert "input error:" in err

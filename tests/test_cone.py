@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import reference_max_domination
+from _oracles import brute_facets, orthogonal_complement, reference_max_domination
 from vlpdual import cone as cone_module
 from vlpdual import lp as lp_module
 from vlpdual.cone import (
@@ -274,7 +275,7 @@ def test_strictly_below_by_coordinates_matches_feasibility_lp():
         for _ in range(25):
             cone = random_cone_any_rank(rng, k)
             ranks.add((k, generator_matrix(cone).rank()))
-            ortho = cone_module._nullspace(cone.generators, cone.dim)  # the span's complement
+            ortho = orthogonal_complement(cone.generators, cone.dim)  # the span's complement
             for v in _queries(rng, cone)[:5]:
                 member = _combination(rng, list(cone.generators), 0, 3)
                 targets = [v, v + member] + _queries(rng, cone)[:3]
@@ -296,16 +297,51 @@ def test_warm_cone_enumerates_no_facets_again(monkeypatch):
     cone = random_cone_any_rank(rng, 3)
     points = _queries(rng, cone)[:6]
     expected = [strictly_below(cone, p, q) for p in points for q in points]
-    solves = []
+    calls = []
 
     def counted(*args):
-        solves.append(args)
-        return nullspace(*args)
+        calls.append(args)
+        return kernel(*args)
 
-    nullspace = cone_module._nullspace
-    monkeypatch.setattr(cone_module, "_nullspace", counted)
+    kernel = cone_module.extreme_rays
+    monkeypatch.setattr(cone_module, "extreme_rays", counted)
     assert [strictly_below(cone, p, q) for p in points for q in points] == expected
-    assert solves == []
+    assert calls == []
+    cold = make_cone(cone.dim, cone.generators)  # an equal cone with its own facets
+    assert [strictly_below(cold, p, q) for p in points for q in points] == expected
+    assert len(calls) == 1
+
+
+def _primitive(h: QVector) -> tuple[int, ...]:
+    """h scaled to coprime integers, sign kept."""
+    scale = math.lcm(*(e.denominator for e in h))
+    ints = [int(e * scale) for e in h]
+    return tuple(e // math.gcd(*ints) for e in ints)
+
+
+def _same_normals(cone) -> None:
+    got = [_primitive(h) for h in cone.facets]
+    assert len(set(got)) == len(got), cone.generators
+    assert set(got) == {_primitive(h) for h in brute_facets(cone)}, cone.generators
+
+
+def test_facets_match_subset_enumeration():
+    rng = random.Random(1953)
+    for k in (1, 2, 3, 4):
+        for _ in range(40):
+            _same_normals(random_cone_any_rank(rng, k))
+
+
+def sixteen_generator_cone(seed: int) -> OrderingCone:
+    """16 positive integer generators in R^6: C(16, 5) = 4,368 subsets for
+    the subset method, about a hundred facets."""
+    rng = random.Random(seed)
+    return make_cone(6, [qvec(*[rng.randint(1, 9) for _ in range(6)]) for _ in range(16)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sixteen_generator_facets_match_subset_enumeration(seed):
+    _same_normals(sixteen_generator_cone(seed))
 
 
 def _domination_questions():

@@ -1,10 +1,11 @@
 import itertools
-import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from _oracles import brute_vertices
 from vlpdual import cone as cone_module
 from vlpdual.cone import domination_program, generator_matrix, orthant, strictly_below
 from vlpdual.efficiency import (
@@ -20,7 +21,7 @@ from vlpdual.efficiency import (
 from vlpdual.exact import CertificateError, QMatrix, QVector, qmat, qvec, solve_linear_system
 from vlpdual.lp import Optimal, Unbounded, solve_lp, verify_unbounded
 from vlpdual.model import VlpProblem
-from vlpdual.sampling import random_problem
+from vlpdual.sampling import random_problem, random_rational, random_vector
 
 
 def test_segment_vertices(seg_problem):
@@ -37,12 +38,57 @@ def test_point_polytope_vertex():
 
 
 def test_vertex_limit():
-    # A = [I I] has rank 10 over 20 columns: C(20, 10) = 184,756 bases, over the limit.
+    # One row of 320 entries +1 and 320 entries -1, with b = 0: the first cut
+    # compares 320 * 320 = 102,400 ray pairs, over the limit, before it runs.
+    A = QMatrix(1, 640, (Fraction(1),) * 320 + (Fraction(-1),) * 320)
+    assert 320 * 320 > VERTEX_LIMIT
+    with pytest.raises(VertexLimitError):
+        enumerate_vertices(VlpProblem(QMatrix.zeros(2, 640), A, QVector.zeros(1), orthant(2)))
+
+
+def test_two_identity_blocks_give_every_vertex():
+    # A = [I I] with 10 rows and b = 1 has C(20, 10) = 184,756 column subsets
+    # but 2^10 vertices: x_i + x_{i+10} = 1 puts the 1 on either column.
     eye = QMatrix.identity(10)
     A = QMatrix(10, 20, tuple(eye.at(i, j % 10) for i in range(10) for j in range(20)))
-    assert math.comb(20, 10) > VERTEX_LIMIT
-    with pytest.raises(VertexLimitError):
-        enumerate_vertices(VlpProblem(QMatrix.zeros(2, 20), A, QVector((Fraction(1),) * 10), orthant(2)))
+    ones = QVector((Fraction(1),) * 10)
+    vertices = enumerate_vertices(VlpProblem(QMatrix.zeros(2, 20), A, ones, orthant(2)))
+    assert len(vertices) == 1024 == len(set(vertices))
+    assert all(A @ v == ones and set(v.entries) == {0, 1} for v in vertices)
+    assert vertices == sorted(vertices, key=lambda v: v.entries)
+
+
+def _vertex_instances(rng):
+    """{x >= 0 : Ax = b} with dependent rows, b = 0, empty sets and
+    degenerate vertices among them."""
+    for _ in range(320):
+        n, m = rng.randint(1, 7), rng.randint(1, 4)
+        rows = [random_vector(rng, n, -3, 3) for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:  # the last row a combination of the others
+            rows[-1] = QVector.zeros(n)
+            for row in rows[:-1]:
+                rows[-1] = rows[-1] + row.scale(random_rational(rng, -2, 2))
+        A = QMatrix(m, n, tuple(e for row in rows for e in row))
+        roll = rng.random()
+        if roll < 0.45:  # feasible, often degenerate: the point has zeros
+            b = A @ QVector(tuple(rng.choice((Fraction(0), abs(random_rational(rng)))) for _ in range(n)))
+        elif roll < 0.6:
+            b = QVector.zeros(m)
+        else:
+            b = random_vector(rng, m)
+        yield A, b
+
+
+def test_enumerate_vertices_matches_subset_enumeration():
+    kinds = Counter()
+    for A, b in _vertex_instances(random.Random(1953)):
+        got = enumerate_vertices(VlpProblem(QMatrix.zeros(2, A.cols), A, b, orthant(2)))
+        assert got == sorted(brute_vertices(A, b), key=lambda v: v.entries), (A, b)
+        kinds["dependent rows"] += A.rank() < A.rows
+        kinds["b = 0"] += b.is_zero()
+        kinds["empty"] += not got
+        kinds["several vertices"] += len(got) > 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_segment_vertices_efficient(seg_problem):

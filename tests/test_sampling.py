@@ -3,6 +3,7 @@ import random
 from _oracles import reference_sample_dual_points
 from vlpdual import lp
 from vlpdual.duality import DualPolyhedron, check_feasible_D
+from vlpdual.harness import FIXTURES, CampaignConfig, run_instance_suite
 from vlpdual.lp import Infeasible, phase_one
 from vlpdual.sampling import random_problem, sample_dual_points, sample_quasi_interior
 
@@ -35,3 +36,17 @@ def test_sample_dual_points_match_per_sample_solves(monkeypatch):
         samples += max(len(got) - 1, 0)
     assert empty_sets > 0
     assert samples > 4 * len(SEEDS)
+
+
+def test_no_dual_samples_means_none():
+    # P is nonempty on both fixtures, so B_empty must come from P, not from
+    # the (empty) sample list.
+    for name in ("FIX-SEG", "FIX-ZB"):
+        problem = FIXTURES[name].problem
+        polyhedron = DualPolyhedron(problem)
+        assert not polyhedron.empty
+        assert sample_dual_points(problem, random.Random(1), 0, polyhedron) == []
+        report = run_instance_suite(problem, seed=1, config=CampaignConfig(dual_samples=0))
+        assert report.ok, [r for r in report.records if r.status == "fail"]
+        (quadrant,) = [r for r in report.records if r.check == "quadrant"]
+        assert quadrant.witness["info"] == {"A_empty": False, "B_empty": False}

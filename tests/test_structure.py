@@ -98,6 +98,14 @@ def test_source_has_no_assert_and_no_function_cache():
         assert not caches, f"{name}: uses functools {caches}"
 
 
+def test_source_enumerates_no_subsets():
+    # Facets and vertices come from the double-description kernel
+    # cone.extreme_rays, whose cost follows its output, not C(n, r).
+    for name, tree in _modules():
+        found = sorted(set(_names(tree)) & {"combinations", "comb"})
+        assert not found, f"{name} names {found}"
+
+
 def test_lp_internals_are_named_only_in_lp():
     seen = {name: sorted(set(_names(tree)) & LP_INTERNALS) for name, tree in _modules() if name != "lp.py"}
     assert not any(seen.values()), {name: found for name, found in seen.items() if found}
