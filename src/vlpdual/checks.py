@@ -16,14 +16,22 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cone import in_quasi_interior
-from .exact import DimensionError, QVector
+from .exact import DimensionError, QVector, _ratios, _sum_of_products
 
 if TYPE_CHECKING:
     from .model import DualCandidateD, DualCandidateJ, DualCandidateL, EfficiencyCertificate, VlpProblem
 
 
 def _dual_feasible(problem: VlpProblem, lam: QVector, z: QVector) -> bool:
-    return in_quasi_interior(problem.cone, lam) and ((problem.L.T @ lam) - (problem.A.T @ z)).is_nonneg()
+    """lam.g > 0 on every generator, and (lam, -z) has a nonnegative
+    product with every column of [L; A]: L^T lam - A^T z >= 0."""
+    if z.dim != problem.m:
+        raise DimensionError(f"z dim {z.dim} != row count {problem.m}")
+    if not in_quasi_interior(problem.cone, lam):
+        return False
+    weights = _ratios(lam.entries) + [(-e.numerator, e.denominator) for e in z.entries]
+    n, stacked = problem.n, problem.L.entries + problem.A.entries  # [L; A] row-major, n columns
+    return all(_sum_of_products(weights, _ratios(stacked[j::n])) >= 0 for j in range(n))
 
 
 def check_feasible_J(problem: VlpProblem, cand: DualCandidateJ | DualCandidateD) -> bool:

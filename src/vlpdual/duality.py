@@ -13,7 +13,19 @@ one polyhedron per problem,
 whose feasible set does not depend on the probe value d; only the linear
 functional f(lam, z) = lam.d - b.z does (geometric duality, Heyde & Lohne
 2008). `DualPolyhedron` is P as an `lp.Region`: phase I runs once per
-problem, and every question below is one or two `Region.minimize` calls.
+problem, and P's first question is answered from it, by one or two
+`Region.minimize` calls for a min or max of f.
+
+P's second question builds its V-form once: the vertices V, extreme rays
+R and a lineality basis N from `cone.polyhedron_generators` on the rows
+and rhs of P's own program, so one double-description kernel serves the
+cone's facets, the primal vertices and P. Then min f <= 0 exactly when f
+is nonzero on some vector of N, f(r) < 0 for some r in R, or f(v) <= 0
+for some v in V, and max f >= 0 likewise; the witness is the vertex of
+least f, or a step from it along a descending direction to f = 0, and
+the questions below run no LP. A single query never pays for a V-form,
+and when one cut of the kernel would compare more than `VERTEX_LIMIT`
+ray pairs, P keeps answering by phase II with the same verdicts.
 
 - A scalarization certificate for a feasible xbar: with d = L xbar,
   f = xbar.(L^T lam - A^T z) is >= 0 on P, so a certificate exists
@@ -49,7 +61,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .checks import check_feasible_D, check_feasible_J, check_feasible_L, verify_scalarization_certificate
-from .cone import OrderingCone, dominator, multiplier_program, strictly_below
+from .cone import OrderingCone, VertexLimitError, dominator, multiplier_program, polyhedron_generators, strictly_below
 from .exact import DimensionError, QMatrix, QVector, outer, require
 from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_lp
 from .model import (
@@ -212,14 +224,38 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
 class DualPolyhedron(Region):
     """P of one problem as a Region over (lam, z). Its program is
     `multiplier_program(cone, [L; -A])`, row for row, so `dual_point` is
-    the point `multiplier(cone, [L; -A])` returns. Every other question is
-    phase II on copies of the one phase-I basis, so none changes it.
+    the point `multiplier(cone, [L; -A])` returns.
+
+    A question is a dual point, a certificate or an image-set verdict.
+    A nonempty P answers its first by phase I's point or by phase II on a
+    copy of the one phase-I basis. The second builds P's V-form, and that
+    question and every later one read min and max f off it with no LP; a
+    V-form over `VERTEX_LIMIT` is given up, and P goes on with phase II.
     """
 
     def __init__(self, problem: VlpProblem):
         self.problem = problem
         stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
         super().__init__(multiplier_program(problem.cone, stacked))
+        self._questions = 0
+        self._form: tuple[list[QVector], list[QVector], tuple[QVector, ...]] | None = None
+
+    def v_form(self) -> tuple[list[QVector], list[QVector], tuple[QVector, ...]]:
+        """The vertices, extreme rays and a lineality basis of P, from the
+        rows and rhs of P's program; no vertex exactly when phase I found
+        P empty."""
+        vertices, rays, lineality = polyhedron_generators(self._gp.rows, self._gp.rhs)
+        require(bool(vertices) != self.empty, "P has a vertex exactly when phase I found a point")
+        return vertices, rays, lineality
+
+    def _ask(self) -> None:
+        """Count one question on a nonempty P; the second builds the V-form."""
+        self._questions += 1
+        if self._questions == 2:
+            try:
+                self._form = self.v_form()
+            except VertexLimitError:
+                pass
 
     def _split(self, point: QVector) -> tuple[QVector, QVector]:
         k = self.problem.k
@@ -229,22 +265,41 @@ class DualPolyhedron(Region):
         """A concrete feasible point of the vector dual (v = 0), or None."""
         if self.empty:
             return None
+        self._ask()
         lam, z = self._split(self.point)
         cand = DualCandidateD(lam, outer(scaled_generator(self.problem.cone, lam), z), QVector.zeros(self.problem.k))
         require(check_feasible_D(self.problem, cand), "dual point is feasible for D")
         return cand
 
+    def _extreme(self, w: QVector) -> tuple[QVector, Fraction, QVector | None]:
+        """A point of P, w there, and a direction of P along which w falls;
+        the direction is None exactly when the point minimizes w.
+
+        From the V-form: the first vertex of least w, and the first extreme
+        ray, or signed lineality vector, with w < 0 on it. Else phase II:
+        its optimum, or its feasible start and unbounded ray.
+        """
+        if self._form is None:
+            out = self.minimize(w)
+            if isinstance(out, Optimal):
+                return out.x, out.value, None
+            return out.x0, w.dot(out.x0), out.ray
+        vertices, rays, lineality = self._form
+        values = [w.dot(v) for v in vertices]
+        low = min(values)
+        down = next((r for r in rays if w.dot(r) < 0), None)
+        if down is None:
+            down = next((u if w.dot(u) < 0 else -u for u in lineality if w.dot(u)), None)
+        return vertices[values.index(low)], low, down
+
     def _lowest(self, w: QVector) -> tuple[QVector, Fraction]:
         """A point of P minimizing w and its value; when w is unbounded
-        below on P, the point along the ray where w reaches 0 (or the ray's
-        start when w is already <= 0 there)."""
-        out = self.minimize(w)
-        if isinstance(out, Optimal):
-            return out.x, out.value
-        value = w.dot(out.x0)
-        if value > 0:
-            return out.x0 + out.ray.scale(value / -w.dot(out.ray)), _ZERO
-        return out.x0, value
+        below on P, the point along the descending direction where w
+        reaches 0 (or its start when w is already <= 0 there)."""
+        point, value, down = self._extreme(w)
+        if down is not None and value > 0:
+            return point + down.scale(value / -w.dot(down)), _ZERO
+        return point, value
 
     def _functional(self, d: QVector) -> QVector:
         if d.dim != self.problem.k:
@@ -265,16 +320,17 @@ class DualPolyhedron(Region):
             raise ValueError("point is not feasible for the primal problem")
         if self.empty:
             return None
-        out = self.minimize(self._functional(self.problem.L @ xbar))
-        require(isinstance(out, Optimal), "f is bounded below by 0 on P at a feasible point")
-        if out.value != 0:
+        self._ask()
+        point, value, down = self._extreme(self._functional(self.problem.L @ xbar))
+        require(down is None, "f is bounded below by 0 on P at a feasible point")
+        if value != 0:
             return None
-        lam, z = self._split(out.x)
+        lam, z = self._split(point)
         return EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=-z)
 
     def image_sets(self, d: QVector) -> ImageSets:
         """Is d in hL, hB and hJ? One minimum of f = lam.d - b.z over P and
-        at most one maximum decide all three.
+        at most one maximum, by phase II or off the V-form, decide all three.
 
         - hL: min f <= 0; the minimizer (or a point along the ray) is the
           witness (lam, z, d).
@@ -286,6 +342,7 @@ class DualPolyhedron(Region):
         w = self._functional(d)
         if self.empty:
             return _IN_NONE
+        self._ask()
         low_point, low = self._lowest(w)
         if low > 0:
             return _IN_NONE

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -12,8 +13,9 @@ from _oracles import (
     reference_scalarization,
     reference_value_member,
 )
+from vlpdual import cone as cone_module
 from vlpdual import duality
-from vlpdual.cone import domination_program, multiplier_program, orthant, strictly_below
+from vlpdual.cone import VertexLimitError, domination_program, multiplier_program, orthant, strictly_below
 from vlpdual.duality import (
     DualPolyhedron,
     ReducedImage,
@@ -44,7 +46,7 @@ from vlpdual.efficiency import (
     proper_efficiency_certificate,
     verify_scalarization_certificate,
 )
-from vlpdual.exact import QMatrix, QVector, outer, qmat, qvec
+from vlpdual.exact import CertificateError, QMatrix, QVector, outer, qmat, qvec
 from vlpdual.harness import FIXTURES, CampaignConfig, run_instance_suite
 from vlpdual.lp import GeneralProgram, Infeasible, Optimal, Unbounded, solve_general, solve_lp, to_standard_form
 from vlpdual.model import (
@@ -518,7 +520,10 @@ def test_dual_polyhedron_built_once_per_instance(monkeypatch):
         assert built == [problem]
 
 
-def test_inclusion_chain_solves_each_minimum_once(monkeypatch):
+def test_inclusion_chain_runs_no_phase_two_after_the_context(monkeypatch):
+    # Building the context asks P for its dual point and its certificates;
+    # by the chain's first value P has had a question, so the chain reads
+    # every verdict off the V-form.
     from vlpdual import harness, lp
 
     solves = []
@@ -530,15 +535,160 @@ def test_inclusion_chain_solves_each_minimum_once(monkeypatch):
 
     monkeypatch.setattr(lp, "phase_two", recording_phase_two)
     cfg = CampaignConfig(dual_samples=8, primal_samples=4, value_samples=16)
-    total = 0
+    chains = 0
     for index, (instance, problem) in enumerate(harness._campaign_instances(42, 4)):
         rng = random.Random(index)
         ctx = harness._build_context(problem, rng, cfg)
         solves.clear()
-        harness._check_inclusion_chain(ctx, rng)
-        assert len(solves) == len(set(solves)), f"{instance}: a cost was solved twice on the same basis"
-        total += len(solves)
-    assert total > 0
+        count, failures, _ = harness._check_inclusion_chain(ctx, rng)
+        assert not failures
+        assert not solves, f"{instance}: the chain ran {len(solves)} phase II"
+        chains += count > 0 and not ctx.polyhedron.empty
+    assert chains > 0
+
+
+def _over_limit(rows, rhs):
+    raise VertexLimitError("one enumeration step compares too many ray pairs")
+
+
+def _phase_two_only(monkeypatch, P: DualPolyhedron) -> DualPolyhedron:
+    """A copy of a fresh nonempty P, sharing its phase-I basis, after two
+    questions asked while its V-form was over the limit, so it answers
+    every later question by phase II."""
+    ref = copy.copy(P)
+    with monkeypatch.context() as patch:
+        patch.setattr(duality, "polyhedron_generators", _over_limit)
+        ref.dual_point()
+        ref.dual_point()
+    return ref
+
+
+def _no_phase_two(start, c):
+    raise AssertionError("a V-form answer ran phase II")
+
+
+def _verdicts(sets) -> tuple[bool, bool, bool]:
+    return sets.hL.member, sets.hB.member, sets.hJ.member
+
+
+def _v_form_disagreements(monkeypatch, problems, cases) -> list:
+    """Each problem whose V-form answers differ from phase II's on P's dual
+    point's value, 0, two random values and L x at each primal vertex, or
+    whose certificates at those vertices differ; cases counts what the
+    V-form met along the way."""
+    from vlpdual import lp
+
+    rng = random.Random(1400)
+    wrong = []
+    for problem in problems:
+        P = DualPolyhedron(problem)
+        vertices, rays, lineality = P.v_form()
+        if P.empty:
+            assert not vertices
+            cases["empty P"] += 1
+            continue
+        ref = _phase_two_only(monkeypatch, P)
+        primal = enumerate_vertices(problem)
+        values = [objective_D(problem, ref.dual_point()), QVector.zeros(problem.k)]
+        values += [random_vector(rng, problem.k, -4, 4) for _ in range(2)] + [problem.L @ x for x in primal]
+        expected = [_verdicts(ref.image_sets(d)) for d in values], [ref.certificate(x) is None for x in primal]
+        P.dual_point()  # the first question; the second builds the V-form
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "phase_two", _no_phase_two)
+                verdicts = [_verdicts(P.image_sets(d)) for d in values]
+                certs = [P.certificate(x) for x in primal]
+        except CertificateError:
+            wrong.append(problem)
+            continue
+        if (verdicts, [c is None for c in certs]) != expected:
+            wrong.append(problem)
+            continue
+        assert all(verify_scalarization_certificate(problem, x, c) for x, c in zip(primal, certs) if c is not None)
+        cases["nonzero lineality"] += bool(lineality)
+        for d in values:
+            f = QVector(d.entries + (-problem.b).entries)
+            below, above = any(f.dot(r) < 0 for r in rays), any(f.dot(r) > 0 for r in rays)
+            cases["ray below"] += below
+            cases["ray above"] += above
+            flat = not below and all(f.dot(u) == 0 for u in lineality)
+            cases["min = 0"] += flat and min(f.dot(v) for v in vertices) == 0
+    return wrong
+
+
+def _agreement_problems(count: int) -> list[VlpProblem]:
+    rng = random.Random(1500)
+    problems = []
+    for _ in range(count):
+        drawn = random_problem(rng)
+        problems += [drawn, VlpProblem(drawn.L, drawn.A, QVector.zeros(drawn.m), drawn.cone)]
+    return problems
+
+
+def test_v_form_answers_equal_phase_two_answers(monkeypatch):
+    cases = dict.fromkeys(("empty P", "nonzero lineality", "ray below", "ray above", "min = 0"), 0)
+    assert _v_form_disagreements(monkeypatch, _agreement_problems(300), cases) == []
+    assert all(cases.values()), cases
+
+
+def test_agreement_catches_a_dropped_vertex(monkeypatch):
+    generators = duality.polyhedron_generators
+
+    def one_vertex_dropped(rows, rhs):
+        vertices, rays, lineality = generators(rows, rhs)
+        return vertices[1:] if len(vertices) > 1 else vertices, rays, lineality
+
+    monkeypatch.setattr(duality, "polyhedron_generators", one_vertex_dropped)
+    cases = dict.fromkeys(("empty P", "nonzero lineality", "ray below", "ray above", "min = 0"), 0)
+    assert _v_form_disagreements(monkeypatch, _agreement_problems(60), cases)
+
+
+def _over_limit_problem() -> VlpProblem:
+    rng = random.Random(0)
+    L = random_matrix(rng, 3, 20)
+    A = random_matrix(rng, 5, 20)
+    ones = QVector((Fraction(1),) * 20)
+    return VlpProblem(QMatrix(3, 20, tuple(abs(e) for e in L.entries)), A, A @ ones, orthant(3))
+
+
+def test_over_limit_P_answers_by_phase_two(monkeypatch):
+    problem = _over_limit_problem()
+    attempts = []
+    generators = duality.polyhedron_generators
+
+    def recording(rows, rhs):
+        attempts.append(rows.rows)
+        return generators(rows, rhs)
+
+    monkeypatch.setattr(duality, "polyhedron_generators", recording)
+    P = DualPolyhedron(problem)
+    with pytest.raises(VertexLimitError):
+        P.v_form()
+    attempts.clear()
+    values = (QVector.zeros(3), problem.L @ QVector((Fraction(1),) * 20))
+    for d in values:
+        assert _verdicts(P.image_sets(d)) == _verdicts(DualPolyhedron(problem).image_sets(d))
+    assert _verdicts(P.image_sets(values[0])) == (True, True, True)
+    assert len(attempts) == 1  # the second question tried once; the third did not
+
+
+def test_one_shot_queries_build_no_v_form(monkeypatch, seg_problem):
+    widths = []
+    extreme_rays = cone_module.extreme_rays
+
+    def recording(rows, n):
+        widths.append(n)
+        return extreme_rays(rows, n)
+
+    monkeypatch.setattr(cone_module, "extreme_rays", recording)
+    membership_hB(seg_problem, qvec(1, 0))
+    membership_hL(seg_problem, qvec(0, 1))
+    proper_efficiency_certificate(seg_problem, qvec(1, 0))
+    assert widths == []
+    P = DualPolyhedron(seg_problem)
+    P.image_sets(qvec(1, 0))
+    P.image_sets(qvec(0, 1))
+    assert widths == [len(seg_problem.cone.generators) + seg_problem.n + 1]  # a slack per row of P, and t
 
 
 def _phase_two_problems(no_dual_problem, seed):
@@ -559,7 +709,10 @@ def test_scalarization_certificates_on_P_agree_with_the_multiplier_system(no_dua
         P = DualPolyhedron(problem)
         for vertex in enumerate_vertices(problem):
             cert = P.certificate(vertex)
-            assert cert == proper_efficiency_certificate(problem, vertex)
+            # From the second vertex on, P reads its certificate off the V-form,
+            # and the one-shot wrapper's phase II may stop at another vertex of
+            # the same face of P.
+            assert (cert is None) == (proper_efficiency_certificate(problem, vertex) is None)
             assert (cert is None) == (reference_scalarization(problem, vertex) is None)
             if cert is None:
                 assert not is_efficient(problem, vertex)[0]
