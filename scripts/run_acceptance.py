@@ -5,4 +5,4 @@ import subprocess
 import sys
 
 if __name__ == "__main__":
-    sys.exit(subprocess.call(["python3", "-m", "pytest", "tests/test_acceptance.py", "-v", "-s"]))
+    sys.exit(subprocess.call([sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-v", "-s"]))

@@ -8,13 +8,11 @@ of the dual cone. The constructor computes it by one LP, or checks a
 supplied one by dot products, and raises `ConeError` when there is none.
 
 The cone order needs no LP: `facets` holds the cone's inequality
-description (its facet normals, plus both signs of a basis of the
-generators' orthogonal complement when the cone is lower-dimensional),
-computed once per cone from `extreme_rays`. That double-description
-kernel also gives `efficiency.enumerate_vertices` the primal vertices and,
-through `polyhedron_generators`, the V-form of the dual polyhedron P, and
-each of its cuts compares at most `VERTEX_LIMIT` ray pairs, else it
-raises `VertexLimitError`. `coordinates(v)` is the
+description, the V-form of its polar {h : G^T h >= 0} from
+`exact.polyhedron_generators`, computed once per cone: the polar's
+extreme rays are the facet normals, and both signs of its lineality basis
+(the generators' orthogonal complement, nonzero when the cone is
+lower-dimensional) hold v to the generators' span. `coordinates(v)` is the
 tuple of h.v over those normals, and the order asks two questions of
 them: `contains(v)` holds iff each is >= 0, and `strictly_below(v, w)`
 iff v's differ from w's and each is <= w's, since h.(w - v) = h.w - h.v.
@@ -35,25 +33,19 @@ multiplier system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import DimensionError, QMatrix, QVector, require, row_reduce, solve_linear_system
+from .exact import DimensionError, QMatrix, QVector, polyhedron_generators, require
 from .lp import GeneralProgram, LinearProgram, Optimal, Unbounded, solve_general, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-VERTEX_LIMIT = 100_000  # most ray pairs one cut of extreme_rays compares
 
 
 class ConeError(ValueError):
     pass
-
-
-class VertexLimitError(ValueError):
-    """Raised when one cut of `extreme_rays` would compare more than VERTEX_LIMIT ray pairs."""
 
 
 @dataclass(frozen=True)
@@ -98,20 +90,12 @@ class OrderingCone:
     @cached_property
     def facets(self) -> tuple[QVector, ...]:
         """Normals h with h.g >= 0 on every generator g, such that v lies
-        in the cone iff h.v >= 0 for every h.
-
-        Both signs of a basis of the generators' orthogonal complement hold
-        v to their span. Within it, each extreme ray s of {s >= 0 : Ns = 0},
-        with the rows of N a basis of {mu : G mu = 0}, is G^T h for one
-        facet normal h: h.g = s_g on independent generators, 0 off the span.
+        in the cone iff h.v >= 0 for every h: both signs of each lineality
+        vector of the polar {h : G^T h >= 0}, then its extreme rays. The
+        polar is a cone, so its only vertex is the origin.
         """
-        G = generator_matrix(self)
-        off_span = solve_linear_system(G.T, QVector.zeros(G.cols)).nullspace
-        normals = [h for u in off_span for h in (u, -u)]
-        independent = row_reduce(G.to_lists(), G.cols)  # pivot columns: generators spanning the span
-        inverse = _inverse([self.generators[j] for j in independent] + list(off_span), self.dim)
-        for s in extreme_rays(solve_linear_system(G, QVector.zeros(self.dim)).nullspace, G.cols):
-            normals.append(inverse @ QVector(tuple(Fraction(s[j]) for j in independent) + (_ZERO,) * len(off_span)))
+        _, rays, lineality = polyhedron_generators(generator_matrix(self).T, QVector.zeros(len(self.generators)))
+        normals = [h for u in lineality for h in (u, -u)] + rays
         require(all(h.dot(g) >= 0 for h in normals for g in self.generators), "normals are >= 0 on every generator")
         return tuple(normals)
 
@@ -120,83 +104,6 @@ class OrderingCone:
         if v.dim != self.dim:
             raise DimensionError(f"vector dim {v.dim} != cone dim {self.dim}")
         return tuple(h.dot(v) for h in self.facets)
-
-
-def _inverse(rows, dim: int) -> QMatrix:
-    """The inverse of the dim x dim matrix with these rows."""
-    square = [list(r) + [_ONE if c == i else _ZERO for c in range(dim)] for i, r in enumerate(rows)]
-    row_reduce(square, dim)  # [B | I] -> [I | B^-1]
-    return QMatrix(dim, dim, tuple(e for row in square for e in row[dim:]))
-
-
-def extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
-    """The extreme rays of {y >= 0 in R^n : r.y = 0 for every row r}, each
-    a primitive integer vector, by double description.
-
-    Start from the unit rays and cut by one row at a time: a ray on the row
-    stays, and each adjacent pair on opposite sides adds the ray where
-    their segment meets the row. Two rays are adjacent when no third ray
-    is zero wherever both are (Motzkin's combinatorial test). Before that
-    scan, a pair must be zero together on at least D - 2 coordinates, with
-    D = n - rank of the rows already cut (Fukuda & Prodon 1996): the face
-    their sum spans has dimension at least D minus that count.
-    """
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    done: list[list[Fraction]] = []  # the rows already cut, row-reduced
-    for row in rows:
-        scale = math.lcm(*(e.denominator for e in row))
-        terms = [(j, int(e * scale)) for j, e in enumerate(row) if e]
-        values = [sum(a * y[j] for j, a in terms) for y in rays]
-        above = [i for i, v in enumerate(values) if v > 0]
-        below = [i for i, v in enumerate(values) if v < 0]
-        pairs = len(above) * len(below)
-        if pairs > VERTEX_LIMIT:
-            raise VertexLimitError(f"one enumeration step compares {pairs} ray pairs (limit {VERTEX_LIMIT})")
-        zeros = [sum(1 << j for j, e in enumerate(y) if not e) for y in rays]
-        shared = n - len(done) - 2  # fewest zeros an adjacent pair has in common
-        cut = [y for y, v in zip(rays, values) if not v]
-        for p in above:
-            for q in below:
-                common = zeros[p] & zeros[q]
-                if common.bit_count() < shared:
-                    continue
-                if any(z & common == common for t, z in enumerate(zeros) if t != p and t != q):
-                    continue
-                y = [values[p] * b - values[q] * a for a, b in zip(rays[p], rays[q])]
-                g = math.gcd(*y)
-                cut.append(tuple(e // g for e in y))
-        rays = cut
-        done.append([Fraction(e) for e in row])
-        del done[len(row_reduce(done, n)) :]
-    return rays
-
-
-def polyhedron_generators(rows: QMatrix, rhs: QVector) -> tuple[list[QVector], list[QVector], tuple[QVector, ...]]:
-    """Vertices, extreme rays and a lineality basis of {y : rows @ y >= rhs}.
-
-    The lineality space is the kernel of `rows`, and on the row space the
-    polyhedron is pointed. Homogenized there by t >= 0, its points are the
-    slacks (s, t) >= 0 with s + t rhs in the range of `rows`: the cone cut
-    by (mu, mu.rhs) for each mu in a basis of {mu : rows^T mu = 0}, whose
-    extreme rays `extreme_rays` gives. One inverse of [independent rows;
-    lineality basis] maps each back to y: with t > 0 it is the vertex y / t,
-    with t = 0 an extreme ray. The polyhedron is empty exactly when no ray
-    has t > 0.
-    """
-    lineality = solve_linear_system(rows, QVector.zeros(rows.rows)).nullspace
-    dependencies = solve_linear_system(rows.T, QVector.zeros(rows.cols)).nullspace
-    independent = row_reduce(rows.T.to_lists(), rows.rows)  # pivot columns of rows^T: independent rows
-    inverse = _inverse([rows.row(i) for i in independent] + list(lineality), rows.cols)
-    fill = (_ZERO,) * len(lineality)
-    vertices, rays = [], []
-    for w in extreme_rays([mu.entries + (mu.dot(rhs),) for mu in dependencies], rows.rows + 1):
-        t = w[-1]
-        y = inverse @ QVector(tuple(w[i] + t * rhs[i] for i in independent) + fill)
-        if t:
-            vertices.append(y.scale(Fraction(1, t)))
-        else:
-            rays.append(y)
-    return vertices, rays, lineality
 
 
 def make_cone(dim: int, generators) -> OrderingCone:

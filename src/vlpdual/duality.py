@@ -12,20 +12,15 @@ one polyhedron per problem,
 
 whose feasible set does not depend on the probe value d; only the linear
 functional f(lam, z) = lam.d - b.z does (geometric duality, Heyde & Lohne
-2008). `DualPolyhedron` is P as an `lp.Region`: phase I runs once per
-problem, and P's first question is answered from it, by one or two
-`Region.minimize` calls for a min or max of f.
-
-P's second question builds its V-form once: the vertices V, extreme rays
-R and a lineality basis N from `cone.polyhedron_generators` on the rows
-and rhs of P's own program, so one double-description kernel serves the
-cone's facets, the primal vertices and P. Then min f <= 0 exactly when f
-is nonzero on some vector of N, f(r) < 0 for some r in R, or f(v) <= 0
-for some v in V, and max f >= 0 likewise; the witness is the vertex of
-least f, or a step from it along a descending direction to f = 0, and
-the questions below run no LP. A single query never pays for a V-form,
-and when one cut of the kernel would compare more than `VERTEX_LIMIT`
-ray pairs, P keeps answering by phase II with the same verdicts.
+2008). `DualPolyhedron` is P as an `lp.Region`: phase I once per problem,
+and a min or max of f per question by `Region.extreme`, from phase II on
+the first question and off P's V-form (vertices V, extreme rays R and a
+lineality basis N) from the second on. Then min f <= 0 exactly when f is
+nonzero on some vector of N, f(r) < 0 for some r in R, or f(v) <= 0 for
+some v in V, and max f >= 0 likewise; the witness is the vertex of least
+f, or a step from it along a descending direction to f = 0. A single
+query never builds a V-form, and one over `VERTEX_LIMIT` leaves P on
+phase II with the same verdicts.
 
 - A scalarization certificate for a feasible xbar: with d = L xbar,
   f = xbar.(L^T lam - A^T z) is >= 0 on P, so a certificate exists
@@ -46,9 +41,10 @@ A sampled U of the D^H side is one `ReducedImage`, holding M = L - UA and
 its polyhedron Q_U = {lam : lam.g >= 1, M^T lam >= 0}. The domination
 program over M at a target t is the LP dual of min t.lam over Q_U, so Q_U
 answers whether a point's image is minimal (the lift into D) and whether
-a value lies in U's image set. The feasibility verdict of U stays a
-domination program, the independent side of Q_U's emptiness, answered
-by `cone.dominator`, as is `minimize`'s search for a point below.
+a value lies in U's image set, by the same `Region` rule as P. The
+feasibility verdict of U stays a domination program, the independent
+side of Q_U's emptiness, answered by `cone.dominator`, as is `minimize`'s
+search for a point below.
 
 The LP builders, `cone.multiplier_program` (P and Q_U) and
 `cone.domination_program`, live with the generators they range over.
@@ -61,9 +57,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .checks import check_feasible_D, check_feasible_J, check_feasible_L, verify_scalarization_certificate
-from .cone import OrderingCone, VertexLimitError, dominator, multiplier_program, polyhedron_generators, strictly_below
+from .cone import OrderingCone, dominator, multiplier_program, strictly_below
 from .exact import DimensionError, QMatrix, QVector, outer, require
-from .lp import Infeasible, LinearProgram, Optimal, Region, solve_feasibility, solve_lp
+from .lp import Infeasible, LinearProgram, Region, solve_feasibility, solve_lp
 from .model import (
     DualCandidateD,
     DualCandidateJ,
@@ -109,7 +105,7 @@ def scaled_generator(cone: OrderingCone, lam: QVector) -> QVector:
 
 class ReducedImage:
     """One U of the D^H side: the reduced map M = L - UA and every question
-    asked about it, each LP decided on first use and at most once.
+    asked about it; `feasible` and Q_U are each built on first use.
 
     `feasible` says U is feasible for D^H: no x >= 0 has Mx strictly below
     zero. `multipliers` is Q_U = {lam : lam.g >= 1, M^T lam >= 0} as a
@@ -132,13 +128,14 @@ class ReducedImage:
     def multipliers(self) -> Region:
         return Region(multiplier_program(self.problem.cone, self.M))
 
-    def _lowest_at_zero(self, t: QVector) -> Optimal | None:
-        """The minimum of t.lam over Q_U when Q_U is nonempty and the
-        minimum is 0, else None."""
+    def _lowest_at_zero(self, t: QVector) -> QVector | None:
+        """A lam minimizing t.lam over Q_U when Q_U is nonempty and the
+        minimum is 0, else None. Each call is one question to Q_U."""
         if self.multipliers.empty:
             return None
-        out = self.multipliers.minimize(t)
-        return out if isinstance(out, Optimal) and out.value == 0 else None
+        self.multipliers.ask()
+        point, value, down = self.multipliers.extreme(t)
+        return point if down is None and value == 0 else None
 
     def minimize(self, x0: QVector) -> QVector:
         """From x0 >= 0, a point whose reduced image is minimal in the
@@ -171,7 +168,7 @@ class ReducedImage:
         lowest = self._lowest_at_zero(vbar)
         if lowest is None:
             raise ValueError("image of the point is not minimal")
-        cand = DualCandidateD(lowest.x, self.U, vbar)
+        cand = DualCandidateD(lowest, self.U, vbar)
         require(check_feasible_D(problem, cand), "lifted point is feasible for D")
         return cand
 
@@ -226,36 +223,15 @@ class DualPolyhedron(Region):
     `multiplier_program(cone, [L; -A])`, row for row, so `dual_point` is
     the point `multiplier(cone, [L; -A])` returns.
 
-    A question is a dual point, a certificate or an image-set verdict.
-    A nonempty P answers its first by phase I's point or by phase II on a
-    copy of the one phase-I basis. The second builds P's V-form, and that
-    question and every later one read min and max f off it with no LP; a
-    V-form over `VERTEX_LIMIT` is given up, and P goes on with phase II.
+    A question is a dual point, a certificate or an image-set verdict,
+    each marked by `Region.ask`, so a nonempty P answers its first by
+    phase I's point or by phase II, and later ones off its V-form.
     """
 
     def __init__(self, problem: VlpProblem):
         self.problem = problem
         stacked = QMatrix(problem.k + problem.m, problem.n, problem.L.entries + (-problem.A).entries)  # [L; -A]
         super().__init__(multiplier_program(problem.cone, stacked))
-        self._questions = 0
-        self._form: tuple[list[QVector], list[QVector], tuple[QVector, ...]] | None = None
-
-    def v_form(self) -> tuple[list[QVector], list[QVector], tuple[QVector, ...]]:
-        """The vertices, extreme rays and a lineality basis of P, from the
-        rows and rhs of P's program; no vertex exactly when phase I found
-        P empty."""
-        vertices, rays, lineality = polyhedron_generators(self._gp.rows, self._gp.rhs)
-        require(bool(vertices) != self.empty, "P has a vertex exactly when phase I found a point")
-        return vertices, rays, lineality
-
-    def _ask(self) -> None:
-        """Count one question on a nonempty P; the second builds the V-form."""
-        self._questions += 1
-        if self._questions == 2:
-            try:
-                self._form = self.v_form()
-            except VertexLimitError:
-                pass
 
     def _split(self, point: QVector) -> tuple[QVector, QVector]:
         k = self.problem.k
@@ -265,38 +241,17 @@ class DualPolyhedron(Region):
         """A concrete feasible point of the vector dual (v = 0), or None."""
         if self.empty:
             return None
-        self._ask()
+        self.ask()
         lam, z = self._split(self.point)
         cand = DualCandidateD(lam, outer(scaled_generator(self.problem.cone, lam), z), QVector.zeros(self.problem.k))
         require(check_feasible_D(self.problem, cand), "dual point is feasible for D")
         return cand
 
-    def _extreme(self, w: QVector) -> tuple[QVector, Fraction, QVector | None]:
-        """A point of P, w there, and a direction of P along which w falls;
-        the direction is None exactly when the point minimizes w.
-
-        From the V-form: the first vertex of least w, and the first extreme
-        ray, or signed lineality vector, with w < 0 on it. Else phase II:
-        its optimum, or its feasible start and unbounded ray.
-        """
-        if self._form is None:
-            out = self.minimize(w)
-            if isinstance(out, Optimal):
-                return out.x, out.value, None
-            return out.x0, w.dot(out.x0), out.ray
-        vertices, rays, lineality = self._form
-        values = [w.dot(v) for v in vertices]
-        low = min(values)
-        down = next((r for r in rays if w.dot(r) < 0), None)
-        if down is None:
-            down = next((u if w.dot(u) < 0 else -u for u in lineality if w.dot(u)), None)
-        return vertices[values.index(low)], low, down
-
     def _lowest(self, w: QVector) -> tuple[QVector, Fraction]:
         """A point of P minimizing w and its value; when w is unbounded
         below on P, the point along the descending direction where w
         reaches 0 (or its start when w is already <= 0 there)."""
-        point, value, down = self._extreme(w)
+        point, value, down = self.extreme(w)
         if down is not None and value > 0:
             return point + down.scale(value / -w.dot(down)), _ZERO
         return point, value
@@ -320,8 +275,8 @@ class DualPolyhedron(Region):
             raise ValueError("point is not feasible for the primal problem")
         if self.empty:
             return None
-        self._ask()
-        point, value, down = self._extreme(self._functional(self.problem.L @ xbar))
+        self.ask()
+        point, value, down = self.extreme(self._functional(self.problem.L @ xbar))
         require(down is None, "f is bounded below by 0 on P at a feasible point")
         if value != 0:
             return None
@@ -342,7 +297,7 @@ class DualPolyhedron(Region):
         w = self._functional(d)
         if self.empty:
             return _IN_NONE
-        self._ask()
+        self.ask()
         low_point, low = self._lowest(w)
         if low > 0:
             return _IN_NONE

@@ -11,8 +11,7 @@ be a vertex of the feasible set.
 `cone.dominator` answers it, and the homogeneous recession question,
 with a checked point below the target or None. Scalarization
 certificates are asked of `duality.DualPolyhedron`, the problem's dual
-polyhedron P, one phase I per problem. `cone.VERTEX_LIMIT`,
-`cone.VertexLimitError`, `model.EfficiencyCertificate` and
+polyhedron P, one phase I per problem. `model.EfficiencyCertificate` and
 `checks.verify_scalarization_certificate` are bound here by name.
 """
 
@@ -21,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .checks import verify_scalarization_certificate  # noqa: F401
-from .cone import VERTEX_LIMIT, VertexLimitError, dominator, extreme_rays  # noqa: F401
+from .cone import dominator
 from .duality import DualPolyhedron
-from .exact import QVector, require
+from .exact import QVector, extreme_rays, require
 from .model import EfficiencyCertificate, VlpProblem, primal_feasible
 
 

@@ -9,6 +9,11 @@ dense on purpose: instances are desk-scale.
 elimination kernel: the simplex tableau in `lp`, `solve_linear_system`
 and `QMatrix.rank` all reduce through it.
 
+`extreme_rays`, the only double-description kernel, gives the primal
+vertices, and through `polyhedron_generators` (H-form to V-form) a cone's
+facets and the V-form of any `lp.Region`. A cut that would compare more
+than `VERTEX_LIMIT` ray pairs raises `VertexLimitError`.
+
 `QVector.dot` and every `QMatrix @` product share one product kernel,
 `_sum_of_products`: it adds the products of numerators over one running
 integer denominator and builds a single reduced `Fraction` per result,
@@ -18,9 +23,13 @@ exactly those of the term-by-term sum.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -199,9 +208,6 @@ class QMatrix:
     def row(self, i: int) -> QVector:
         return QVector(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def col(self, j: int) -> QVector:
-        return QVector(tuple(self.entries[i * self.cols + j] for i in range(self.rows)))
-
     @property
     def T(self) -> QMatrix:
         return QMatrix(
@@ -342,3 +348,87 @@ def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
             vec[ci] = -rows[ri][free]
         basis.append(QVector(tuple(vec)))
     return LinearSolution(QVector(tuple(particular)), tuple(basis))
+
+
+VERTEX_LIMIT = 100_000  # most ray pairs one cut of extreme_rays compares
+
+
+class VertexLimitError(ValueError):
+    """Raised when one cut of `extreme_rays` would compare more than VERTEX_LIMIT ray pairs."""
+
+
+def _inverse(rows, dim: int) -> QMatrix:
+    """The inverse of the dim x dim matrix with these rows."""
+    square = [list(r) + [_ONE if c == i else _ZERO for c in range(dim)] for i, r in enumerate(rows)]
+    row_reduce(square, dim)  # [B | I] -> [I | B^-1]
+    return QMatrix(dim, dim, tuple(e for row in square for e in row[dim:]))
+
+
+def extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
+    """The extreme rays of {y >= 0 in R^n : r.y = 0 for every row r}, each
+    a primitive integer vector, by double description.
+
+    Start from the unit rays and cut by one row at a time: a ray on the row
+    stays, and each adjacent pair on opposite sides adds the ray where
+    their segment meets the row. Two rays are adjacent when no third ray
+    is zero wherever both are (Motzkin's combinatorial test). Before that
+    scan, a pair must be zero together on at least D - 2 coordinates, with
+    D = n - rank of the rows already cut (Fukuda & Prodon 1996): the face
+    their sum spans has dimension at least D minus that count.
+    """
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    done: list[list[Fraction]] = []  # the rows already cut, row-reduced
+    for row in rows:
+        scale = math.lcm(*(e.denominator for e in row))
+        terms = [(j, int(e * scale)) for j, e in enumerate(row) if e]
+        values = [sum(a * y[j] for j, a in terms) for y in rays]
+        above = [i for i, v in enumerate(values) if v > 0]
+        below = [i for i, v in enumerate(values) if v < 0]
+        pairs = len(above) * len(below)
+        if pairs > VERTEX_LIMIT:
+            raise VertexLimitError(f"one enumeration step compares {pairs} ray pairs (limit {VERTEX_LIMIT})")
+        zeros = [sum(1 << j for j, e in enumerate(y) if not e) for y in rays]
+        shared = n - len(done) - 2  # fewest zeros an adjacent pair has in common
+        cut = [y for y, v in zip(rays, values) if not v]
+        for p in above:
+            for q in below:
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < shared:
+                    continue
+                if any(z & common == common for t, z in enumerate(zeros) if t != p and t != q):
+                    continue
+                y = [values[p] * b - values[q] * a for a, b in zip(rays[p], rays[q])]
+                g = math.gcd(*y)
+                cut.append(tuple(e // g for e in y))
+        rays = cut
+        done.append([Fraction(e) for e in row])
+        del done[len(row_reduce(done, n)) :]
+    return rays
+
+
+def polyhedron_generators(rows: QMatrix, rhs: QVector) -> tuple[list[QVector], list[QVector], tuple[QVector, ...]]:
+    """Vertices, extreme rays and a lineality basis of {y : rows @ y >= rhs}.
+
+    The lineality space is the kernel of `rows`, and on the row space the
+    polyhedron is pointed. Homogenized there by t >= 0, its points are the
+    slacks (s, t) >= 0 with s + t rhs in the range of `rows`: the cone cut
+    by (mu, mu.rhs) for each mu in a basis of {mu : rows^T mu = 0}, whose
+    extreme rays `extreme_rays` gives. One inverse of [independent rows;
+    lineality basis] maps each back to y: with t > 0 it is the vertex y / t,
+    with t = 0 an extreme ray. The polyhedron is empty exactly when no ray
+    has t > 0.
+    """
+    lineality = solve_linear_system(rows, QVector.zeros(rows.rows)).nullspace
+    dependencies = solve_linear_system(rows.T, QVector.zeros(rows.cols)).nullspace
+    independent = row_reduce(rows.T.to_lists(), rows.rows)  # pivot columns of rows^T: independent rows
+    inverse = _inverse([rows.row(i) for i in independent] + list(lineality), rows.cols)
+    fill = (_ZERO,) * len(lineality)
+    vertices, rays = [], []
+    for w in extreme_rays([mu.entries + (mu.dot(rhs),) for mu in dependencies], rows.rows + 1):
+        t = w[-1]
+        y = inverse @ QVector(tuple(w[i] + t * rhs[i] for i in independent) + fill)
+        if t:
+            vertices.append(y.scale(Fraction(1, t)))
+        else:
+            rays.append(y)
+    return vertices, rays, lineality

@@ -16,8 +16,9 @@ the row is exactly the one that pivoting on each basic column would leave.
 The general form (>= rows over free variables) reduces to the standard
 form and answers with the same three outcomes. A general feasible set
 searched with many costs is a `Region`: phase I once, then phase II per
-cost, answered in the program's own variables. `solve_feasibility` asks
-for a nonnegative solution of Mx = b.
+cost, answered in the program's own variables, or from its second
+question on off its V-form. `solve_feasibility` asks for a nonnegative
+solution of Mx = b.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import DimensionError, QMatrix, QVector, _ratios, _sum_of_products, pivot, require
+from .exact import (
+    DimensionError, QMatrix, QVector, VertexLimitError, _ratios, _sum_of_products, pivot, polyhedron_generators, require
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -338,12 +341,19 @@ class Region:
     """The feasible set of gp's rows after one phase I; gp's objective is
     not used. `minimize(w)` runs phase II on a copy of the stored basis,
     so every cost asked of the set shares that one phase I.
+
+    A caller marks each question to a nonempty region with `ask()` and
+    answers it by `extreme(w)`: the first by phase II, the second and later
+    ones off the V-form that the second builds, with no LP. A V-form over
+    `VERTEX_LIMIT` is given up, and the region stays on phase II.
     """
 
     def __init__(self, gp: GeneralProgram):
         self._gp = gp
         start = phase_one(to_standard_form(gp))
         self._basis = None if isinstance(start, Infeasible) else start
+        self._questions = 0
+        self._form: tuple[list[QVector], list[QVector], tuple[QVector, ...]] | None = None
 
     @property
     def empty(self) -> bool:
@@ -358,6 +368,44 @@ class Region:
         """min w.x over the set, w and the answer in gp's variables."""
         require(self._basis is not None, "a minimized region is nonempty")
         return _in_variables(self._gp, phase_two(self._basis, self._gp.cost(w)))
+
+    def v_form(self) -> tuple[list[QVector], list[QVector], tuple[QVector, ...]]:
+        """The vertices, extreme rays and a lineality basis of the set, from
+        gp's rows and rhs; no vertex exactly when phase I found it empty."""
+        vertices, rays, lineality = polyhedron_generators(self._gp.rows, self._gp.rhs)
+        require(bool(vertices) != self.empty, "a region has a vertex exactly when phase I found a point")
+        return vertices, rays, lineality
+
+    def ask(self) -> None:
+        """Count one question on a nonempty region; the second builds the V-form."""
+        self._questions += 1
+        if self._questions == 2:
+            try:
+                self._form = self.v_form()
+            except VertexLimitError:
+                pass
+
+    def extreme(self, w: QVector) -> tuple[QVector, Fraction, QVector | None]:
+        """A point of the set, w there, and a direction of the set along
+        which w falls; the direction is None exactly when the point
+        minimizes w.
+
+        From the V-form: the first vertex of least w, and the first extreme
+        ray, or signed lineality vector, with w < 0 on it. Else phase II:
+        its optimum, or its feasible start and unbounded ray.
+        """
+        if self._form is None:
+            out = self.minimize(w)
+            if isinstance(out, Optimal):
+                return out.x, out.value, None
+            return out.x0, w.dot(out.x0), out.ray
+        vertices, rays, lineality = self._form
+        values = [w.dot(v) for v in vertices]
+        low = min(values)
+        down = next((r for r in rays if w.dot(r) < 0), None)
+        if down is None:
+            down = next((u if w.dot(u) < 0 else -u for u in lineality if w.dot(u)), None)
+        return vertices[values.index(low)], low, down
 
 
 def solve_feasibility(M: QMatrix, rhs: QVector) -> QVector | None:

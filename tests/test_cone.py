@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import brute_facets, orthogonal_complement, reference_max_domination
 from vlpdual import cone as cone_module
+from vlpdual import exact as exact_module
 from vlpdual import lp as lp_module
 from vlpdual.cone import (
     ConeError,
@@ -303,8 +304,8 @@ def test_warm_cone_enumerates_no_facets_again(monkeypatch):
         calls.append(args)
         return kernel(*args)
 
-    kernel = cone_module.extreme_rays
-    monkeypatch.setattr(cone_module, "extreme_rays", counted)
+    kernel = exact_module.extreme_rays
+    monkeypatch.setattr(exact_module, "extreme_rays", counted)
     assert [strictly_below(cone, p, q) for p in points for q in points] == expected
     assert calls == []
     cold = make_cone(cone.dim, cone.generators)  # an equal cone with its own facets

@@ -13,9 +13,8 @@ from _oracles import (
     reference_scalarization,
     reference_value_member,
 )
-from vlpdual import cone as cone_module
-from vlpdual import duality
-from vlpdual.cone import VertexLimitError, domination_program, multiplier_program, orthant, strictly_below
+from vlpdual import duality, exact, lp
+from vlpdual.cone import domination_program, multiplier_program, orthant, strictly_below
 from vlpdual.duality import (
     DualPolyhedron,
     ReducedImage,
@@ -46,7 +45,7 @@ from vlpdual.efficiency import (
     proper_efficiency_certificate,
     verify_scalarization_certificate,
 )
-from vlpdual.exact import CertificateError, QMatrix, QVector, outer, qmat, qvec
+from vlpdual.exact import CertificateError, QMatrix, QVector, VertexLimitError, outer, qmat, qvec
 from vlpdual.harness import FIXTURES, CampaignConfig, run_instance_suite
 from vlpdual.lp import GeneralProgram, Infeasible, Optimal, Unbounded, solve_general, solve_lp, to_standard_form
 from vlpdual.model import (
@@ -524,7 +523,7 @@ def test_inclusion_chain_runs_no_phase_two_after_the_context(monkeypatch):
     # Building the context asks P for its dual point and its certificates;
     # by the chain's first value P has had a question, so the chain reads
     # every verdict off the V-form.
-    from vlpdual import harness, lp
+    from vlpdual import harness
 
     solves = []
     phase_two = lp.phase_two
@@ -547,19 +546,42 @@ def test_inclusion_chain_runs_no_phase_two_after_the_context(monkeypatch):
     assert chains > 0
 
 
+def test_campaign_lp_runs_are_pinned(monkeypatch):
+    # Seed 42, count 12: phase I once per polyhedron or one-shot LP, and
+    # phase II only where no V-form answers. A change to either count is a
+    # change in LP work, made on purpose or not.
+    from vlpdual import harness
+
+    runs = {"phase one": 0, "phase two": 0}
+    phase_one, phase_two = lp.phase_one, lp.phase_two
+
+    def counted_phase_one(program):
+        runs["phase one"] += 1
+        return phase_one(program)
+
+    def counted_phase_two(start, c):
+        runs["phase two"] += 1
+        return phase_two(start, c)
+
+    monkeypatch.setattr(lp, "phase_one", counted_phase_one)
+    monkeypatch.setattr(lp, "phase_two", counted_phase_two)
+    assert harness.run_random_campaign(42, 12).ok
+    assert runs == {"phase one": 287, "phase two": 655}
+
+
 def _over_limit(rows, rhs):
     raise VertexLimitError("one enumeration step compares too many ray pairs")
 
 
-def _phase_two_only(monkeypatch, P: DualPolyhedron) -> DualPolyhedron:
-    """A copy of a fresh nonempty P, sharing its phase-I basis, after two
-    questions asked while its V-form was over the limit, so it answers
+def _phase_two_only(monkeypatch, region):
+    """A copy of a fresh nonempty Region, sharing its phase-I basis, after
+    two questions asked while its V-form was over the limit, so it answers
     every later question by phase II."""
-    ref = copy.copy(P)
+    ref = copy.copy(region)
     with monkeypatch.context() as patch:
-        patch.setattr(duality, "polyhedron_generators", _over_limit)
-        ref.dual_point()
-        ref.dual_point()
+        patch.setattr(lp, "polyhedron_generators", _over_limit)
+        ref.ask()
+        ref.ask()
     return ref
 
 
@@ -576,8 +598,6 @@ def _v_form_disagreements(monkeypatch, problems, cases) -> list:
     point's value, 0, two random values and L x at each primal vertex, or
     whose certificates at those vertices differ; cases counts what the
     V-form met along the way."""
-    from vlpdual import lp
-
     rng = random.Random(1400)
     wrong = []
     for problem in problems:
@@ -625,22 +645,91 @@ def _agreement_problems(count: int) -> list[VlpProblem]:
     return problems
 
 
+def _lifts(image: ReducedImage, x: QVector) -> bool:
+    try:
+        image.lift(x)
+    except ValueError as exc:
+        assert "not minimal" in str(exc)
+        return False
+    return True
+
+
+def _q_u_disagreements(monkeypatch, problems, cases) -> list:
+    """Each (problem, U) whose Q_U, past its second question, answers a
+    lift or a value membership unlike a copy of it that stays on phase II.
+    U is 0 or random; the lifts are asked at 0, two random points and the
+    points `minimize` finds from them, and the values are U b + M x at
+    those points and one random value. cases counts the answers."""
+    rng = random.Random(1600)
+    wrong = []
+    for problem in problems:
+        for U in (QMatrix.zeros(problem.k, problem.m), random_matrix(rng, problem.k, problem.m)):
+            image = ReducedImage(problem, U)
+            if not image.feasible:
+                continue
+            ref = copy.copy(image)
+            ref.multipliers = _phase_two_only(monkeypatch, image.multipliers)
+            starts = [QVector.zeros(problem.n)] + [
+                QVector(tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(problem.n)))
+                for _ in range(2)
+            ]
+            starts += [image.minimize(x) for x in starts]
+            values = [image.M @ x + U @ problem.b for x in starts] + [random_vector(rng, problem.k, -4, 4)]
+            expected = [_lifts(ref, x) for x in starts], [ref.value_member(d) for d in values]
+            image.value_member(values[-1])  # the first question; the second builds the V-form
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setattr(lp, "phase_two", _no_phase_two)
+                    answers = [_lifts(image, x) for x in starts], [image.value_member(d) for d in values]
+            except CertificateError:
+                wrong.append((problem, U))
+                continue
+            if answers != expected:
+                wrong.append((problem, U))
+                continue
+            cases["lifted"] += sum(answers[0])
+            cases["not minimal"] += answers[0].count(False)
+            cases["value member"] += sum(answers[1])
+            cases["value not a member"] += answers[1].count(False)
+    return wrong
+
+
+_P_CASES = ("empty P", "nonzero lineality", "ray below", "ray above", "min = 0")
+_Q_U_CASES = ("lifted", "not minimal", "value member", "value not a member")
+
+
 def test_v_form_answers_equal_phase_two_answers(monkeypatch):
-    cases = dict.fromkeys(("empty P", "nonzero lineality", "ray below", "ray above", "min = 0"), 0)
+    cases = dict.fromkeys(_P_CASES, 0)
     assert _v_form_disagreements(monkeypatch, _agreement_problems(300), cases) == []
+    assert all(cases.values()), cases
+    cases = dict.fromkeys(_Q_U_CASES, 0)
+    assert _q_u_disagreements(monkeypatch, _agreement_problems(100), cases) == []
     assert all(cases.values()), cases
 
 
 def test_agreement_catches_a_dropped_vertex(monkeypatch):
-    generators = duality.polyhedron_generators
+    generators = lp.polyhedron_generators
 
     def one_vertex_dropped(rows, rhs):
         vertices, rays, lineality = generators(rows, rhs)
         return vertices[1:] if len(vertices) > 1 else vertices, rays, lineality
 
-    monkeypatch.setattr(duality, "polyhedron_generators", one_vertex_dropped)
-    cases = dict.fromkeys(("empty P", "nonzero lineality", "ray below", "ray above", "min = 0"), 0)
-    assert _v_form_disagreements(monkeypatch, _agreement_problems(60), cases)
+    monkeypatch.setattr(lp, "polyhedron_generators", one_vertex_dropped)
+    assert _v_form_disagreements(monkeypatch, _agreement_problems(60), dict.fromkeys(_P_CASES, 0))
+    assert _q_u_disagreements(monkeypatch, _agreement_problems(60), dict.fromkeys(_Q_U_CASES, 0))
+
+
+def test_value_unbounded_below_on_Q_U_is_no_member(monkeypatch, seg_problem):
+    # With U = 0, Q_U = {lam >= (1, 1)}. t = (1, -1) is 0 at its one vertex
+    # and falls along its ray (0, 1), so min t.lam is unbounded, and
+    # (1, -1), which no x >= 0 maps to, is in no image set: by phase II on
+    # the first question and off the V-form on the later ones.
+    image = ReducedImage(seg_problem, QMatrix.zeros(2, 1))
+    assert not image.value_member(qvec(1, -1))
+    assert not image.value_member(qvec(1, -1))
+    monkeypatch.setattr(lp, "phase_two", _no_phase_two)
+    assert not image.value_member(qvec(1, -1))
+    assert image.value_member(qvec(0, 0))
 
 
 def _over_limit_problem() -> VlpProblem:
@@ -654,13 +743,13 @@ def _over_limit_problem() -> VlpProblem:
 def test_over_limit_P_answers_by_phase_two(monkeypatch):
     problem = _over_limit_problem()
     attempts = []
-    generators = duality.polyhedron_generators
+    generators = lp.polyhedron_generators
 
     def recording(rows, rhs):
         attempts.append(rows.rows)
         return generators(rows, rhs)
 
-    monkeypatch.setattr(duality, "polyhedron_generators", recording)
+    monkeypatch.setattr(lp, "polyhedron_generators", recording)
     P = DualPolyhedron(problem)
     with pytest.raises(VertexLimitError):
         P.v_form()
@@ -674,16 +763,19 @@ def test_over_limit_P_answers_by_phase_two(monkeypatch):
 
 def test_one_shot_queries_build_no_v_form(monkeypatch, seg_problem):
     widths = []
-    extreme_rays = cone_module.extreme_rays
+    extreme_rays = exact.extreme_rays
 
     def recording(rows, n):
         widths.append(n)
         return extreme_rays(rows, n)
 
-    monkeypatch.setattr(cone_module, "extreme_rays", recording)
+    monkeypatch.setattr(exact, "extreme_rays", recording)
     membership_hB(seg_problem, qvec(1, 0))
     membership_hL(seg_problem, qvec(0, 1))
     proper_efficiency_certificate(seg_problem, qvec(1, 0))
+    U = QMatrix.zeros(seg_problem.k, seg_problem.m)
+    map_DH_to_D(seg_problem, U, qvec(0, 0))
+    assert h_H_value_membership(seg_problem, U, qvec(0, 0))
     assert widths == []
     P = DualPolyhedron(seg_problem)
     P.image_sets(qvec(1, 0))
@@ -758,7 +850,12 @@ def test_lifts_on_Q_U_agree_with_the_multiplier_system(no_dual_problem):
                     cases["not minimal" if image.feasible else "U infeasible"] += 1
                     continue
                 assert ref is not None
-                assert check_feasible_D(problem, cand) and cand == map_DH_to_D(problem, U, x)
+                # From Q_U's second question on, gamma comes off its V-form, and
+                # the one-shot wrapper's phase II may stop at another vertex of
+                # the same face of Q_U; U and v are the same.
+                one_shot = map_DH_to_D(problem, U, x)
+                assert check_feasible_D(problem, cand) and check_feasible_D(problem, one_shot)
+                assert (cand.U, cand.v) == (one_shot.U, one_shot.v)
                 cases["lifted with b = 0" if problem.b.is_zero() else "lifted"] += 1
                 for d in (objective_D(problem, cand), random_vector(value_rng, problem.k)):
                     verdict = reference_value_member(problem, U, d)

@@ -9,8 +9,6 @@ from _oracles import brute_vertices
 from vlpdual import cone as cone_module
 from vlpdual.cone import domination_program, generator_matrix, orthant, strictly_below
 from vlpdual.efficiency import (
-    VERTEX_LIMIT,
-    VertexLimitError,
     efficient_vertices,
     enumerate_vertices,
     is_efficient,
@@ -18,7 +16,7 @@ from vlpdual.efficiency import (
     recession_image_pointed,
     verify_scalarization_certificate,
 )
-from vlpdual.exact import CertificateError, QMatrix, QVector, qmat, qvec, solve_linear_system
+from vlpdual.exact import VERTEX_LIMIT, CertificateError, QMatrix, QVector, VertexLimitError, qmat, qvec, solve_linear_system
 from vlpdual.lp import Optimal, Unbounded, solve_lp, verify_unbounded
 from vlpdual.model import VlpProblem
 from vlpdual.sampling import random_problem, random_rational, random_vector

@@ -18,10 +18,10 @@ PUBLIC = {
         check_feasible_U construct_dual_solution dual_B_nonempty feasible_dual_point
         h_H_value_membership improve_dual_infeasible_primal u_feasibility_multiplier
         map_D_to_DL map_DH_to_D membership_hB membership_hJ membership_hL recover_primal""",
-    "efficiency": """EfficiencyCertificate VertexLimitError efficient_vertices enumerate_vertices
-        is_efficient proper_efficiency_certificate recession_image_pointed""",
-    "exact": """CertificateError DimensionError LinearSolution QMatrix QVector format_rational
-        outer parse_rational qmat qvec solve_linear_system""",
+    "efficiency": """EfficiencyCertificate efficient_vertices enumerate_vertices is_efficient
+        proper_efficiency_certificate recession_image_pointed""",
+    "exact": """CertificateError DimensionError LinearSolution QMatrix QVector VertexLimitError
+        format_rational outer parse_rational qmat qvec solve_linear_system""",
     "harness": """CampaignConfig CheckRecord FIXTURES VerificationReport emit_report
         run_all_fixtures run_fixture run_instance_suite run_random_campaign""",
     "lp": """GeneralProgram Infeasible LinearProgram LpOutcome Optimal Region Unbounded

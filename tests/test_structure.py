@@ -100,10 +100,22 @@ def test_source_has_no_assert_and_no_function_cache():
 
 def test_source_enumerates_no_subsets():
     # Facets and vertices come from the double-description kernel
-    # cone.extreme_rays, whose cost follows its output, not C(n, r).
+    # exact.extreme_rays, whose cost follows its output, not C(n, r).
     for name, tree in _modules():
         found = sorted(set(_names(tree)) & {"combinations", "comb"})
         assert not found, f"{name} names {found}"
+
+
+def test_only_lp_gives_up_a_v_form():
+    # Region.ask is the one place that catches an over-limit V-form and
+    # goes on with phase II; elsewhere VertexLimitError is an input error.
+    for name, tree in _modules():
+        caught = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type and "VertexLimitError" in set(_names(node.type))
+        ]
+        assert name == "lp.py" or not caught, f"{name} catches VertexLimitError at lines {caught}"
 
 
 def test_lp_internals_are_named_only_in_lp():
