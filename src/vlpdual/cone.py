@@ -72,6 +72,7 @@ class OrderingCone:
             witness = multiplier(self)
             if witness is None:
                 raise ConeError("not pointed")
+            require(all(witness.dot(g) >= 1 for g in self.generators), "computed witness is >= 1 on every generator")
             object.__setattr__(self, "qi_witness", witness)
         elif any(witness.dot(g) < 1 for g in self.generators):
             raise ConeError("witness has product < 1 against a generator")

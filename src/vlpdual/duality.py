@@ -215,7 +215,9 @@ def recover_primal(problem: VlpProblem, d: QVector) -> QVector | None:
         raise DimensionError(f"value dim {d.dim} != image dim {problem.k}")
     eq = QMatrix(problem.m + problem.k, problem.n, problem.A.entries + problem.L.entries)  # [A; L]
     rhs = QVector(tuple(problem.b.entries) + tuple(d.entries))
-    return solve_feasibility(eq, rhs)
+    x = solve_feasibility(eq, rhs)
+    require(x is None or (x.is_nonneg() and eq @ x == rhs), "recovered point has x >= 0, Ax = b and Lx = d")
+    return x
 
 
 class DualPolyhedron(Region):
@@ -281,7 +283,9 @@ class DualPolyhedron(Region):
         if value != 0:
             return None
         lam, z = self._split(point)
-        return EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=-z)
+        cert = EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=-z)
+        require(verify_scalarization_certificate(self.problem, xbar, cert), "certificate passes its defining system")
+        return cert
 
     def image_sets(self, d: QVector) -> ImageSets:
         """Is d in hL, hB and hJ? One minimum of f = lam.d - b.z over P and
@@ -382,24 +386,23 @@ def feasible_dual_point(problem: VlpProblem) -> DualCandidateD | None:
     return DualPolyhedron(problem).dual_point()
 
 
-def improve_dual_infeasible_primal(problem: VlpProblem, cand: DualCandidateD) -> DualCandidateD:
-    """With an empty primal feasible set, push any feasible dual point strictly up.
+def improve_dual_infeasible_primal(problem: VlpProblem, cands: list[DualCandidateD]) -> list[DualCandidateD]:
+    """With an empty primal feasible set, push each feasible dual point strictly up.
 
-    The Farkas certificate zbar of primal infeasibility gives
-    U' = tilde zbar^T + U, moving the objective by (b.zbar) tilde, a
-    nonzero cone direction.
+    One Farkas certificate zbar of primal infeasibility serves them all:
+    U' = tilde zbar^T + U moves the objective by (b.zbar) tilde, a nonzero
+    cone direction.
     """
-    if not check_feasible_D(problem, cand):
+    if not all(check_feasible_D(problem, cand) for cand in cands):
         raise ValueError("candidate is not feasible for the vector dual")
     out = solve_lp(LinearProgram(QVector.zeros(problem.n), problem.A, problem.b))
     if not isinstance(out, Infeasible):
         raise ValueError("primal problem is feasible; no unbounded improvement exists")
-    zbar = out.farkas
-    tilde = scaled_generator(problem.cone, cand.lam)
-    improved = DualCandidateD(cand.lam, outer(tilde, zbar) + cand.U, cand.v)
-    require(check_feasible_D(problem, improved), "improved point is feasible for D")
-    require(
-        strictly_below(problem.cone, objective_D(problem, cand), objective_D(problem, improved)),
-        "improved point lies strictly above the candidate",
-    )
+    improved = []
+    for cand in cands:
+        better = DualCandidateD(cand.lam, outer(scaled_generator(problem.cone, cand.lam), out.farkas) + cand.U, cand.v)
+        require(check_feasible_D(problem, better), "improved point is feasible for D")
+        above = strictly_below(problem.cone, objective_D(problem, cand), objective_D(problem, better))
+        require(above, "improved point lies strictly above the candidate")
+        improved.append(better)
     return improved

@@ -5,14 +5,20 @@ random campaign replays the duality and efficiency properties over a
 seeded corpus and reports one record per (instance, check). Campaign
 records carry elapsed_ms = 0 so that identical (seed, count) produce
 byte-identical reports; fixture runs measure real time.
+
+A campaign check reads one instance's `_InstanceContext` and never writes
+it: each fact that two checks share is a cached property that its first
+reader derives, so the order of `_CAMPAIGN_CHECKS` changes no record, and
+a fact that raises while it is derived fails every check that reads it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -160,12 +166,9 @@ def _run_fixture_check(problem: VlpProblem, name: str, params: dict):
     if name == "check_feasible_L":
         cand = DualCandidateL(qvec(*params["lambda"]), qvec(*params["z"]), qvec(*params["v"]))
         return duality.check_feasible_L(problem, cand)
-    if name == "membership_hB":
-        return duality.membership_hB(problem, qvec(*params["value"])).member
-    if name == "membership_hL":
-        return duality.membership_hL(problem, qvec(*params["value"])).member
-    if name == "membership_hJ":
-        return duality.membership_hJ(problem, qvec(*params["value"])).member
+    if name.startswith("membership_"):  # hB, hL or hJ, on a P built for the check
+        sets = duality.DualPolyhedron(problem).image_sets(qvec(*params["value"]))
+        return getattr(sets, name.removeprefix("membership_")).member
     if name == "vertices":
         return [vector_to_list(v) for v in efficiency.enumerate_vertices(problem)]
     if name == "efficient_vertices":
@@ -178,9 +181,9 @@ def _run_fixture_check(problem: VlpProblem, name: str, params: dict):
     polyhedron = duality.DualPolyhedron(problem)
     vertices = efficiency.enumerate_vertices(problem)
     status = _vertex_status(problem, polyhedron, vertices)
-    ctx = _InstanceContext(problem, polyhedron, vertices, status, [], [], [], [])
-    strong, strong_failures, _ = _check_strong_duality(ctx, None)
-    _, converse_failures, _ = _check_converse_duality(ctx, None)
+    ctx = _InstanceContext(problem, polyhedron, vertices, status, [], [], [], [], None)
+    strong, strong_failures, _ = _check_strong_duality(ctx)
+    _, converse_failures, _ = _check_converse_duality(ctx)
     efficient = sum(eff for _, eff, _ in status)
     return 0 < strong == efficient and not strong_failures and not converse_failures
 
@@ -217,7 +220,7 @@ def run_all_fixtures() -> VerificationReport:
 
 # Random campaign.
 
-@dataclass
+@dataclass(frozen=True)
 class _InstanceContext:
     problem: VlpProblem
     polyhedron: duality.DualPolyhedron  # the membership oracles' P: phase I once per instance
@@ -227,9 +230,7 @@ class _InstanceContext:
     primals: list[QVector]
     values: list[QVector]
     us: list[QMatrix]
-    constructed: list[tuple[QVector, DualCandidateD]] = field(default_factory=list)
-    feasible_us: list[duality.ReducedImage] = field(default_factory=list)
-    mapped_values: list[tuple[QVector, duality.ImageSets]] = field(default_factory=list)
+    rng: random.Random | None  # as the build left it; `mapped` draws from a copy
 
     @cached_property
     def dual_values(self) -> list[tuple[QVector, tuple[Fraction, ...]]]:
@@ -237,6 +238,42 @@ class _InstanceContext:
         taken once for every pair loop over the duals."""
         values = [objective_D(self.problem, cand) for cand in self.duals]
         return [(h, self.problem.cone.coordinates(h)) for h in values]
+
+    @cached_property
+    def constructed(self) -> list[tuple[QVector, DualCandidateD, bool]]:
+        """(vertex, its constructed dual, whether some sampled dual value
+        lies above L vertex) per efficient certified vertex."""
+        out = []
+        for vertex, eff, cert in self.vertex_status:
+            if eff and cert is not None:
+                cand = duality.construct_dual_solution(self.problem, vertex, cert)
+                h_coords = self.problem.cone.coordinates(self.problem.L @ vertex)
+                out.append((vertex, cand, any(precedes(h_coords, other) for _, other in self.dual_values)))
+        return out
+
+    @cached_property
+    def images(self) -> list[duality.ReducedImage]:
+        return [duality.ReducedImage(self.problem, U) for U in self.us]
+
+    @cached_property
+    def feasible_us(self) -> list[duality.ReducedImage]:
+        """The images that both sides of the U-feasibility agreement call feasible."""
+        return [image for image in self.images if image.feasible and not image.multipliers.empty]
+
+    @cached_property
+    def mapped(self) -> list[tuple[QVector, duality.ImageSets, bool]]:
+        """(h, P's verdicts on h, whether h is in hB and in its U's own image
+        set) per minimized and lifted start: zero and two random points per
+        feasible U."""
+        rng, n = copy.copy(self.rng), self.problem.n
+        out = []
+        for image in self.feasible_us:
+            rand = [QVector(tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(n))) for _ in range(2)]
+            for start in [QVector.zeros(n)] + rand:
+                h = objective_D(self.problem, image.lift(image.minimize(start)))
+                sets = self.polyhedron.image_sets(h)
+                out.append((h, sets, sets.hB.member and image.value_member(h)))
+        return out
 
 
 def _vertex_status(
@@ -255,26 +292,25 @@ def _build_context(problem: VlpProblem, rng: random.Random, cfg: CampaignConfig)
     values = sample_probe_values(problem, duals, vertices, rng, cfg.value_samples)
     us = [QMatrix.zeros(problem.k, problem.m)]
     us += [random_matrix(rng, problem.k, problem.m) for _ in range(_U_SAMPLES - 1)]
-    return _InstanceContext(problem, polyhedron, vertices, status, duals, primals, values, us)
+    return _InstanceContext(problem, polyhedron, vertices, status, duals, primals, values, us, rng)
 
 
-def _check_quadrant(ctx: _InstanceContext, rng):
+def _check_quadrant(ctx: _InstanceContext):
     return 1, [], {"A_empty": not ctx.vertices, "B_empty": ctx.polyhedron.empty}
 
 
-def _check_efficient_iff_scalarizable(ctx: _InstanceContext, rng):
-    """A certificate that passes its check has L^T lam + A^T eta >= 0 and
+def _check_efficient_iff_scalarizable(ctx: _InstanceContext):
+    """`DualPolyhedron.certificate` requires each certificate it returns
+    through `verify_scalarization_certificate`: L^T lam + A^T eta >= 0 and
     lam.(L xbar) = -b.eta, so no feasible x has a smaller lam.(Lx)."""
     failures = []
     for vertex, eff, cert in ctx.vertex_status:
         if eff != (cert is not None):
             failures.append({"vertex": vector_to_list(vertex), "efficient": eff, "has_cert": cert is not None})
-        elif cert is not None and not efficiency.verify_scalarization_certificate(ctx.problem, vertex, cert):
-            failures.append({"vertex": vector_to_list(vertex), "reason": "certificate fails its defining system"})
     return len(ctx.vertex_status), failures, None
 
 
-def _check_weak_duality(ctx: _InstanceContext, rng):
+def _check_weak_duality(ctx: _InstanceContext):
     failures = []
     images = [ctx.problem.cone.coordinates(ctx.problem.L @ x) for x in ctx.primals]
     for h, h_coords in ctx.dual_values:
@@ -284,59 +320,40 @@ def _check_weak_duality(ctx: _InstanceContext, rng):
     return len(ctx.dual_values) * len(images), failures, None
 
 
-def _check_strong_duality(ctx: _InstanceContext, rng):
+def _check_strong_duality(ctx: _InstanceContext):
     """`construct_dual_solution` requires its point feasible, of value L xbar
     and complementary to xbar; no sampled dual value may lie above it."""
-    failures = []
-    count = 0
-    for vertex, eff, cert in ctx.vertex_status:
-        if not eff or cert is None:
-            continue
-        count += 1
-        cand = duality.construct_dual_solution(ctx.problem, vertex, cert)
-        h_coords = ctx.problem.cone.coordinates(ctx.problem.L @ vertex)
-        if any(precedes(h_coords, other) for _, other in ctx.dual_values):
-            failures.append({"vertex": vector_to_list(vertex), "dominated_by_sampled_dual": True})
-        else:
-            ctx.constructed.append((vertex, cand))
-    return count, failures, None
+    dominated = [vector_to_list(v) for v, _, above in ctx.constructed if above]
+    return len(ctx.constructed), [{"vertex": v, "dominated_by_sampled_dual": True} for v in dominated], None
 
 
-def _check_converse_duality(ctx: _InstanceContext, rng):
+def _check_converse_duality(ctx: _InstanceContext):
+    """`recover_primal` requires the x it returns feasible with Lx = d."""
     failures = []
-    count = 0
-    for vertex, cand in ctx.constructed:
-        count += 1
+    undominated = [cand for _, cand, above in ctx.constructed if not above]
+    for cand in undominated:
         d = objective_D(ctx.problem, cand)
         recovered = duality.recover_primal(ctx.problem, d)
-        if recovered is None or (ctx.problem.L @ recovered) != d:
+        if recovered is None:
             failures.append({"value": vector_to_list(d), "reason": "primal recovery failed"})
-            continue
-        eff, _ = efficiency.is_efficient(ctx.problem, recovered)
-        if not eff:
+        elif not efficiency.is_efficient(ctx.problem, recovered)[0]:
             failures.append({"value": vector_to_list(d), "reason": "recovered point not efficient"})
-            continue
-        duality.map_D_to_DL(ctx.problem, cand)  # requires its D^L point feasible
-    return count, failures, None
+        else:
+            duality.map_D_to_DL(ctx.problem, cand)  # requires its D^L point feasible
+    return len(undominated), failures, None
 
 
-def _check_u_feasibility_agreement(ctx: _InstanceContext, rng):
-    failures = []
-    count = 0
-    for U in ctx.us:
-        count += 1
-        image = duality.ReducedImage(ctx.problem, U)
-        via_image = image.feasible
-        via_lam = not image.multipliers.empty
-        if via_image != via_lam:
-            failures.append({"U": [vector_to_list(U.row(i)) for i in range(U.rows)],
-                             "image_side": via_image, "lambda_side": via_lam})
-        elif via_image:
-            ctx.feasible_us.append(image)
-    return count, failures, None
+def _check_u_feasibility_agreement(ctx: _InstanceContext):
+    sides = [(U, image.feasible, not image.multipliers.empty) for U, image in zip(ctx.us, ctx.images)]
+    failures = [
+        {"U": [vector_to_list(U.row(i)) for i in range(U.rows)], "image_side": via_image, "lambda_side": via_lam}
+        for U, via_image, via_lam in sides
+        if via_image != via_lam
+    ]
+    return len(ctx.us), failures, None
 
 
-def _check_inclusion_chain(ctx: _InstanceContext, rng):
+def _check_inclusion_chain(ctx: _InstanceContext):
     """The chain hJ <= hB <= hL on every probe value. `image_sets` has
     already required each witness it returns, and a failed requirement
     ends the check as a failure record."""
@@ -353,32 +370,17 @@ def _check_inclusion_chain(ctx: _InstanceContext, rng):
     return len(ctx.values), failures, None
 
 
-def _check_hH_to_hB_map(ctx: _InstanceContext, rng):
+def _check_hH_to_hB_map(ctx: _InstanceContext):
     failures = []
-    count = 0
-    for image in ctx.feasible_us:
-        starts = [QVector.zeros(ctx.problem.n)]
-        for _ in range(2):
-            starts.append(
-                QVector(tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(ctx.problem.n)))
-            )
-        for start in starts:
-            xbar = image.minimize(start)
-            count += 1
-            cand = image.lift(xbar)
-            h = objective_D(ctx.problem, cand)
-            sets = ctx.polyhedron.image_sets(h)
-            if not sets.hB.member:
-                failures.append({"h": vector_to_list(h), "reason": "mapped value escaped hB"})
-                continue
-            if not image.value_member(h):
-                failures.append({"h": vector_to_list(h), "reason": "mapped value not in its own image set"})
-                continue
-            ctx.mapped_values.append((h, sets))
-    return count, failures, None
+    for h, sets, own in ctx.mapped:
+        if not sets.hB.member:
+            failures.append({"h": vector_to_list(h), "reason": "mapped value escaped hB"})
+        elif not own:
+            failures.append({"h": vector_to_list(h), "reason": "mapped value not in its own image set"})
+    return len(ctx.mapped), failures, None
 
 
-def _check_emptiness_biconditional(ctx: _InstanceContext, rng):
+def _check_emptiness_biconditional(ctx: _InstanceContext):
     if not ctx.vertices:
         return 0, [], None
     no_efficient = all(not eff for _, eff, _ in ctx.vertex_status)
@@ -390,15 +392,16 @@ def _check_emptiness_biconditional(ctx: _InstanceContext, rng):
     return 1, failures, None
 
 
-def _check_improvement_on_empty_primal(ctx: _InstanceContext, rng):
+def _check_improvement_on_empty_primal(ctx: _InstanceContext):
     if ctx.vertices or not ctx.duals:
         return 0, [], None
-    for cand in ctx.duals:  # each improvement requires itself feasible and strictly above cand
-        duality.improve_dual_infeasible_primal(ctx.problem, cand)
+    # one Farkas row of S serves every dual; each improvement requires
+    # itself feasible and strictly above its dual
+    duality.improve_dual_infeasible_primal(ctx.problem, ctx.duals)
     return len(ctx.duals), [], None
 
 
-def _check_minmax_coincidence(ctx: _InstanceContext, rng):
+def _check_minmax_coincidence(ctx: _InstanceContext):
     failures = []
     count = 0
     for vertex, eff, _ in ctx.vertex_status:
@@ -415,28 +418,19 @@ def _check_minmax_coincidence(ctx: _InstanceContext, rng):
     return count, failures, None
 
 
-def _check_strictness(ctx: _InstanceContext, rng):
+def _check_strictness(ctx: _InstanceContext):
     """Informational search for witnesses that the image-set inclusions are
     strict. Finding none is not a failure."""
-    found_j_vs_h = []
-    candidates_h_vs_b = []
-    count = 0
-    for h, sets in ctx.mapped_values[:_STRICTNESS_PROBES]:
-        count += 1
-        if not sets.hJ.member:
-            found_j_vs_h.append(vector_to_list(h))
-    if ctx.feasible_us:
-        for cand in ctx.duals[:_STRICTNESS_PROBES]:
-            d = objective_D(ctx.problem, cand)
-            count += 1
-            if all(not image.value_member(d) for image in ctx.feasible_us):
-                candidates_h_vs_b.append(vector_to_list(d))
+    mapped = [(h, sets) for h, sets, own in ctx.mapped if own][:_STRICTNESS_PROBES]
+    found_j_vs_h = [vector_to_list(h) for h, sets in mapped if not sets.hJ.member]
+    duals = [d for d, _ in ctx.dual_values[:_STRICTNESS_PROBES]] if ctx.feasible_us else []
+    candidates_h_vs_b = [vector_to_list(d) for d in duals if all(not u.value_member(d) for u in ctx.feasible_us)]
     extra = {}
     if found_j_vs_h:
         extra["hJ_strictly_inside_hH"] = found_j_vs_h
     if candidates_h_vs_b:
         extra["hB_value_missed_by_sampled_hH"] = candidates_h_vs_b
-    return count, [], extra or None
+    return len(mapped) + len(duals), [], extra or None
 
 
 _CAMPAIGN_CHECKS = (
@@ -472,7 +466,7 @@ def _run_instance_checks(
     records = []
     for check_name, check in _CAMPAIGN_CHECKS:
         try:
-            executed, failures, extra = check(ctx, rng)
+            executed, failures, extra = check(ctx)
         except Exception as exc:  # a crash is a failure with a replayable payload
             executed, failures, extra = 1, [{"exception": f"{type(exc).__name__}: {exc}"}], None
         if failures:

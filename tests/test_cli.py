@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vlpdual
-from vlpdual import harness, lp
+from vlpdual import duality, harness, lp
 from vlpdual.cli import main
 from vlpdual.cone import orthant
 from vlpdual.duality import scaled_generator
@@ -116,6 +116,16 @@ def test_certify_infeasible_point(seg_file, capsys):
     assert main(["certify", seg_file, "--point", "[\"2\", \"2\"]"]) == 2
 
 
+@pytest.mark.parametrize("command", ["certify", "dual-construct"])
+def test_rejected_certificate_is_internal_error(seg_file, capsys, monkeypatch, command):
+    # P requires each certificate through the scalarization check before
+    # it returns it, so neither command prints one the check rejects.
+    monkeypatch.setattr(duality, "verify_scalarization_certificate", lambda problem, xbar, cert: False)
+    assert main([command, seg_file, "--point", '["1", "0"]']) == 3
+    captured = capsys.readouterr()
+    assert "internal error:" in captured.err and "lambda" not in captured.out
+
+
 def test_dual_construct_and_check(seg_file, tmp_path, capsys):
     assert main(["dual-construct", seg_file, "--point", "[\"1\", \"0\"]", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -188,6 +198,14 @@ def test_recover(seg_file, capsys):
     assert json.loads(capsys.readouterr().out) == {"recovered": ["1", "0"]}
     assert main(["recover", seg_file, "--value", "[\"2\", \"2\"]", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"recovered": None}
+
+
+def test_recovered_point_is_checked(seg_file, capsys, monkeypatch):
+    # recover_primal requires x >= 0, Ax = b and Lx = d of the point it returns.
+    monkeypatch.setattr(duality, "solve_feasibility", lambda M, rhs: qvec(-5, 7))
+    assert main(["recover", seg_file, "--value", '["1", "0"]']) == 3
+    captured = capsys.readouterr()
+    assert "internal error:" in captured.err and "x =" not in captured.out
 
 
 def test_member_not_a_member(r5_file, capsys):

@@ -25,7 +25,7 @@ from vlpdual.cone import (
     strictly_below,
 )
 from vlpdual.efficiency import enumerate_vertices
-from vlpdual.exact import QMatrix, QVector, qmat, qvec
+from vlpdual.exact import CertificateError, QMatrix, QVector, qmat, qvec
 from vlpdual.harness import FIXTURES
 from vlpdual.lp import LinearProgram, Unbounded, solve_feasibility, solve_lp, to_standard_form
 from vlpdual.sampling import random_matrix, random_problem, random_rational, random_vector
@@ -63,6 +63,14 @@ def test_ordering_cone_rejects_line():
 def test_ordering_cone_rejects_bad_witness():
     with pytest.raises(ConeError, match="witness"):
         OrderingCone(2, (qvec(1, 0), qvec(0, 1)), qvec(1, 0))
+
+
+def test_computed_witness_is_checked_like_a_supplied_one(monkeypatch):
+    # A multiplier LP that returned a point off lam.g >= 1 is a defect in
+    # the package, not a bad cone.
+    monkeypatch.setattr(cone_module, "multiplier", lambda cone: QVector.zeros(cone.dim))
+    with pytest.raises(CertificateError, match="computed witness"):
+        make_cone(2, [qvec(1, 0), qvec(1, 1)])
 
 
 def test_supplied_witness_runs_no_lp(monkeypatch):

@@ -355,19 +355,28 @@ def test_dual_B_nonempty(r5_problem, seg_problem, no_dual_problem):
     assert cand is not None and check_feasible_D(r5_problem, cand)
 
 
-def test_improve_dual_r5(r5_problem):
-    cand = DualCandidateD(qvec(1, 1), QMatrix.zeros(2, 2), qvec(1, -1))
-    improved = improve_dual_infeasible_primal(r5_problem, cand)
-    assert check_feasible_D(r5_problem, improved)
-    assert strictly_below(
-        r5_problem.cone, objective_D(r5_problem, cand), objective_D(r5_problem, improved)
-    )
+def test_improve_dual_r5(r5_problem, monkeypatch):
+    # One Farkas row of the empty primal set serves every dual point.
+    cands = [DualCandidateD(qvec(1, 1), QMatrix.zeros(2, 2), qvec(1, -1)), feasible_dual_point(r5_problem)]
+    started = []
+    phase_one = lp.phase_one
+
+    def recording_phase_one(program):
+        started.append(program)
+        return phase_one(program)
+
+    monkeypatch.setattr(lp, "phase_one", recording_phase_one)
+    improved = improve_dual_infeasible_primal(r5_problem, cands)
+    assert len(started) == 1 and len(improved) == len(cands)
+    for cand, better in zip(cands, improved):
+        assert check_feasible_D(r5_problem, better)
+        assert strictly_below(r5_problem.cone, objective_D(r5_problem, cand), objective_D(r5_problem, better))
 
 
 def test_improve_dual_requires_infeasible_primal(seg_problem):
     cand = feasible_dual_point(seg_problem)
     with pytest.raises(ValueError, match="feasible"):
-        improve_dual_infeasible_primal(seg_problem, cand)
+        improve_dual_infeasible_primal(seg_problem, [cand])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -539,7 +548,7 @@ def test_inclusion_chain_runs_no_phase_two_after_the_context(monkeypatch):
         rng = random.Random(index)
         ctx = harness._build_context(problem, rng, cfg)
         solves.clear()
-        count, failures, _ = harness._check_inclusion_chain(ctx, rng)
+        count, failures, _ = harness._check_inclusion_chain(ctx)
         assert not failures
         assert not solves, f"{instance}: the chain ran {len(solves)} phase II"
         chains += count > 0 and not ctx.polyhedron.empty
@@ -566,7 +575,7 @@ def test_campaign_lp_runs_are_pinned(monkeypatch):
     monkeypatch.setattr(lp, "phase_one", counted_phase_one)
     monkeypatch.setattr(lp, "phase_two", counted_phase_two)
     assert harness.run_random_campaign(42, 12).ok
-    assert runs == {"phase one": 287, "phase two": 655}
+    assert runs == {"phase one": 238, "phase two": 655}
 
 
 def _over_limit(rows, rhs):

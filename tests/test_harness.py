@@ -126,6 +126,19 @@ def test_records_sorted(small_campaign):
     assert keys == sorted(keys)
 
 
+def test_check_order_changes_no_record(monkeypatch):
+    # Checks only read the instance context, and each fact two of them
+    # share is derived once on it, so no order of the checks moves a record.
+    forward = run_random_campaign(42, 12).records
+    shuffled = list(harness._CAMPAIGN_CHECKS)
+    random.Random(0).shuffle(shuffled)
+    for order in (harness._CAMPAIGN_CHECKS[::-1], tuple(shuffled)):
+        assert order != harness._CAMPAIGN_CHECKS
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_CAMPAIGN_CHECKS", order)
+            assert run_random_campaign(42, 12).records == forward
+
+
 def test_emit_empty_json():
     assert emit_report(VerificationReport(()), "json") == "[]"
 

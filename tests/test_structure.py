@@ -135,6 +135,37 @@ def test_harness_names_no_one_shot_oracle():
     assert not found, found
 
 
+def _on_ctx(node: ast.AST) -> bool:
+    """Whether node is an attribute of ctx, or a part of one."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ctx":
+            return True
+        node = node.value
+    return False
+
+
+def test_campaign_checks_only_read_the_context():
+    # A check takes the instance context alone and never writes it, so the
+    # order of harness._CAMPAIGN_CHECKS cannot move a record.
+    (tree,) = [tree for name, tree in _modules() if name == "harness.py"]
+    checks = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")]
+    assert len(checks) == 12, [node.name for node in checks]
+    for check in checks:
+        args = check.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        assert [a.arg for a in params] == ["ctx"], f"{check.name} takes {[a.arg for a in params]}"
+        writes = []
+        for node in ast.walk(check):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                flat = [t for target in targets for t in ast.walk(target) if isinstance(t, (ast.Attribute, ast.Subscript))]
+                writes += [node.lineno for t in flat if _on_ctx(t)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in {"append", "extend", "insert", "add", "update"} and _on_ctx(node.func.value):
+                    writes.append(node.lineno)
+        assert not writes, f"{check.name} writes the context at lines {writes}"
+
+
 def test_witness_checks_never_solve():
     trees = dict(_modules())
     verifiers = [
