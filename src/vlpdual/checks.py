@@ -9,6 +9,13 @@ quasi-interior of K*, and L^T lam - A^T z >= 0. D^J takes z = U^T lam, as
 lam.v - b.z <= 0. A scalarization certificate (lam, eta) for xbar is the
 point (lam, -eta) with lam.g >= 1 on every generator and
 lam.(L xbar) + b.eta = 0.
+
+The (lam, z) test is a pure function of exact inputs, and the campaign
+asks it of the same pair many times (hL, hB and hJ witnesses share one,
+and probe values share minimizing vertices). So each problem keeps the
+verdict of every distinct (lam, z) it was asked, keyed by the integer
+(numerator, denominator) pairs, in its instance `__dict__`: the memo
+lives and dies with the problem, and every input is still tested once.
 """
 
 from __future__ import annotations
@@ -16,22 +23,31 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cone import in_quasi_interior
-from .exact import DimensionError, QVector, _ratios, _sum_of_products
+from .exact import DimensionError, QVector, _sum_of_products
 
 if TYPE_CHECKING:
     from .model import DualCandidateD, DualCandidateJ, DualCandidateL, EfficiencyCertificate, VlpProblem
 
 
 def _dual_feasible(problem: VlpProblem, lam: QVector, z: QVector) -> bool:
-    """lam.g > 0 on every generator, and (lam, -z) has a nonnegative
-    product with every column of [L; A]: L^T lam - A^T z >= 0."""
+    """`_lam_z_test` once per distinct (lam, z) of the problem."""
     if z.dim != problem.m:
         raise DimensionError(f"z dim {z.dim} != row count {problem.m}")
+    verdicts = vars(problem).setdefault("_dual_feasible", {})
+    key = (lam.pairs, z.pairs)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _lam_z_test(problem, lam, z)
+    return verdict
+
+
+def _lam_z_test(problem: VlpProblem, lam: QVector, z: QVector) -> bool:
+    """lam.g > 0 on every generator, and (lam, -z) has a nonnegative
+    product with every column of [L; A]: L^T lam - A^T z >= 0."""
     if not in_quasi_interior(problem.cone, lam):
         return False
-    weights = _ratios(lam.entries) + [(-e.numerator, e.denominator) for e in z.entries]
-    n, stacked = problem.n, problem.L.entries + problem.A.entries  # [L; A] row-major, n columns
-    return all(_sum_of_products(weights, _ratios(stacked[j::n])) >= 0 for j in range(n))
+    weights = lam.pairs + tuple((-a, b) for a, b in z.pairs)
+    return all(_sum_of_products(weights, column) >= 0 for column in problem.stacked_columns)
 
 
 def check_feasible_J(problem: VlpProblem, cand: DualCandidateJ | DualCandidateD) -> bool:

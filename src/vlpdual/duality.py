@@ -97,10 +97,15 @@ _IN_NONE = ImageSets(_NOT_A_MEMBER, _NOT_A_MEMBER, _NOT_A_MEMBER)
 
 
 def scaled_generator(cone: OrderingCone, lam: QVector) -> QVector:
-    """First generator with positive product against lam, scaled to product one."""
-    g = next((g for g in cone.generators if lam.dot(g) > 0), None)
-    require(g is not None, "some generator has positive product with lam")
-    return g.scale(_ONE / lam.dot(g))
+    """First generator with positive product against lam, scaled to product
+    one; taken once per distinct lam and kept with the cone."""
+    scaled = vars(cone).setdefault("_scaled_generator", {})
+    tilde = scaled.get(lam.pairs)
+    if tilde is None:
+        g = next((g for g in cone.generators if lam.dot(g) > 0), None)
+        require(g is not None, "some generator has positive product with lam")
+        tilde = scaled[lam.pairs] = g.scale(_ONE / lam.dot(g))
+    return tilde
 
 
 class ReducedImage:
@@ -142,12 +147,15 @@ class ReducedImage:
         image cone: x0 itself when no image lies strictly below M x0.
 
         Defined only for U feasible in the H sense, where the domination
-        program is always bounded, so `dominator` returns its optimum.
+        program is always bounded, so `dominator` returns its optimum. At
+        x0 = 0 the program is `feasible`'s own, which found nothing below 0.
         """
         if not x0.is_nonneg():
             raise ValueError("starting point must be nonnegative")
         if not self.feasible:
             raise ValueError("U not feasible for D^H")
+        if x0.is_zero():
+            return x0
         x = dominator(self.problem.cone, self.M, self.M @ x0)
         return x0 if x is None else x
 

@@ -18,7 +18,10 @@ than `VERTEX_LIMIT` ray pairs raises `VertexLimitError`.
 `_sum_of_products`: it adds the products of numerators over one running
 integer denominator and builds a single reduced `Fraction` per result,
 instead of normalizing a `Fraction` after every term. The values are
-exactly those of the term-by-term sum.
+exactly those of the term-by-term sum. A vector's entries, and a matrix's
+rows, are taken as (numerator, denominator) pairs once, on first use, and
+kept with the object (`kept`), so a long-lived vector such as a cone
+generator or a sampled lam is not taken apart again for every product.
 """
 
 from __future__ import annotations
@@ -74,6 +77,26 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+class kept:
+    """A value derived from an immutable object on first use and stored in
+    its instance `__dict__`, where later reads find it without calling the
+    descriptor; dataclass equality, hashing and repr never see it. This is
+    `functools.cached_property` without the lock that Python 3.11 takes on
+    every first use, which on a fresh short vector costs about as much as
+    the pairs it saves."""
+
+    def __init__(self, derive):
+        self.derive = derive
+        self.name = derive.__name__
+        self.__doc__ = derive.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.derive(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class QVector:
     entries: tuple[Fraction, ...]
@@ -122,9 +145,14 @@ class QVector:
         f = Fraction(factor)
         return QVector(tuple(f * a for a in self.entries))
 
+    @kept
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(numerator, denominator) of each entry."""
+        return tuple(_ratios(self.entries))
+
     def dot(self, other: QVector) -> Fraction:
         self._check_dim(other)
-        return _sum_of_products(_ratios(self.entries), _ratios(other.entries))
+        return _sum_of_products(self.pairs, other.pairs)
 
     def is_nonneg(self) -> bool:
         return all(a >= 0 for a in self.entries)
@@ -237,22 +265,29 @@ class QMatrix:
         if isinstance(other, QVector):
             if self.cols != other.dim:
                 raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by vector of dim {other.dim}")
-            return QVector(self._products([other.entries]))
+            return QVector(self._products([other.pairs]))
         if isinstance(other, QMatrix):
             if self.cols != other.rows:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-            return QMatrix(self.rows, other.cols, self._products(cols))
+            return QMatrix(self.rows, other.cols, self._products(other.column_pairs))
         return NotImplemented
 
-    def _products(self, cols: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
-        """Every row times every column, row-major."""
+    @kept
+    def row_pairs(self) -> list[list[tuple[int, int]]]:
+        """Each row's entries as (numerator, denominator) pairs."""
         width = self.cols
-        rows = [_ratios(self.entries[i * width : (i + 1) * width]) for i in range(self.rows)]
-        col_ratios = [_ratios(col) for col in cols]
-        return tuple(_sum_of_products(row, col) for row in rows for col in col_ratios)
+        return [_ratios(self.entries[i * width : (i + 1) * width]) for i in range(self.rows)]
+
+    @kept
+    def column_pairs(self) -> list[list[tuple[int, int]]]:
+        """Each column's entries as (numerator, denominator) pairs."""
+        return [_ratios(self.entries[j :: self.cols]) for j in range(self.cols)]
+
+    def _products(self, cols) -> tuple[Fraction, ...]:
+        """Every row times every column (each as pairs), row-major."""
+        return tuple(_sum_of_products(row, col) for row in self.row_pairs for col in cols)
 
     def rank(self) -> int:
         return len(row_reduce(self.to_lists(), self.cols))

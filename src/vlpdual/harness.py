@@ -24,7 +24,7 @@ from functools import cached_property
 
 from . import duality, efficiency
 from .cone import orthant, precedes
-from .exact import QMatrix, QVector, qmat, qvec, require
+from .exact import CertificateError, QMatrix, QVector, qmat, qvec, require
 from .model import (
     DualCandidateD,
     DualCandidateL,
@@ -311,12 +311,18 @@ def _check_efficient_iff_scalarizable(ctx: _InstanceContext):
 
 
 def _check_weak_duality(ctx: _InstanceContext):
+    """No primal image lies strictly below a dual value: each dual value
+    is compared once with each distinct image, and a failure is recorded
+    per (x, h) in primal order."""
     failures = []
+    distinct: dict[tuple[Fraction, ...], int] = {}
     images = [ctx.problem.cone.coordinates(ctx.problem.L @ x) for x in ctx.primals]
+    slots = [distinct.setdefault(image, len(distinct)) for image in images]
     for h, h_coords in ctx.dual_values:
-        for x, image in zip(ctx.primals, images):
-            if precedes(image, h_coords):
-                failures.append({"x": vector_to_list(x), "h": vector_to_list(h)})
+        below = [precedes(image, h_coords) for image in distinct]
+        failures += [
+            {"x": vector_to_list(x), "h": vector_to_list(h)} for x, slot in zip(ctx.primals, slots) if below[slot]
+        ]
     return len(ctx.dual_values) * len(images), failures, None
 
 
@@ -328,15 +334,20 @@ def _check_strong_duality(ctx: _InstanceContext):
 
 
 def _check_converse_duality(ctx: _InstanceContext):
-    """`recover_primal` requires the x it returns feasible with Lx = d."""
+    """`recover_primal` requires the x it returns feasible with Lx = d. A
+    recovered point is decided once: a vertex by the context's status."""
     failures = []
     undominated = [cand for _, cand, above in ctx.constructed if not above]
+    decided = {vertex: eff for vertex, eff, _ in ctx.vertex_status}
     for cand in undominated:
         d = objective_D(ctx.problem, cand)
         recovered = duality.recover_primal(ctx.problem, d)
         if recovered is None:
             failures.append({"value": vector_to_list(d), "reason": "primal recovery failed"})
-        elif not efficiency.is_efficient(ctx.problem, recovered)[0]:
+            continue
+        if recovered not in decided:
+            decided[recovered] = efficiency.is_efficient(ctx.problem, recovered)[0]
+        if not decided[recovered]:
             failures.append({"value": vector_to_list(d), "reason": "recovered point not efficient"})
         else:
             duality.map_D_to_DL(ctx.problem, cand)  # requires its D^L point feasible
@@ -459,16 +470,32 @@ def _campaign_instances(seed: int, count: int) -> list[tuple[str, VlpProblem]]:
     return instances
 
 
+def _crashed(exc: Exception):
+    """A crash is a failure with a replayable payload."""
+    return 1, [{"exception": f"{type(exc).__name__}: {exc}"}], None
+
+
+def _run_check(check, ctx: _InstanceContext):
+    try:
+        return check(ctx)
+    except Exception as exc:
+        return _crashed(exc)
+
+
 def _run_instance_checks(
     instance_id: str, problem: VlpProblem, rng: random.Random, cfg: CampaignConfig
 ) -> list[CheckRecord]:
-    ctx = _build_context(problem, rng, cfg)
+    # A requirement that fails while the context is built fails every check
+    # of the instance. An input error, such as an instance too large to
+    # enumerate, is no check's failure and still ends the run.
+    try:
+        ctx = _build_context(problem, rng, cfg)
+    except CertificateError as exc:
+        results = [_crashed(exc) for _ in _CAMPAIGN_CHECKS]
+    else:
+        results = [_run_check(check, ctx) for _, check in _CAMPAIGN_CHECKS]
     records = []
-    for check_name, check in _CAMPAIGN_CHECKS:
-        try:
-            executed, failures, extra = check(ctx)
-        except Exception as exc:  # a crash is a failure with a replayable payload
-            executed, failures, extra = 1, [{"exception": f"{type(exc).__name__}: {exc}"}], None
+    for (check_name, _), (executed, failures, extra) in zip(_CAMPAIGN_CHECKS, results):
         if failures:
             status = "fail"
             witness = {

@@ -14,11 +14,29 @@ once for all its phase II runs; every basic column is a unit vector, so
 the row is exactly the one that pivoting on each basic column would leave.
 
 The general form (>= rows over free variables) reduces to the standard
-form and answers with the same three outcomes. A general feasible set
-searched with many costs is a `Region`: phase I once, then phase II per
-cost, answered in the program's own variables, or from its second
-question on off its V-form. `solve_feasibility` asks for a nonnegative
-solution of Mx = b.
+form and answers with the same three outcomes. Its standard form has
+twin columns, and row operations keep every linear relation between
+columns, so a general program's tableau stores only the y+ and slack
+columns; `Stored` says where each standard-form column lives:
+
+- col(y_j-) = -col(y_j+) on every constraint row, and rc(y_j-) =
+  -rc(y_j+) under a cost with c(y_j-) = -c(y_j+), as `GeneralProgram.cost`
+  gives (any other cost shifts rc by c_j - sign * c of the stored column);
+- after phase I's sign sigma_i on row i, its artificial a_i has
+  col(a_i) = -sigma_i col(s_i) on the constraint rows, with reduced cost
+  rc(a_i) = 1 - sigma_i rc(s_i) in phase I and -sigma_i rc(s_i) in
+  phase II, so Farkas component i and multiplier y_i are both rc(s_i).
+
+Entering a twin is pivoting on its stored column, then negating the pivot
+row when the twin's sign is -1; an artificial that re-enters in phase I
+updates the cost row by its own reduced cost. The basis keeps
+standard-form indices and Bland's scan runs in standard-form order, so
+every basis, x, y, ray and Farkas row is the one the full tableau gives.
+
+A general feasible set searched with many costs is a `Region`: phase I
+once, then phase II per cost, answered in the program's own variables, or
+from its second question on off its V-form. `solve_feasibility` asks for
+a nonnegative solution of Mx = b.
 """
 
 from __future__ import annotations
@@ -79,29 +97,86 @@ class Unbounded:
 LpOutcome = Optimal | Infeasible | Unbounded
 
 
-def _bland_simplex(tab: list[list[Fraction]], basis: list[int], width: int) -> int:
+@dataclass(frozen=True)
+class Stored:
+    """Where a tableau keeps each standard-form column: standard column j,
+    structural then artificial, is sign times stored column s on every
+    constraint row, for (s, sign) = at[j], and stored column s is
+    standard column of[s]. A tableau with no `Stored` keeps every column
+    as itself."""
+
+    at: tuple[tuple[int, int], ...]
+    of: tuple[int, ...]
+
+    def shift(self, cost: tuple[Fraction, ...]) -> list[Fraction] | None:
+        """Per standard column j of a full cost vector, c_j - sign * c of
+        its stored column: rc(j) is sign * rc(stored) plus this. None when
+        every shift is 0, found on the costs' integer ratios."""
+        pairs = _ratios(cost)
+        shift = None
+        for j, (s, sign) in enumerate(self.at):
+            a, b = pairs[self.of[s]]
+            if pairs[j] != (sign * a, b):
+                shift = shift or [_ZERO] * len(self.at)
+                shift[j] = cost[j] - sign * cost[self.of[s]]
+        return shift
+
+
+def _place(stored: Stored | None, j: int) -> tuple[int, int]:
+    return (j, 1) if stored is None else stored.at[j]
+
+
+def _reduced(zrow: list[Fraction], j: int, stored: Stored | None, shift: list[Fraction] | None) -> Fraction:
+    """The reduced cost of standard column j, read off the stored cost row."""
+    if stored is None:
+        return zrow[j]
+    s, sign = stored.at[j]
+    rc = zrow[s] if sign > 0 else -zrow[s]
+    return rc + shift[j] if shift is not None and shift[j] else rc
+
+
+def _enter(tab: list[list[Fraction]], r: int, col: int, sign: int) -> None:
+    """Pivot the standard column sign * (stored column col) into row r:
+    the other rows are those of pivoting on col, the pivot row is negated."""
+    pivot(tab, r, col)
+    if sign < 0:
+        tab[r] = [-e if e else e for e in tab[r]]
+
+
+def _bland_simplex(
+    tab: list[list[Fraction]],
+    basis: list[int],
+    width: int,
+    stored: Stored | None = None,
+    shift: list[Fraction] | None = None,
+) -> int:
     """Run simplex to optimality; returns -1, or the entering column if unbounded.
 
     tab holds one row per basis entry followed by the reduced-cost row,
     which every pivot updates with the constraint rows. Entering: smallest
-    index below width with negative reduced cost. Leaving: smallest basic
-    variable index among the minimum-ratio rows. Both choices are Bland's
-    rule, which rules out cycling.
+    standard-form index below width with negative reduced cost. Leaving:
+    smallest basic variable index among the minimum-ratio rows. Both
+    choices are Bland's rule, which rules out cycling. A column whose
+    reduced cost is shifted from its stored column's updates the cost row
+    by the shift times the new pivot row, after the stored column's pivot.
     """
     m = len(basis)
     while True:
         zrow = tab[m]
         entering = -1
         for j in range(width):
-            if zrow[j] < 0:
+            if (zrow[j] if stored is None else _reduced(zrow, j, stored, shift)) < 0:
                 entering = j
                 break
         if entering < 0:
             return -1
+        col, sign = _place(stored, entering)
         leave = -1
         best: Fraction | None = None
         for i in range(m):
-            t = tab[i][entering]
+            t = tab[i][col]
+            if sign < 0:
+                t = -t
             if t > 0:
                 ratio = tab[i][-1] / t
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
@@ -109,7 +184,10 @@ def _bland_simplex(tab: list[list[Fraction]], basis: list[int], width: int) -> i
                     leave = i
         if leave < 0:
             return entering
-        pivot(tab, leave, entering)
+        _enter(tab, leave, col, sign)
+        if shift is not None and shift[entering]:
+            step, row = shift[entering], tab[leave]
+            tab[m] = [a - step * b if b else a for a, b in zip(tab[m], row)]
         basis[leave] = entering
 
 
@@ -118,16 +196,18 @@ class Basis:
     """A feasible simplex tableau after phase I, with every zero-level
     artificial that can leave pivoted out.
 
-    One row per equality row of the program, each keeping its artificial
-    column and ending in the basic level. `pivot` replaces rows and never
-    edits them, so phase II works on a shallow copy and a Basis is never
-    changed by the solves made from it.
+    One row per equality row of the program, each ending in the basic
+    level; a standard-form program's rows keep their artificial columns,
+    a general program's rows keep the columns `stored` names. `pivot`
+    replaces rows and never edits them, so phase II works on a shallow
+    copy and a Basis is never changed by the solves made from it.
     """
 
-    n: int  # structural columns
+    n: int  # structural columns of the standard form
     rows: tuple[list[Fraction], ...]
-    basis: tuple[int, ...]
+    basis: tuple[int, ...]  # standard-form column indices
     signs: tuple[int, ...]  # the sign each row was multiplied by so its rhs is >= 0
+    stored: Stored | None = None
 
     @property
     def x(self) -> QVector:
@@ -137,15 +217,18 @@ class Basis:
     @cached_property
     def columns(self) -> list[list[tuple[int, int]] | None]:
         """The tableau's columns for phase II's pricing, taken once."""
-        return _ratio_columns(self.rows, self.basis, self.n + len(self.basis) + 1)
+        basic = set(self.basis)
+        if self.stored is not None:
+            basic = {s for s, j in enumerate(self.stored.of) if j in basic}
+        return _ratio_columns(self.rows, basic)
 
 
-def _ratio_columns(rows, basis, width: int) -> list[list[tuple[int, int]] | None]:
+def _ratio_columns(rows, unit: set[int]) -> list[list[tuple[int, int]] | None]:
     """Every tableau column, rhs last, as (numerator, denominator) over the
-    rows; None on a basic column, whose reduced cost is always 0."""
-    basic = set(basis)
+    rows; None on a column in unit, a basic unit column whose reduced cost
+    is always 0."""
     ratios = [_ratios(row) for row in rows]
-    return [None if j in basic else [row[j] for row in ratios] for j in range(width)]
+    return [None if j in unit else [row[j] for row in ratios] for j in range(len(rows[0]))]
 
 
 def _priced(columns, weights: list[tuple[int, int]], c: tuple[Fraction, ...]) -> list[Fraction]:
@@ -174,39 +257,54 @@ def _basic_levels(rows, basis, n: int, col: int) -> list[Fraction]:
     return out
 
 
-def phase_one(lp: LinearProgram) -> Basis | Infeasible:
-    """Minimize the sum of the artificials; a Basis of lp's feasible set,
-    or the Farkas certificate when the minimum is positive.
+def phase_one(program: LinearProgram | GeneralProgram) -> Basis | Infeasible:
+    """Minimize the sum of the artificials; a Basis of the program's
+    feasible set in its standard form, or the Farkas certificate when the
+    minimum is positive.
 
-    The tableau keeps one artificial column per row and carries the
-    reduced-cost row last. Artificial t has reduced cost 1 - y[t], with y
-    the simplex multipliers of the sign-adjusted rows, so the certificate
-    is read off that row.
+    The tableau of a standard-form program keeps one artificial column per
+    row; a general program's keeps the y+ and slack columns of
+    `to_standard_form`'s rows. The reduced-cost row is carried last.
+    Artificial t has reduced cost 1 - y[t], with y the simplex multipliers
+    of the sign-adjusted rows, so the certificate is read off that row.
     """
+    general = isinstance(program, GeneralProgram)
+    lp = to_standard_form(program) if general else program
     m, n = lp.m, lp.n
     signs = tuple(1 if lp.b[i] >= 0 else -1 for i in range(m))
-    tab = [
-        [lp.a.at(i, j) * signs[i] for j in range(n)]
-        + [_ONE if t == i else _ZERO for t in range(m)]
-        + [lp.b[i] * signs[i]]
-        for i in range(m)
-    ]
     basis = [n + i for i in range(m)]
+    if general:
+        g = program.n
+        kept = tuple(range(0, 2 * g, 2)) + tuple(range(2 * g, n))
+        twins = tuple((j // 2, 1 - 2 * (j % 2)) for j in range(2 * g)) + tuple((g + i, 1) for i in range(m))
+        stored = Stored(twins + tuple((g + i, -signs[i]) for i in range(m)), kept)
+        tab = [[lp.a.at(i, j) * signs[i] for j in kept] + [lp.b[i] * signs[i]] for i in range(m)]
+        shift = stored.shift((_ZERO,) * n + (_ONE,) * m)
+        unit: set[int] = set()
+    else:
+        stored = shift = None
+        tab = [
+            [lp.a.at(i, j) * signs[i] for j in range(n)]
+            + [_ONE if t == i else _ZERO for t in range(m)]
+            + [lp.b[i] * signs[i]]
+            for i in range(m)
+        ]
+        unit = set(basis)
     # Cost 1 on every artificial, each basic in its own row.
-    tab.append(_priced(_ratio_columns(tab, basis, n + m + 1), [(-1, 1)] * m, ()))
-    require(_bland_simplex(tab, basis, n + m) < 0, "phase I is bounded below by zero")
+    tab.append(_priced(_ratio_columns(tab, unit), [(-1, 1)] * m, ()))
+    require(_bland_simplex(tab, basis, n + m, stored, shift) < 0, "phase I is bounded below by zero")
     zrow = tab.pop()
     if zrow[-1] != 0:
-        return Infeasible(QVector(tuple(signs[t] * (_ONE - zrow[n + t]) for t in range(m))))
+        return Infeasible(QVector(tuple(signs[t] * (_ONE - _reduced(zrow, n + t, stored, shift)) for t in range(m))))
     # Zero-level artificials are pivoted out; a row that is zero on the
     # structural columns is redundant and keeps its artificial basic at 0.
     for i in range(m):
         if basis[i] >= n:
-            j = next((j for j in range(n) if tab[i][j]), None)
+            j = next((j for j in range(n) if tab[i][_place(stored, j)[0]]), None)
             if j is not None:
-                pivot(tab, i, j)
+                _enter(tab, i, *_place(stored, j))
                 basis[i] = j
-    return Basis(n, tuple(tab), tuple(basis), signs)
+    return Basis(n, tuple(tab), tuple(basis), signs, stored)
 
 
 def phase_two(start: Basis, c: QVector) -> Optimal | Unbounded:
@@ -215,20 +313,25 @@ def phase_two(start: Basis, c: QVector) -> Optimal | Unbounded:
     Artificials cost 0 and never enter. Artificial t's reduced cost is
     -y[t], so the equality multipliers are read off the priced row.
     """
-    n, m = start.n, len(start.basis)
+    n, m, stored = start.n, len(start.basis), start.stored
     if c.dim != n:
         raise DimensionError(f"objective dim {c.dim} != column count {n}")
     tab = list(start.rows)
     basis = list(start.basis)
-    tab.append(_priced(start.columns, _ratios(-c[b] if b < n else _ZERO for b in start.basis), c.entries))
-    entering = _bland_simplex(tab, basis, n)
+    cost, shift = c.entries, None
+    if stored is not None:
+        cost, shift = tuple(c[j] for j in stored.of), stored.shift(c.entries + (_ZERO,) * m)
+    tab.append(_priced(start.columns, _ratios(-c[b] if b < n else _ZERO for b in start.basis), cost))
+    entering = _bland_simplex(tab, basis, n, stored, shift)
     x = _basic_levels(tab, basis, n, -1)
     if entering >= 0:
-        ray = [-e for e in _basic_levels(tab, basis, n, entering)]
+        col, sign = _place(stored, entering)
+        levels = _basic_levels(tab, basis, n, col)
+        ray = [-e for e in levels] if sign > 0 else levels
         ray[entering] = _ONE
         return Unbounded(QVector(tuple(x)), QVector(tuple(ray)))
     zrow = tab[m]
-    y = QVector(tuple(-start.signs[t] * zrow[n + t] for t in range(m)))
+    y = QVector(tuple(-start.signs[t] * _reduced(zrow, n + t, stored, shift) for t in range(m)))
     return Optimal(QVector(tuple(x)), y, -zrow[-1])
 
 
@@ -350,7 +453,7 @@ class Region:
 
     def __init__(self, gp: GeneralProgram):
         self._gp = gp
-        start = phase_one(to_standard_form(gp))
+        start = phase_one(gp)
         self._basis = None if isinstance(start, Infeasible) else start
         self._questions = 0
         self._form: tuple[list[QVector], list[QVector], tuple[QVector, ...]] | None = None

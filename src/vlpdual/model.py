@@ -18,6 +18,7 @@ from .exact import (
     QMatrix,
     QVector,
     format_rational,
+    kept,
     parse_rational,
 )
 
@@ -52,6 +53,12 @@ class VlpProblem:
     @property
     def k(self) -> int:
         return self.L.rows
+
+    @kept
+    def stacked_columns(self) -> list[list[tuple[int, int]]]:
+        """The columns of [L; A] as (numerator, denominator) pairs, for the
+        products of the dual checks."""
+        return QMatrix(self.k + self.m, self.n, self.L.entries + self.A.entries).column_pairs
 
 
 @dataclass(frozen=True)

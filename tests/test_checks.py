@@ -6,10 +6,11 @@ from collections import Counter
 
 from _oracles import reduced_map_feasible_D, reduced_map_feasible_J, reduced_map_feasible_L
 
-from vlpdual import checks, duality, efficiency
-from vlpdual.cone import in_quasi_interior
+from vlpdual import checks, duality, efficiency, harness
+from vlpdual.cone import in_quasi_interior, orthant
 from vlpdual.duality import DualPolyhedron
-from vlpdual.model import DualCandidateD, DualCandidateJ, DualCandidateL, objective_D
+from vlpdual.exact import QMatrix, qmat, qvec
+from vlpdual.model import DualCandidateD, DualCandidateJ, DualCandidateL, VlpProblem, objective_D
 from vlpdual.sampling import random_matrix, random_problem, random_vector, sample_dual_points, sample_quasi_interior
 
 
@@ -79,3 +80,42 @@ def test_duality_and_efficiency_bind_the_checks_by_name():
     assert duality.check_feasible_J is checks.check_feasible_J
     assert duality.check_feasible_L is checks.check_feasible_L
     assert efficiency.verify_scalarization_certificate is checks.verify_scalarization_certificate
+
+
+def _counted_tests(monkeypatch) -> list:
+    """Every (lam, z) that `_dual_feasible` evaluates rather than reads
+    off its problem's memo."""
+    evaluated = []
+    test = checks._lam_z_test
+
+    def counted(problem, lam, z):
+        evaluated.append((lam, z))
+        return test(problem, lam, z)
+
+    monkeypatch.setattr(checks, "_lam_z_test", counted)
+    return evaluated
+
+
+def test_memo_keeps_each_verdict_to_its_own_lam_z(monkeypatch):
+    # The segment problem: (lam, z) is feasible iff lam > 0 and lam_j >= z.
+    # The same lam with another z is tested afresh and rejected, and a
+    # rejected witness stays rejected when asked again.
+    problem = VlpProblem(QMatrix.identity(2), qmat([[1, 1]]), qvec(1), orthant(2))
+    evaluated = _counted_tests(monkeypatch)
+    lam = qvec(1, 1)
+    asked = [(lam, qvec(1), True), (lam, qvec(2), False), (lam, qvec(1), True), (lam, qvec(2), False)]
+    asked += [(qvec(1, 0), qvec(0), False), (qvec(1, 0), qvec(0), False), (qvec(2, 2), qvec(2), True)]
+    for lam, z, verdict in asked:
+        cand = DualCandidateL(lam, z, qvec(0, 0))
+        assert checks.check_feasible_L(problem, cand) is verdict, (lam, z)
+    assert evaluated == [(qvec(1, 1), qvec(1)), (qvec(1, 1), qvec(2)), (qvec(1, 0), qvec(0)), (qvec(2, 2), qvec(2))]
+
+
+def test_campaign_tests_each_lam_z_once_per_problem(monkeypatch):
+    # Seed 42, count 12, fixtures built afresh so that no earlier campaign
+    # in this process left verdicts on them: 2,087 dual-feasibility tests
+    # come to 409 distinct (problem, lam, z).
+    monkeypatch.setattr(harness, "FIXTURES", harness._fixtures())
+    evaluated = _counted_tests(monkeypatch)
+    assert harness.run_random_campaign(42, 12).ok
+    assert len(evaluated) == 409

@@ -557,8 +557,9 @@ def test_inclusion_chain_runs_no_phase_two_after_the_context(monkeypatch):
 
 def test_campaign_lp_runs_are_pinned(monkeypatch):
     # Seed 42, count 12: phase I once per polyhedron or one-shot LP, and
-    # phase II only where no V-form answers. A change to either count is a
-    # change in LP work, made on purpose or not.
+    # phase II only where no V-form answers; minimize from 0 and a primal
+    # already decided run none. A change to either count is a change in LP
+    # work, made on purpose or not.
     from vlpdual import harness
 
     runs = {"phase one": 0, "phase two": 0}
@@ -575,7 +576,7 @@ def test_campaign_lp_runs_are_pinned(monkeypatch):
     monkeypatch.setattr(lp, "phase_one", counted_phase_one)
     monkeypatch.setattr(lp, "phase_two", counted_phase_two)
     assert harness.run_random_campaign(42, 12).ok
-    assert runs == {"phase one": 238, "phase two": 655}
+    assert runs == {"phase one": 212, "phase two": 629}
 
 
 def _over_limit(rows, rhs):

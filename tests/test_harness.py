@@ -23,7 +23,7 @@ from vlpdual.harness import (
     run_instance_suite,
     run_random_campaign,
 )
-from vlpdual.model import VlpProblem, load_problem, problem_to_dict
+from vlpdual.model import VlpProblem, load_problem, problem_to_dict, vector_to_list
 from vlpdual.sampling import random_problem
 
 REPO = Path(__file__).resolve().parent.parent
@@ -365,3 +365,50 @@ def test_fixture_problem_matches_its_file(fixture, file):
     # README's quick start and CI read the files; the campaign builds the same problems in code.
     text = (REPO / "problems" / file).read_text(encoding="utf-8")
     assert load_problem(text) == FIXTURES[fixture].problem
+
+
+def test_a_failed_requirement_in_the_build_fails_only_its_instance(monkeypatch, capsys):
+    # P's certificates are required while the context is built. With the
+    # certificate check rejecting them, each instance that has one reports
+    # all 12 checks failed with the CertificateError, and every other
+    # instance's records stay as they were.
+    passing = run_random_campaign(42, 3)
+    monkeypatch.setattr(duality, "verify_scalarization_certificate", lambda problem, xbar, cert: False)
+    report = run_random_campaign(42, 3)
+    failed = {r.instance for r in report.records if r.status == "fail"}
+    assert failed and failed != {r.instance for r in report.records}
+    for instance in failed:
+        records = [r for r in report.records if r.instance == instance]
+        assert [r.check for r in records] == sorted(name for name, _ in harness._CAMPAIGN_CHECKS)
+        for r in records:
+            assert r.status == "fail" and r.witness["problem"]
+            assert r.witness["failures"] == [{"exception": "CertificateError: certificate passes its defining system"}]
+    kept = [r for r in passing.records if r.instance not in failed]
+    assert [r for r in report.records if r.instance not in failed] == kept
+    assert main(["campaign", "--seed", "42", "--count", "3"]) == 1
+    capsys.readouterr()
+
+
+def test_weak_duality_fails_once_per_pair_in_primal_order(monkeypatch):
+    # Under a sabotaged order that puts some images below some dual values,
+    # the check records the failures of the plain loop over every (h, x),
+    # in its order, also where primal images repeat.
+    def below(a, b):
+        return a[0] < b[0]
+
+    monkeypatch.setattr(harness, "precedes", below)
+    compared = repeated = 0
+    for index, (_, problem) in enumerate(harness._campaign_instances(42, 6)):
+        ctx = harness._build_context(problem, random.Random(index), SMALL)
+        images = [problem.cone.coordinates(problem.L @ x) for x in ctx.primals]
+        expected = [
+            {"x": vector_to_list(x), "h": vector_to_list(h)}
+            for h, h_coords in ctx.dual_values
+            for x, image in zip(ctx.primals, images)
+            if below(image, h_coords)
+        ]
+        count, failures, _ = harness._check_weak_duality(ctx)
+        assert failures == expected and count == len(ctx.dual_values) * len(images)
+        compared += len(expected)
+        repeated += bool(expected) and len(set(images)) < len(images)
+    assert compared and repeated

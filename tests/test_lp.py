@@ -383,3 +383,84 @@ def test_phase_two_rejects_a_cost_of_the_wrong_width():
     start = phase_one(LinearProgram(qvec(1, 0), qmat([[1, 1]]), qvec(1)))
     with pytest.raises(DimensionError):
         phase_two(start, qvec(1))
+
+
+def _half_against_full(gp: GeneralProgram, costs: list[QVector], kinds) -> None:
+    """The half tableau of gp gives field for field what the full standard
+    form gives: after phase I the same basis and the stored columns of its
+    rows (or the same Farkas row), and then at every standard-form cost
+    the outcome of `solve_lp` on the standard form."""
+    std = to_standard_form(gp)
+    half, full = phase_one(gp), phase_one(std)
+    if isinstance(full, Infeasible):
+        assert half == full
+        kinds.add(Infeasible)
+        return
+    assert half.basis == full.basis and half.signs == full.signs
+    for half_row, full_row in zip(half.rows, full.rows):
+        for j in range(std.n + std.m):
+            s, sign = half.stored.at[j]
+            assert sign * half_row[s] == full_row[j]
+        assert half_row[-1] == full_row[-1]
+    for cost in costs:
+        out = phase_two(half, cost)
+        assert out == solve_lp(LinearProgram(cost, std.a, std.b))
+        kinds.add(type(out))
+
+
+def _with_redundant_row(rng, gp: GeneralProgram) -> GeneralProgram:
+    """gp with one more row at a random position: a random combination of
+    its rows, with the same combination of its rhs."""
+    weights = [random_rational(rng) for _ in range(gp.rows.rows)]
+    rows = [list(gp.rows.row(i)) for i in range(gp.rows.rows)]
+    extra = [sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(gp.n)]
+    rhs = list(gp.rhs)
+    at = rng.randint(0, len(rows))
+    rows.insert(at, extra)
+    rhs.insert(at, sum((w * b for w, b in zip(weights, rhs)), Fraction(0)))
+    return GeneralProgram(gp.objective, qmat(rows), QVector(tuple(rhs)))
+
+
+def test_half_tableau_equals_the_full_standard_form():
+    # Each random program as drawn, with a zero rhs, and with a redundant
+    # row; each at its own objective and at a random standard-form cost,
+    # whose y- costs are not the negated y+ costs.
+    rng = random.Random(31)
+    kinds, programs = set(), 0
+    for _ in range(700):
+        gp = _random_general_program(rng)
+        zero_rhs = GeneralProgram(gp.objective, gp.rows, QVector.zeros(gp.rhs.dim))
+        for program in (gp, zero_rhs, _with_redundant_row(rng, gp)):
+            width = 2 * program.n + program.rows.rows
+            drawn = QVector(tuple(random_rational(rng) for _ in range(width)))
+            _half_against_full(program, [program.cost(program.objective), drawn], kinds)
+            programs += 1
+    assert programs >= 2000 and kinds == {Optimal, Infeasible, Unbounded}
+
+
+def test_every_campaign_region_equals_its_full_standard_form(monkeypatch):
+    # Every Region of the (42, 12) campaign, at every cost asked of it.
+    from vlpdual import harness, lp as lp_module
+
+    regions: dict[int, tuple[Basis, GeneralProgram, list[QVector]]] = {}  # keeps each start alive
+    first, second = lp_module.phase_one, lp_module.phase_two
+
+    def recording_phase_one(program):
+        start = first(program)
+        if isinstance(program, GeneralProgram):
+            regions[id(start)] = (start, program, [])
+        return start
+
+    def recording_phase_two(start, c):
+        if id(start) in regions:
+            regions[id(start)][2].append(c)
+        return second(start, c)
+
+    monkeypatch.setattr(lp_module, "phase_one", recording_phase_one)
+    monkeypatch.setattr(lp_module, "phase_two", recording_phase_two)
+    assert harness.run_random_campaign(42, 12).ok
+    monkeypatch.undo()
+    kinds = set()
+    for _, gp, costs in regions.values():
+        _half_against_full(gp, costs, kinds)
+    assert len(regions) > 80 and kinds == {Optimal, Infeasible, Unbounded}
