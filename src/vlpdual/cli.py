@@ -91,17 +91,16 @@ def _cmd_certify(args) -> int:
 
     problem = _load(args.file)
     point = _parse_cli_vector(args.point)
-    efficient, dom = efficiency.is_efficient(problem, point)
-    cert = efficiency.proper_efficiency_certificate(problem, point)
+    efficient, cert = efficiency.is_efficient(problem, point)
     payload: dict = {"efficient": efficient}
     lines = [f"efficient: {efficient}"]
-    if cert is not None:
+    if efficient:
         payload["lambda"] = vector_to_list(cert.lam)
         payload["eta"] = vector_to_list(cert.eta)
         lines.append(f"scalarization: lambda={cert.lam} eta={cert.eta}")
-    if dom is not None and dom.dominator is not None:
-        payload["dominator"] = vector_to_list(dom.dominator)
-        lines.append(f"dominated by: {dom.dominator}")
+    else:
+        payload["dominator"] = vector_to_list(cert.dominator)
+        lines.append(f"dominated by: {cert.dominator}")
     _emit(payload, args.format, lines)
     return 0
 

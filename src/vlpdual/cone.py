@@ -28,7 +28,9 @@ through a map M; over x, mu >= 0 with equality rows, each is already a
 standard-form `LinearProgram`, which `dominator` answers with an x whose
 image lies strictly below, or None. For one M they are LP duals: the
 domination program at target t has the optimum of min t.lam over the
-multiplier system.
+multiplier system. `verify_dominator` checks such an x with its mu by
+products, as it checks an empty multiplier system's Farkas row, split
+after the generator rows, at target 0.
 """
 
 from __future__ import annotations
@@ -165,20 +167,29 @@ def dominator(
     cone: OrderingCone, M: QMatrix, target: QVector, fixed: tuple[QMatrix, QVector] | None = None
 ) -> QVector | None:
     """An x >= 0, with Ax = b when fixed = (A, b), whose image Mx lies
-    strictly below target, or None. Every caller asks at a target that
-    some feasible x reaches with mu = 0, so the domination program is
-    feasible, and at a zero target its outcome type alone answers. The
-    point (x, mu) is checked by products."""
+    strictly below target, or None. Every caller asks at the image of a
+    feasible point, which is feasible in the program with mu = 0. The
+    point (x, mu) passes `verify_dominator`."""
     out = solve_lp(domination_program(cone, M, target, fixed))
     if isinstance(out, Optimal) and out.value == 0:
         return None
     require(isinstance(out, (Optimal, Unbounded)), "the domination program is feasible at the target")
     point = out.x if isinstance(out, Optimal) else out.x0 + out.ray
     x, mu = QVector(point.entries[: M.cols]), QVector(point.entries[M.cols :])
-    require(point.is_nonneg() and sum(mu.entries) > 0, "x, mu >= 0 with sum(mu) > 0")
-    require(fixed is None or fixed[0] @ x == fixed[1], "the dominator satisfies Ax = b")
-    require(M @ x + generator_matrix(cone) @ mu == target, "Mx + G mu = target")
+    require(verify_dominator(cone, M, target, x, mu, fixed), "x, mu >= 0, sum(mu) > 0, Ax = b and Mx + G mu = target")
     return x
+
+
+def verify_dominator(
+    cone: OrderingCone, M: QMatrix, target: QVector, x: QVector, mu: QVector,
+    fixed: tuple[QMatrix, QVector] | None = None,
+) -> bool:
+    """Whether (x, mu) puts Mx strictly below target, by products alone:
+    x, mu >= 0 with sum(mu) > 0, Ax = b when fixed = (A, b), and
+    Mx + G mu = target. G mu is then a nonzero member of the pointed cone."""
+    if not (x.is_nonneg() and mu.is_nonneg() and sum(mu.entries) > 0):
+        return False
+    return (fixed is None or fixed[0] @ x == fixed[1]) and M @ x + generator_matrix(cone) @ mu == target
 
 
 def generator_matrix(cone: OrderingCone) -> QMatrix:

@@ -41,10 +41,9 @@ A sampled U of the D^H side is one `ReducedImage`, holding M = L - UA and
 its polyhedron Q_U = {lam : lam.g >= 1, M^T lam >= 0}. The domination
 program over M at a target t is the LP dual of min t.lam over Q_U, so Q_U
 answers whether a point's image is minimal (the lift into D) and whether
-a value lies in U's image set, by the same `Region` rule as P. The
-feasibility verdict of U stays a domination program, the independent
-side of Q_U's emptiness, answered by `cone.dominator`, as is `minimize`'s
-search for a point below.
+a value lies in U's image set, by the same `Region` rule as P, and U is
+feasible exactly when Q_U is nonempty. `cone.dominator` runs only in
+`minimize` and for a point that P gives no certificate.
 
 The LP builders, `cone.multiplier_program` (P and Q_U) and
 `cone.domination_program`, live with the generators they range over.
@@ -57,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .checks import check_feasible_D, check_feasible_J, check_feasible_L, verify_scalarization_certificate
-from .cone import OrderingCone, dominator, multiplier_program, strictly_below
+from .cone import OrderingCone, dominator, multiplier_program, strictly_below, verify_dominator
 from .exact import DimensionError, QMatrix, QVector, outer, require
 from .lp import Infeasible, LinearProgram, Region, solve_feasibility, solve_lp
 from .model import (
@@ -110,12 +109,10 @@ def scaled_generator(cone: OrderingCone, lam: QVector) -> QVector:
 
 class ReducedImage:
     """One U of the D^H side: the reduced map M = L - UA and every question
-    asked about it; `feasible` and Q_U are each built on first use.
+    asked about it; Q_U is built on first use.
 
-    `feasible` says U is feasible for D^H: no x >= 0 has Mx strictly below
-    zero. `multipliers` is Q_U = {lam : lam.g >= 1, M^T lam >= 0} as a
-    Region; by LP duality it is nonempty exactly when U is feasible. By
-    the same duality, min t.lam over Q_U is the optimum of the domination
+    `multipliers` is Q_U = {lam : lam.g >= 1, M^T lam >= 0} as a Region.
+    By LP duality, min t.lam over Q_U is the optimum of the domination
     program at target t: it is 0 exactly when t is Mx for some x >= 0 and
     no Mx lies strictly below t, and `lift` and `value_member` ask that.
     """
@@ -127,7 +124,16 @@ class ReducedImage:
 
     @cached_property
     def feasible(self) -> bool:
-        return dominator(self.problem.cone, self.M, QVector.zeros(self.problem.k)) is None
+        """U is feasible for D^H, no x >= 0 has Mx strictly below zero,
+        exactly when Q_U is nonempty. An empty Q_U's Farkas row splits
+        after the generator rows into (mu, x) with Mx + G mu = 0, sum(mu) > 0."""
+        cone, farkas = self.problem.cone, self.multipliers.farkas
+        if farkas is None:
+            return True
+        g = len(cone.generators)
+        mu, x = QVector(farkas.entries[:g]), QVector(farkas.entries[g:])
+        require(verify_dominator(cone, self.M, QVector.zeros(self.problem.k), x, mu), "Q_U's Farkas row is a dominator")
+        return False
 
     @cached_property
     def multipliers(self) -> Region:
@@ -148,7 +154,7 @@ class ReducedImage:
 
         Defined only for U feasible in the H sense, where the domination
         program is always bounded, so `dominator` returns its optimum. At
-        x0 = 0 the program is `feasible`'s own, which found nothing below 0.
+        x0 = 0 nothing lies below, as U is feasible.
         """
         if not x0.is_nonneg():
             raise ValueError("starting point must be nonnegative")
@@ -294,6 +300,18 @@ class DualPolyhedron(Region):
         cert = EfficiencyCertificate("efficient-with-scalarization", lam=lam, eta=-z)
         require(verify_scalarization_certificate(self.problem, xbar, cert), "certificate passes its defining system")
         return cert
+
+    def efficient(self, xbar: QVector) -> tuple[bool, EfficiencyCertificate]:
+        """Whether feasible xbar is efficient, with its proof: the
+        scalarization certificate, or when there is none (efficient and
+        properly efficient coincide) a feasible x with Lx strictly below."""
+        cert = self.certificate(xbar)
+        if cert is not None:
+            return True, cert
+        problem = self.problem
+        dom = dominator(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
+        require(dom is not None, "a point with no scalarization certificate is dominated")
+        return False, EfficiencyCertificate("dominated", dominator=dom)
 
     def image_sets(self, d: QVector) -> ImageSets:
         """Is d in hL, hB and hJ? One minimum of f = lam.d - b.z over P and

@@ -1,17 +1,12 @@
 """Efficiency oracles for the primal problem.
 
-The central device is a domination program: starting from a target image
-value, push as much cone mass as possible onto the slack between the
-target and the image of a feasible point. Its optimum is zero exactly
-when nothing feasible sits strictly below the target, and that decides
-efficiency without ever enumerating the image set. Deciding by LP rather
-than by pairwise image comparison matters: a dominating point need not
-be a vertex of the feasible set.
-
-`cone.dominator` answers it, and the homogeneous recession question,
-with a checked point below the target or None. Scalarization
-certificates are asked of `duality.DualPolyhedron`, the problem's dual
-polyhedron P, one phase I per problem. `model.EfficiencyCertificate` and
+Every answer here is read off `duality.DualPolyhedron`, the problem's
+dual polyhedron P, one phase I per problem. A feasible point is efficient
+exactly when P holds a scalarization certificate for it (efficient and
+properly efficient coincide), and with none `cone.dominator` finds a
+feasible point below it, which need not be a vertex. The recession image
+is pointed exactly when P is nonempty, the other side of one Farkas
+alternative. `model.EfficiencyCertificate` and
 `checks.verify_scalarization_certificate` are bound here by name.
 """
 
@@ -20,23 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .checks import verify_scalarization_certificate  # noqa: F401
-from .cone import dominator
+from .cone import verify_dominator
 from .duality import DualPolyhedron
 from .exact import QVector, extreme_rays, require
-from .model import EfficiencyCertificate, VlpProblem, primal_feasible
+from .model import EfficiencyCertificate, VlpProblem
 
 
-def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCertificate | None]:
-    """Decide efficiency of a feasible point; a negative answer carries a dominator.
-
-    Pointedness of the cone makes the test sound: a nonzero nonnegative
-    combination of the generators is never the zero vector, so any
-    positive cone mass witnesses strict domination.
-    """
-    if not primal_feasible(problem, xbar):
-        raise ValueError("point is not feasible for the primal problem")
-    dom = dominator(problem.cone, problem.L, problem.L @ xbar, fixed=(problem.A, problem.b))
-    return (True, None) if dom is None else (False, EfficiencyCertificate("dominated", dominator=dom))
+def is_efficient(problem: VlpProblem, xbar: QVector) -> tuple[bool, EfficiencyCertificate]:
+    """`DualPolyhedron.efficient` on a polyhedron built for one point."""
+    return DualPolyhedron(problem).efficient(xbar)
 
 
 def proper_efficiency_certificate(problem: VlpProblem, xbar: QVector) -> EfficiencyCertificate | None:
@@ -57,21 +44,25 @@ def enumerate_vertices(problem: VlpProblem) -> list[QVector]:
 
 
 def efficient_vertices(problem: VlpProblem) -> list[tuple[QVector, EfficiencyCertificate]]:
-    """Efficient vertices, each with its scalarization certificate; one P
-    answers them all."""
-    efficient = [v for v in enumerate_vertices(problem) if is_efficient(problem, v)[0]]
-    if not efficient:
+    """Efficient vertices, each with its scalarization certificate; one P,
+    built only once there are vertices, answers them all."""
+    vertices = enumerate_vertices(problem)
+    if not vertices:
         return []
     polyhedron = DualPolyhedron(problem)
-    result = []
-    for vertex in efficient:
-        cert = polyhedron.certificate(vertex)
-        require(cert is not None, "every efficient point admits a scalarization certificate")
-        result.append((vertex, cert))
-    return result
+    return [(v, cert) for v in vertices if (cert := polyhedron.certificate(v)) is not None]
 
 
-def recession_image_pointed(problem: VlpProblem) -> bool:
-    """Whether the image of the primal recession cone meets -K only at the origin."""
-    recession = (problem.A, QVector.zeros(problem.m))
-    return dominator(problem.cone, problem.L, QVector.zeros(problem.k), fixed=recession) is None
+def recession_image_pointed(polyhedron: DualPolyhedron) -> bool:
+    """Whether the image of the primal recession cone meets -K only at the
+    origin: whether P is nonempty. An empty P's Farkas row splits after the
+    generator rows into (mu, x) with Ax = 0 and Lx + G mu = 0, sum(mu) > 0:
+    a recession direction whose image is a nonzero member of -K."""
+    problem, farkas = polyhedron.problem, polyhedron.farkas
+    if farkas is None:
+        return True
+    g = len(problem.cone.generators)
+    mu, x = QVector(farkas.entries[:g]), QVector(farkas.entries[g:])
+    recession, zero = (problem.A, QVector.zeros(problem.m)), QVector.zeros(problem.k)
+    require(verify_dominator(problem.cone, problem.L, zero, x, mu, recession), "P's Farkas row is a dominator")
+    return False

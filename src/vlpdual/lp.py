@@ -449,12 +449,17 @@ class Region:
     answers it by `extreme(w)`: the first by phase II, the second and later
     ones off the V-form that the second builds, with no LP. A V-form over
     `VERTEX_LIMIT` is given up, and the region stays on phase II.
+
+    An empty region keeps phase I's Farkas row as `farkas`, indexed by gp's
+    rows: f >= 0 with rows^T f = 0 and rhs.f > 0; else it is None.
     """
 
     def __init__(self, gp: GeneralProgram):
         self._gp = gp
         start = phase_one(gp)
         self._basis = None if isinstance(start, Infeasible) else start
+        self.farkas = start.farkas if isinstance(start, Infeasible) else None
+        require(self.empty or (gp.rows @ self.point - gp.rhs).is_nonneg(), "phase I's point satisfies every row")
         self._questions = 0
         self._form: tuple[list[QVector], list[QVector], tuple[QVector, ...]] | None = None
 

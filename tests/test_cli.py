@@ -148,6 +148,18 @@ def test_dual_construct_non_efficient_point_answers_null(tmp_path, capsys):
     assert "not efficient" in capsys.readouterr().out
 
 
+def test_certify_prints_the_dominator_of_a_dominated_point(tmp_path, capsys):
+    # One is_efficient call answers: no scalarization certificate, so the
+    # dominator that cone.dominator found and checked.
+    widened = dict(SEG, n=3, L=[["1", "0", "1"], ["0", "1", "1"]], A=[["1", "1", "1"]])
+    path = tmp_path / "widened.json"
+    path.write_text(json.dumps(widened))
+    assert main(["certify", str(path), "--point", '["0", "0", "1"]']) == 0
+    assert capsys.readouterr().out.splitlines() == ["efficient: False", "dominated by: (1, 0, 0)"]
+    assert main(["certify", str(path), "--point", '["0", "0", "1"]', "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"efficient": False, "dominator": ["1", "0", "0"]}
+
+
 @pytest.mark.parametrize(
     "dual",
     [

@@ -9,12 +9,13 @@ from _oracles import (
     lam_z_stack,
     reference_dual_point,
     reference_gamma,
+    reference_max_domination,
     reference_membership,
     reference_scalarization,
     reference_value_member,
 )
 from vlpdual import duality, exact, lp
-from vlpdual.cone import domination_program, multiplier_program, orthant, strictly_below
+from vlpdual.cone import domination_program, multiplier_program, orthant, strictly_below, verify_dominator
 from vlpdual.duality import (
     DualPolyhedron,
     ReducedImage,
@@ -43,6 +44,7 @@ from vlpdual.efficiency import (
     enumerate_vertices,
     is_efficient,
     proper_efficiency_certificate,
+    recession_image_pointed,
     verify_scalarization_certificate,
 )
 from vlpdual.exact import CertificateError, QMatrix, QVector, VertexLimitError, outer, qmat, qvec
@@ -132,9 +134,10 @@ def test_u_feasibility_agreement_random(seed):
     problem = random_problem(rng)
     for _ in range(4):
         U = random_matrix(rng, problem.k, problem.m)
-        via_image = check_feasible_U(problem, DualCandidateU(U, "H"))
-        via_lam = u_feasibility_multiplier(problem, U)
-        assert via_image == (via_lam is not None)
+        # Q_U decides; the bounded domination program at 0 is solved on its own
+        via_lam = check_feasible_U(problem, DualCandidateU(U, "H"))
+        via_image = reference_max_domination(problem.cone, problem.L - (U @ problem.A), QVector.zeros(problem.n)) == 0
+        assert via_lam == via_image == (u_feasibility_multiplier(problem, U) is not None)
 
 
 def test_construct_dual_solution_segment(seg_problem):
@@ -546,7 +549,7 @@ def test_inclusion_chain_runs_no_phase_two_after_the_context(monkeypatch):
     chains = 0
     for index, (instance, problem) in enumerate(harness._campaign_instances(42, 4)):
         rng = random.Random(index)
-        ctx = harness._build_context(problem, rng, cfg)
+        ctx = harness._build_context(problem, enumerate_vertices(problem), rng, cfg)
         solves.clear()
         count, failures, _ = harness._check_inclusion_chain(ctx)
         assert not failures
@@ -576,7 +579,53 @@ def test_campaign_lp_runs_are_pinned(monkeypatch):
     monkeypatch.setattr(lp, "phase_one", counted_phase_one)
     monkeypatch.setattr(lp, "phase_two", counted_phase_two)
     assert harness.run_random_campaign(42, 12).ok
-    assert runs == {"phase one": 212, "phase two": 629}
+    assert runs == {"phase one": 150, "phase two": 567}
+
+
+def _split_farkas(problem, farkas) -> tuple[QVector, QVector]:
+    """(mu, x): a Farkas row of a multiplier program, split after its generator rows."""
+    g = len(problem.cone.generators)
+    return QVector(farkas.entries[:g]), QVector(farkas.entries[g:])
+
+
+def _no_domination(program):
+    raise AssertionError("a verdict read off Q_U or P ran a domination program")
+
+
+def test_campaign_verdicts_match_the_domination_programs(monkeypatch):
+    # Seed 42, count 12, each context as the campaign builds it: U
+    # feasibility, recession pointedness and each vertex's efficiency agree
+    # with the bounded domination program, solved on its own, and the first
+    # two run no domination program. Each empty Q_U's and empty P's Farkas
+    # row splits into (mu, x) that passes verify_dominator at 0, which pins
+    # the sign of Region.farkas.
+    from vlpdual import cone, harness
+
+    cases = dict.fromkeys(("empty P", "nonempty P", "empty Q_U", "nonempty Q_U", "efficient", "dominated"), 0)
+    for index, (_, problem) in enumerate(harness._campaign_instances(42, 12)):
+        rng = random.Random(42 * 1000003 + index)
+        ctx = harness._build_context(problem, enumerate_vertices(problem), rng, CampaignConfig())
+        with monkeypatch.context() as patch:
+            patch.setattr(cone, "solve_lp", _no_domination)
+            pointed = recession_image_pointed(ctx.polyhedron)
+            feasible = [image.feasible for image in ctx.images]
+        zero_x, zero_image = QVector.zeros(problem.n), QVector.zeros(problem.k)
+        recession = (problem.A, QVector.zeros(problem.m))
+        assert pointed == (reference_max_domination(problem.cone, problem.L, zero_x, recession) == 0)
+        if not pointed:
+            mu, x = _split_farkas(problem, ctx.polyhedron.farkas)
+            assert verify_dominator(problem.cone, problem.L, zero_image, x, mu, recession)
+        cases["nonempty P" if pointed else "empty P"] += 1
+        for image, verdict in zip(ctx.images, feasible):
+            assert verdict == (reference_max_domination(problem.cone, image.M, zero_x) == 0)
+            if not verdict:
+                mu, x = _split_farkas(problem, image.multipliers.farkas)
+                assert verify_dominator(problem.cone, image.M, zero_image, x, mu)
+            cases["nonempty Q_U" if verdict else "empty Q_U"] += 1
+        for vertex, eff, _ in ctx.vertex_status:
+            assert eff == (reference_max_domination(problem.cone, problem.L, vertex, (problem.A, problem.b)) == 0)
+            cases["efficient" if eff else "dominated"] += 1
+    assert all(cases.values()), cases
 
 
 def _over_limit(rows, rhs):
@@ -838,7 +887,7 @@ def test_lifts_on_Q_U_agree_with_the_multiplier_system(no_dual_problem):
     for problem in _phase_two_problems(no_dual_problem, 1250):
         for U in (QMatrix.zeros(problem.k, problem.m), random_matrix(rng, problem.k, problem.m)):
             image = ReducedImage(problem, U)
-            assert image.feasible == (not image.multipliers.empty)
+            assert image.feasible == (reference_max_domination(problem.cone, image.M, QVector.zeros(problem.n)) == 0)
             starts = [QVector.zeros(problem.n)] + [
                 QVector(tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(problem.n)))
                 for _ in range(2)

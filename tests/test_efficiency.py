@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import brute_vertices
+from _oracles import brute_vertices, reference_max_domination
 from vlpdual import cone as cone_module
 from vlpdual.cone import domination_program, generator_matrix, orthant, strictly_below
+from vlpdual.duality import DualPolyhedron
 from vlpdual.efficiency import (
     efficient_vertices,
     enumerate_vertices,
@@ -95,13 +96,13 @@ def test_segment_vertices_efficient(seg_problem):
     assert not strictly_below(seg_problem.cone, qvec(0, 1), qvec(1, 0))
     for vertex in enumerate_vertices(seg_problem):
         eff, cert = is_efficient(seg_problem, vertex)
-        assert eff and cert is None
+        assert eff and verify_scalarization_certificate(seg_problem, vertex, cert)
 
 
 def test_widened_dominated_vertex(widened_problem):
     eff, cert = is_efficient(widened_problem, qvec(0, 0, 1))
     assert not eff
-    assert cert is not None and cert.dominator is not None
+    assert cert.kind == "dominated" and cert.dominator is not None
     dom = cert.dominator
     image = widened_problem.L @ dom
     target = widened_problem.L @ qvec(0, 0, 1)
@@ -182,17 +183,27 @@ def test_efficient_vertices_r5(r5_problem):
 
 
 def test_recession_bounded(seg_problem):
-    assert recession_image_pointed(seg_problem)
+    assert recession_image_pointed(DualPolyhedron(seg_problem))
 
 
 def test_recession_ray_harmless():
     p = VlpProblem(QMatrix.identity(2), qmat([[1, -1]]), qvec(0), orthant(2))
-    assert recession_image_pointed(p)
+    assert recession_image_pointed(DualPolyhedron(p))
 
 
 def test_recession_ray_into_negative_cone():
     p = VlpProblem(QMatrix.identity(2).scale(-1), qmat([[1, -1]]), qvec(0), orthant(2))
-    assert not recession_image_pointed(p)
+    assert not recession_image_pointed(DualPolyhedron(p))
+
+
+def test_recession_image_pointed_rejects_a_wrong_farkas_row():
+    # An empty P's Farkas row is checked as a recession direction with its
+    # image in -K before the "not pointed" answer is given.
+    p = VlpProblem(QMatrix.identity(2).scale(-1), qmat([[1, -1]]), qvec(0), orthant(2))
+    polyhedron = DualPolyhedron(p)
+    polyhedron.farkas = polyhedron.farkas + QVector.unit(polyhedron.farkas.dim, polyhedron.farkas.dim - 1)
+    with pytest.raises(CertificateError):
+        recession_image_pointed(polyhedron)
 
 
 def _augmented_vertices(problem, target):
@@ -247,11 +258,15 @@ def test_is_efficient_matches_augmented_enumeration(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_efficiency_scalarization_biconditional_random(seed):
+    # is_efficient reads P; the bounded domination program is the other
+    # side of the LP duality, solved on its own.
     rng = random.Random(1000 + seed)
     problem = random_problem(rng)
     for vertex in enumerate_vertices(problem):
-        eff, _ = is_efficient(problem, vertex)
-        cert = proper_efficiency_certificate(problem, vertex)
-        assert eff == (cert is not None)
-        if cert is not None:
+        eff, cert = is_efficient(problem, vertex)
+        assert eff == (reference_max_domination(problem.cone, problem.L, vertex, (problem.A, problem.b)) == 0)
+        assert eff == (proper_efficiency_certificate(problem, vertex) is not None)
+        if eff:
             assert verify_scalarization_certificate(problem, vertex, cert)
+        else:
+            assert strictly_below(problem.cone, problem.L @ cert.dominator, problem.L @ vertex)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from vlpdual import duality, harness, lp
+from vlpdual import cone, duality, harness, lp
 from vlpdual.cli import main
 from vlpdual.cone import orthant
-from vlpdual.exact import QMatrix, qvec
+from vlpdual.efficiency import enumerate_vertices
+from vlpdual.exact import QMatrix, QVector, qmat, qvec
 from vlpdual.harness import (
     CampaignConfig,
     CheckRecord,
@@ -389,6 +390,77 @@ def test_a_failed_requirement_in_the_build_fails_only_its_instance(monkeypatch, 
     capsys.readouterr()
 
 
+def test_an_exception_in_the_build_fails_only_its_instance(monkeypatch, capsys):
+    # Any exception while a context is built, not only a CertificateError,
+    # fails that instance's 12 checks; the campaign goes on and exits 1.
+    sample = harness.sample_probe_values
+    calls = []
+
+    def failing_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ZeroDivisionError("sabotaged draw")
+        return sample(*args)
+
+    monkeypatch.setattr(harness, "sample_probe_values", failing_second)
+    report = run_random_campaign(42, 3)
+    (failed,) = {r.instance for r in report.records if r.status == "fail"}
+    records = [r for r in report.records if r.instance == failed]
+    assert [r.check for r in records] == sorted(name for name, _ in harness._CAMPAIGN_CHECKS)
+    assert all(r.witness["failures"] == [{"exception": "ZeroDivisionError: sabotaged draw"}] for r in records)
+    calls.clear()
+    assert main(["campaign", "--seed", "42", "--count", "3"]) == 1
+    capsys.readouterr()
+
+
+def _negated_farkas_rows(monkeypatch):
+    init = lp.Region.__init__
+
+    def negated(self, gp):
+        init(self, gp)
+        if self.farkas is not None:
+            self.farkas = -self.farkas
+
+    monkeypatch.setattr(lp.Region, "__init__", negated)
+
+
+def _shifted_dominators(monkeypatch):
+    solve_lp = cone.solve_lp
+
+    def shifted(program):
+        out = solve_lp(program)
+        if isinstance(out, lp.Optimal) and out.value != 0:
+            return lp.Optimal(out.x + QVector.unit(out.x.dim, 0), out.y, out.value)
+        return out
+
+    monkeypatch.setattr(cone, "solve_lp", shifted)
+
+
+# Q-NOEFF has an empty P and an empty Q_U at U = 0; (0, 0, 1) of the
+# widened segment is a dominated vertex.
+_WIDENED = VlpProblem(qmat([[1, 0, 1], [0, 1, 1]]), qmat([[1, 1, 1]]), qvec(1), orthant(2))
+
+
+@pytest.mark.parametrize(
+    ("sabotage", "check", "problem", "message"),
+    [
+        (_negated_farkas_rows, "u_feasibility_agreement", harness._problem_noeff(), "Q_U's Farkas row is a dominator"),
+        (_negated_farkas_rows, "emptiness_biconditional", harness._problem_noeff(), "P's Farkas row is a dominator"),
+        (_shifted_dominators, "efficient_iff_scalarizable", _WIDENED, "x, mu >= 0, sum(mu) > 0, Ax = b"),
+    ],
+)
+def test_a_corrupted_certificate_fails_its_check(monkeypatch, sabotage, check, problem, message):
+    # Each verdict's proof is required where it is built: a Farkas row or
+    # a dominator that verify_dominator rejects fails the check that reads it.
+    (record,) = run_instance_suite(problem, seed=3, config=SMALL).select(check)
+    assert record.status == "pass"
+    sabotage(monkeypatch)
+    (record,) = run_instance_suite(problem, seed=3, config=SMALL).select(check)
+    assert record.status == "fail"
+    (failure,) = record.witness["failures"]
+    assert failure["exception"].startswith(f"CertificateError: {message}")
+
+
 def test_weak_duality_fails_once_per_pair_in_primal_order(monkeypatch):
     # Under a sabotaged order that puts some images below some dual values,
     # the check records the failures of the plain loop over every (h, x),
@@ -399,7 +471,7 @@ def test_weak_duality_fails_once_per_pair_in_primal_order(monkeypatch):
     monkeypatch.setattr(harness, "precedes", below)
     compared = repeated = 0
     for index, (_, problem) in enumerate(harness._campaign_instances(42, 6)):
-        ctx = harness._build_context(problem, random.Random(index), SMALL)
+        ctx = harness._build_context(problem, enumerate_vertices(problem), random.Random(index), SMALL)
         images = [problem.cone.coordinates(problem.L @ x) for x in ctx.primals]
         expected = [
             {"x": vector_to_list(x), "h": vector_to_list(h)}

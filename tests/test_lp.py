@@ -280,16 +280,27 @@ def test_region_minimize_is_solve_general_per_cost():
         region = Region(gp)
         assert region.empty == isinstance(solve_general(gp), Infeasible)
         if region.empty:
-            assert region.point is None
+            # phase I's Farkas row, kept: f >= 0, rows^T f = 0, rhs.f > 0
+            assert region.point is None and region.farkas == solve_general(gp).farkas
+            assert verify_farkas(to_standard_form(gp), region.farkas)
             with pytest.raises(CertificateError):
                 region.minimize(gp.objective)
             continue
-        assert _satisfies(gp, region.point)
+        assert _satisfies(gp, region.point) and region.farkas is None
         for w in [gp.objective] + [QVector(tuple(random_rational(rng) for _ in range(gp.n))) for _ in range(2)]:
             out = region.minimize(w)
             assert out == solve_general(GeneralProgram(w, gp.rows, gp.rhs))
             kinds.add(type(out))
     assert kinds == {Optimal, Unbounded}
+
+
+def test_region_requires_its_point_on_every_row(monkeypatch):
+    # A nonempty region's point is its proof, checked by products.
+    gp = GeneralProgram(qvec(0, 0), QMatrix.identity(2), qvec(1, 1))
+    back = GeneralProgram.back
+    monkeypatch.setattr(GeneralProgram, "back", lambda self, v: -back(self, v))
+    with pytest.raises(CertificateError, match="phase I's point"):
+        Region(gp)
 
 
 def _criterion_8_lps(rng, count):

@@ -16,6 +16,7 @@ PER_PAIR_ORDER = {"strictly_below", "contains"}
 # The harness asks the polyhedra it holds (P, and one ReducedImage per
 # sampled U), never the one-shot oracles that build a fresh one per call.
 ONE_SHOT_ORACLES = {
+    "is_efficient",
     "proper_efficiency_certificate",
     "check_feasible_U",
     "u_feasibility_multiplier",
@@ -167,12 +168,17 @@ def test_campaign_checks_only_read_the_context():
 
 
 def test_witness_checks_never_solve():
+    # lp.verify_* check LP outcomes and cone.verify_dominator checks every
+    # domination witness, Farkas rows of Q_U and P included.
     trees = dict(_modules())
     verifiers = [
-        node for node in trees["lp.py"].body if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+        (f"{module.removesuffix('.py')}.{node.name}", node)
+        for module in ("lp.py", "cone.py")
+        for node in trees[module].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
     ]
-    assert len(verifiers) >= 4, [node.name for node in verifiers]
-    for name, tree in [("checks.py", trees["checks.py"])] + [(f"lp.{node.name}", node) for node in verifiers]:
+    assert len(verifiers) >= 5 and "cone.verify_dominator" in dict(verifiers), [name for name, _ in verifiers]
+    for name, tree in [("checks.py", trees["checks.py"])] + verifiers:
         found = sorted(set(_names(tree)) & SOLVING)
         assert not found, f"{name} names {found}"
 
@@ -182,6 +188,21 @@ def test_efficiency_asks_domination_through_cone_dominator():
     (tree,) = [tree for name, tree in _modules() if name == "efficiency.py"]
     found = sorted(set(_names(tree)) & {"solve_general", "domination_program"})
     assert not found, found
+
+
+def test_no_dominator_call_passes_a_zero_target():
+    # U-feasibility and recession pointedness, the zero-target questions,
+    # are the emptiness of Q_U and P; cone.dominator is asked only at the
+    # image of a point.
+    calls = [
+        (name, node)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "dominator"
+    ]
+    assert len(calls) >= 2, calls
+    zero = [(name, node.lineno) for name, node in calls if "zeros" in ast.unparse(node.args[2])]
+    assert not zero, zero
 
 
 def test_efficiency_builds_on_duality_never_the_reverse():
